@@ -1,7 +1,8 @@
 """Strain-dependent fine structure, photodynamics and magnetic-resonance
 signatures of the NV- triplet excited state."""
 
-from .config import Config, RunManifest, load_config, parse_config, write_csv
+from .config import (ARTIFACT_VERSION, Config, RunManifest, load_config,
+                     parse_config, write_csv)
 from .fitting import FitModel, FitResult, ObservedDefect, assign_lines, fit
 from .linalg import EigenSystem, hermitian_eigen
 from .model import (FineStructureParams, StrainVector,
@@ -17,7 +18,7 @@ from .sweep import (CrossingEvent, LevelCharacter, SweepResult,
                     averaged_splitting, detect_crossings,
                     nv2_condition_strain, sweep)
 
-__version__ = "0.1.0"
+__version__ = ARTIFACT_VERSION
 
 __all__ = [
     "Config", "RunManifest", "load_config", "parse_config", "write_csv",

@@ -309,7 +309,8 @@ def _cmd_fit(cfg, args, command):
                for d in data])
     print("\n".join(report))
     if not result.converged:
-        raise FitError("optimizer did not converge; result flagged")
+        raise FitError("fit did not converge (optimizer stopped, or a "
+                       "strain lies at the strain-grid edge); result flagged")
     _finish(cfg, command, [rpath, spath], inputs=[args.input])
 
 
@@ -333,13 +334,15 @@ def run(argv):
         cfg = load_config(cfg_path) if cfg_path else Config()
         _COMMANDS[args.command](cfg, args, " ".join(["nvsim"] + list(argv)))
         return 0
+    # LinAlgError subclasses ValueError, so numerical failures are caught
+    # before usage errors
+    except (EigenError, SweepError, RateModelError, BranchError,
+            FitError, ArithmeticError, np.linalg.LinAlgError) as err:
+        print(f"nvsim: numerical failure: {err}", file=sys.stderr)
+        return NUMERICAL_EXIT
     except (UsageError, ConfigError, ValueError) as err:
         print(f"nvsim: error: {err}", file=sys.stderr)
         return USAGE_EXIT
-    except (EigenError, SweepError, RateModelError, BranchError,
-            FitError, ArithmeticError) as err:
-        print(f"nvsim: numerical failure: {err}", file=sys.stderr)
-        return NUMERICAL_EXIT
 
 
 def main():

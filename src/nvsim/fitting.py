@@ -1,19 +1,23 @@
 """Estimation of the zero-strain fine-structure parameters from measured
 excitation-line positions.
 
-Each defect contributes a handful of line detunings relative to an
+Each defect contributes two to six line detunings relative to an
 arbitrary per-defect reference; the model predicts the six excited-state
 eigenvalues at the defect's (unknown) transverse strain, shifted by a
 free per-defect offset. Global parameters (lambda_z, d_es, delta_cap and
 optionally lambda_perp) are shared across defects and found by
 derivative-free simplex descent over a nested per-defect strain/offset
 optimization.
+
+One path serves any line count: a defect's m lines match the six predicted
+ones by one of C(6, m) <= 20 injections, in closed form batched per m.
 """
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize
 
 from .model import (FineStructureParams, StrainVector,
                     build_excited_hamiltonian)
@@ -21,6 +25,13 @@ from .model import (FineStructureParams, StrainVector,
 STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
 REFINE_ITERS = 18
+N_LINES = 6             # predicted excited-state lines
+
+# Order-preserving injections of m sorted lines into six, in descending
+# colex order: ties go to the later lines, as in `assign_lines`.
+_INJECTIONS = {m: np.array(sorted(combinations(range(N_LINES), m),
+                                  key=lambda c: c[::-1], reverse=True))
+               for m in range(1, N_LINES + 1)}
 
 
 class FitError(Exception):
@@ -126,17 +137,56 @@ def _batch_lines(family, dperps):
                               + np.asarray(dperps)[:, None, None] * hd)
 
 
-def _defect_cost(pred, defect, offset=None):
-    """Whitened squared cost of one defect at fixed predicted lines; the
-    offset is re-centered from the initial assignment if not given."""
-    meas = np.sort(np.asarray(defect.lines))
+def _measured(defect):
+    if len(defect.lines) > N_LINES:
+        raise FitError(f"defect {defect.id}: more measured lines "
+                       f"({len(defect.lines)}) than predicted ({N_LINES})")
+    return np.sort(defect.lines)
+
+
+def _mean(x):
+    # np.mean's value without its call overhead, which the fit pays often
+    return x.sum(axis=-1) / x.shape[-1]
+
+
+def _closest(sel, shift, target):
+    """Index (...) of the row of sel (..., n, m) - shift nearest target."""
+    if sel.shape[-2] == 1:
+        return np.zeros(sel.shape[:-2], dtype=np.intp)
+    return np.argmin(np.abs(sel - shift[..., None, None]
+                            - target[..., None, :]).sum(axis=-1), axis=-1)
+
+
+def _take(sel, k):
+    """Row k (...) of the candidates sel (..., n, m)."""
+    if sel.shape[-2] == 1:
+        return sel[..., 0, :]
+    sel = np.broadcast_to(sel, k.shape + sel.shape[-2:])
+    return np.take_along_axis(sel, k[..., None, None], axis=-2)[..., 0, :]
+
+
+def _match(pred, meas, offset=None):
+    """Line matching, batched over the leading axes of sorted pred (..., 6)
+    and meas (..., m). Unless given, offset = mean(meas - first), first
+    being the injection closest in L1 after centring. Returns residuals
+    pred + offset - meas of the injection closest in L1 at that offset,
+    its row of _INJECTIONS[m], and first (None if the offset is given)."""
+    sel = pred[..., _INJECTIONS[meas.shape[-1]]]
+    meas_mean = _mean(meas)
+    meas_c = meas - meas_mean[..., None]
     if offset is None:
-        pairs = assign_lines(pred, meas - (np.mean(meas) - np.mean(pred)))
-        offset = float(np.mean([meas[i] - pred[j] for i, j in pairs]))
-    pairs = assign_lines(pred + offset, meas)
-    resid = np.array([(pred[j] + offset - meas[i]) / defect.sigma
-                      for i, j in pairs])
-    return float(resid @ resid), offset, pairs, resid
+        first = _take(sel, _closest(sel, _mean(pred), meas_c))
+        anchor = _mean(first)
+    else:
+        first, anchor = None, meas_mean - offset
+    k = _closest(sel, anchor, meas_c)
+    return (_take(sel, k) - anchor[..., None]) - meas_c, k, first
+
+
+def _cost(pred, meas, sigmas):
+    """Whitened squared residual of the matched lines."""
+    diff = _match(pred, meas)[0]
+    return (diff * diff).sum(axis=-1) / sigmas ** 2
 
 
 def residuals(fm, data):
@@ -145,43 +195,24 @@ def residuals(fm, data):
     out = []
     for defect in data:
         try:
-            dperp = fm.strains[defect.id]
-            offset = fm.offsets.get(defect.id)
-            pred = predicted_lines(fm.params, dperp)
-            _, _, _, resid = _defect_cost(pred, defect, offset)
-        except (KeyError, FitError) as err:
+            pred = predicted_lines(fm.params, fm.strains[defect.id])
+        except KeyError as err:
             raise FitError(f"defect {defect.id}: {err}") from err
-        out.extend(resid)
+        diff = _match(pred, _measured(defect),
+                      fm.offsets.get(defect.id))[0]
+        out.extend(diff / defect.sigma)
     return np.array(out)
 
 
-# --- fast path: every defect reports all six lines -----------------------
-#
-# With six measured lines the assignment is the identity and the optimal
-# offset is the mean difference, so the per-defect cost at strain d is a
-# closed-form function of the centered eigenvalue vector. Everything is
-# vectorized over defects and candidate strains.
-
-def _centered(lines_matrix):
-    arr = np.sort(np.asarray(lines_matrix, dtype=float), axis=-1)
-    return arr - arr.mean(axis=-1, keepdims=True)
+def _groups(data):
+    """(positions in data, sorted lines (n, m), sigmas (n,)) per count m."""
+    counts = np.array([len(d.lines) for d in data])
+    idxs = [np.flatnonzero(counts == m) for m in np.unique(counts)]
+    return [(idx, np.array([_measured(data[i]) for i in idx]),
+             np.array([data[i].sigma for i in idx])) for idx in idxs]
 
 
-def _grid_costs(family, grid, meas_c, sigmas):
-    """Cost matrix (ndefect, ngrid) on a shared strain grid."""
-    pred_c = _centered(_batch_lines(family, grid))           # (ngrid, 6)
-    diff = pred_c[None, :, :] - meas_c[:, None, :]           # (nd, ng, 6)
-    return (diff * diff).sum(axis=2) / sigmas[:, None] ** 2
-
-
-def _point_costs(family, dperps, meas_c, sigmas):
-    """Cost of defect i at its own candidate strain dperps[i]."""
-    pred_c = _centered(_batch_lines(family, dperps))
-    diff = pred_c - meas_c
-    return (diff * diff).sum(axis=1) / sigmas ** 2
-
-
-def _refine_strains(family, grid, costs, meas_c, sigmas,
+def _refine_strains(family, grid, costs, meas, sigmas,
                     iters=REFINE_ITERS):
     """Per-defect strain minimization: safeguarded successive parabolic
     interpolation, batched across defects (one stacked eigensolve per
@@ -206,7 +237,7 @@ def _refine_strains(family, grid, costs, meas_c, sigmas,
         bad = (~np.isfinite(cand)) | (cand <= x0) | (cand >= x2) \
             | (np.abs(cand - x1) < 1e-14)
         cand = np.where(bad, fallback, cand)
-        fc = _point_costs(family, cand, meas_c, sigmas)
+        fc = _cost(_batch_lines(family, cand), meas, sigmas)
         # merge the new point, keeping a bracketing triple around the min
         allx = np.concatenate([xs, cand[:, None]], axis=1)
         allf = np.concatenate([fs, fc[:, None]], axis=1)
@@ -220,31 +251,12 @@ def _refine_strains(family, grid, costs, meas_c, sigmas,
     return xs[:, 1], fs[:, 1]
 
 
-def _best_defect_fit(params, defect, coarse_grid, coarse_pred):
-    """Generic path for one defect (any line count): coarse scan over the
-    shared strain grid, then bounded 1-D refinement."""
-    costs = np.array([_defect_cost(coarse_pred[i], defect)[0]
-                      for i in range(coarse_grid.size)])
-    k = int(np.argmin(costs))
-    lo = coarse_grid[max(k - 1, 0)]
-    hi = coarse_grid[min(k + 1, coarse_grid.size - 1)]
-
-    def f(d):
-        return _defect_cost(predicted_lines(params, d), defect)[0]
-
-    res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-10})
-    best_d = float(res.x)
-    cost, offset, pairs, _ = _defect_cost(
-        predicted_lines(params, best_d), defect)
-    return cost, best_d, offset, pairs
-
-
 def fit(data, init=None, max_iter=400, tol=1e-6):
     """Fit shared fine-structure parameters plus per-defect strain and
     offset. Nelder-Mead over the global parameters; for each candidate,
     every defect's strain is re-optimized by a grid scan plus 1-D
-    refinement (a deterministic multi-start over strain)."""
+    refinement (a deterministic multi-start over strain). A defect whose
+    best grid point is STRAIN_MAX flags the fit not converged."""
     if not data:
         raise FitError("no defects supplied")
     fm = init if init is not None else FitModel()
@@ -261,25 +273,25 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
     grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
     lo = np.array([fm.bounds[n][0] for n in names])
     hi = np.array([fm.bounds[n][1] for n in names])
-    all_full = all(len(d.lines) == 6 for d in data)
-    if all_full:
-        meas_c = _centered([d.lines for d in data])
-        sigmas = np.array([d.sigma for d in data])
+    groups = _groups(data)
 
     def solve_strains(params):
         family = _strain_family(params)
-        costs = _grid_costs(family, grid, meas_c, sigmas)
-        return _refine_strains(family, grid, costs, meas_c, sigmas)
+        grid_pred = _batch_lines(family, grid)
+        strains, costs = np.empty(len(data)), np.empty(len(data))
+        at_edge = np.empty(len(data), dtype=bool)
+        for idx, meas, sigmas in groups:
+            grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
+            strains[idx], costs[idx] = _refine_strains(
+                family, grid, grid_costs, meas, sigmas)
+            at_edge[idx] = np.argmin(grid_costs, axis=1) == grid.size - 1
+        return strains, costs, at_edge
 
     def objective(theta):
         if np.any(theta < lo) or np.any(theta > hi):
             return 1e12
         params = replace(fm.params, **dict(zip(names, theta)))
-        if all_full:
-            return float(solve_strains(params)[1].sum())
-        coarse_pred = _batch_lines(_strain_family(params), grid)
-        return sum(_best_defect_fit(params, d, grid, coarse_pred)[0]
-                   for d in data)
+        return float(solve_strains(params)[1].sum())
 
     x0 = np.array([getattr(fm.params, n) for n in names])
     res = minimize(objective, x0, method="Nelder-Mead",
@@ -287,36 +299,23 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
                             "fatol": tol, "adaptive": True})
 
     best = replace(fm.params, **dict(zip(names, res.x)))
-    strains, offsets, assignments = {}, {}, {}
-    sq_sum, count = 0.0, 0
-    if all_full:
-        ds, _ = solve_strains(best)
-        for defect, d in zip(data, ds):
-            cost, off, pairs, _ = _defect_cost(
-                predicted_lines(best, float(d)), defect)
-            strains[defect.id] = float(d)
-            offsets[defect.id] = off
-            assignments[defect.id] = pairs
-            sq_sum += cost * defect.sigma ** 2
-            count += len(pairs)
-    else:
-        coarse_pred = _batch_lines(_strain_family(best), grid)
-        for defect in data:
-            cost, d, off, pairs = _best_defect_fit(best, defect,
-                                                   grid, coarse_pred)
-            strains[defect.id] = d
-            offsets[defect.id] = off
-            assignments[defect.id] = pairs
-            sq_sum += cost * defect.sigma ** 2
-            count += len(pairs)
+    strains, _, at_edge = solve_strains(best)
+    offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
+    for idx, meas, _ in groups:
+        pred = np.array([predicted_lines(best, x) for x in strains[idx]])
+        diff, k, first = _match(pred, meas)
+        offsets[idx] = _mean(meas - first)
+        sq[idx] = (diff * diff).sum(axis=1)
+        pairs.update((data[i].id, list(enumerate(row.tolist())))
+                     for i, row in zip(idx, _INJECTIONS[meas.shape[1]][k]))
     return FitResult(
         params=best,
-        strains=strains,
-        offsets=offsets,
-        residual_rms=float(np.sqrt(sq_sum / count)),
+        strains={d.id: float(x) for d, x in zip(data, strains)},
+        offsets={d.id: float(x) for d, x in zip(data, offsets)},
+        residual_rms=float(np.sqrt(sq.sum() / n_lines)),
         iterations=int(res.nit),
-        converged=bool(res.success),
-        assignments=assignments,
+        converged=bool(res.success) and not at_edge.any(),
+        assignments=pairs,
     )
 
 

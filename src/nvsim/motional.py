@@ -36,6 +36,10 @@ class ExchangeModel:
     weight_a: float = 0.5
 
     def __post_init__(self):
+        vals = (self.freq_a, self.freq_b, self.linewidth_0, self.hop_rate,
+                self.weight_a)
+        if not all(np.isfinite(v) for v in vals):
+            raise ValueError("exchange-model parameters must be finite")
         if self.freq_a <= 0 or self.freq_b <= 0:
             raise ValueError("ESR frequencies must be positive")
         if self.hop_rate < 0:
@@ -57,6 +61,8 @@ class TemperatureMap:
     ea: float = DEFAULT_ACTIVATION_MEV     # meV
 
     def __post_init__(self):
+        if not (np.isfinite(self.r0) and np.isfinite(self.ea)):
+            raise ValueError("r0 and ea must be finite")
         if self.r0 <= 0 or self.ea < 0:
             raise ValueError("need r0 > 0 and ea >= 0")
 

@@ -55,6 +55,8 @@ class RateParams:
         rates = (self.gamma_rad, self.k_isc_xy, self.k_isc_z,
                  self.gamma_singlet, self.pump_green, self.pump_res_max,
                  self.linewidth, self.mw_mix_rate)
+        if not all(np.isfinite(v) for v in rates + (self.beta_z,)):
+            raise ValueError("rate parameters must be finite")
         if any(r < 0 for r in rates):
             raise ValueError("rates must be nonnegative")
         if not 0.0 <= self.beta_z <= 1.0:

@@ -1,13 +1,16 @@
 """Tests for configuration parsing, CSV emission and the CLI."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvsim
+from nvsim import cli
 from nvsim.cli import run
-from nvsim.config import (Config, ConfigError, RunManifest, format_number,
-                          parse_config, write_csv)
+from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
+                          format_number, parse_config, write_csv)
 from nvsim.fitting import synthesize_dataset
 from nvsim.model import FineStructureParams
 
@@ -19,9 +22,10 @@ def make_config(tmp_path, extra=""):
     return str(path), out
 
 
-def write_fixture(tmp_path, n=8, noise=0.0):
-    rng = np.random.default_rng(17)
-    strains = np.sort(rng.uniform(0.5, 20.0, n))
+def write_fixture(tmp_path, n=8, noise=0.0, strains=None):
+    if strains is None:
+        rng = np.random.default_rng(17)
+        strains = np.sort(rng.uniform(0.5, 20.0, n))
     rows = ["defect_id,line_ghz"]
     for d in synthesize_dataset(FineStructureParams(), strains,
                                 noise=noise, seed=18):
@@ -100,6 +104,18 @@ class TestManifest:
         assert "version = " in text
         assert "lambda_z = 5.3" in text
 
+    def test_single_version_string(self):
+        tomllib = pytest.importorskip("tomllib")
+        assert nvsim.__version__ == ARTIFACT_VERSION
+        assert f"version = {ARTIFACT_VERSION}" in RunManifest(
+            command="nvsim levels", config=Config()).render()
+        root = Path(__file__).resolve().parents[1]
+        meta = tomllib.loads((root / "pyproject.toml").read_text())
+        assert "version" not in meta["project"]
+        assert "version" in meta["project"]["dynamic"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == \
+            {"attr": "nvsim.config.ARTIFACT_VERSION"}
+
 
 class TestCliCommands:
     def test_levels(self, tmp_path, capsys):
@@ -172,6 +188,31 @@ class TestExitCodes:
     def test_numerical_failure(self, tmp_path, capsys):
         cfg, _ = make_config(tmp_path)
         assert run(["--config", cfg, "odmr", "--strain", "0.5"]) == 2
+
+    def test_lapack_failure_is_numerical(self, tmp_path, capsys,
+                                         monkeypatch):
+        def fail(cfg, args, command):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli._COMMANDS, "levels", fail)
+        cfg, _ = make_config(tmp_path)
+        assert run(["--config", cfg, "levels"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_rate_rejected(self, tmp_path, capsys):
+        cfg, out = make_config(tmp_path, "gamma_rad = nan\n")
+        assert run(["--config", cfg, "rabi"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "rabi.csv").exists()
+
+    def test_fit_strain_beyond_grid(self, tmp_path, capsys):
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
+        fixture = write_fixture(tmp_path,
+                                strains=[3.0, 8.0, 14.0, 40.0, 45.0])
+        assert run(["--config", cfg, "fit", fixture]) == 2
+        assert "converged = False" in (out / "fit_report.txt").read_text()
+        assert "strain-grid edge" in capsys.readouterr().err
 
 
 class TestDeterminism:

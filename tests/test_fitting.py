@@ -6,9 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from nvsim.fitting import (FitError, FitModel, ObservedDefect,
-                           assign_lines, fit, predicted_lines, residuals,
-                           synthesize_dataset)
+from nvsim.fitting import (_INJECTIONS, STRAIN_MAX, FitError, FitModel,
+                           ObservedDefect, _match, assign_lines, fit,
+                           predicted_lines, residuals, synthesize_dataset)
 from nvsim.model import FineStructureParams
 
 TRUTH = FineStructureParams()
@@ -53,6 +53,70 @@ class TestAssignLines:
     def test_rejects_too_many_measured(self):
         with pytest.raises(FitError):
             assign_lines([1.0, 2.0], [0.0, 1.0, 2.0])
+
+
+def reference_match(pred, meas, offset=None):
+    """The fit's matching rule spelled out with `assign_lines`: centre,
+    assign, take the offset as the mean difference of the pairs, then
+    assign again at that offset."""
+    pred, meas = np.sort(pred), np.sort(meas)
+    if offset is None:
+        pairs = assign_lines(pred, meas - (np.mean(meas) - np.mean(pred)))
+        offset = np.mean([meas[i] - pred[j] for i, j in pairs])
+    return assign_lines(pred + offset, meas), offset
+
+
+class TestMatch:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_same_pairs_and_offset_as_assign_lines(self, m):
+        rng = np.random.default_rng(100 + m)
+        n = 80
+        pred = np.sort(rng.uniform(-10.0, 10.0, (n, 6)), axis=1)
+        # exactly degenerate pairs, as the E doublets are at zero strain,
+        # make injections tie; ties must go the same way
+        pred[1::4, 2] = pred[1::4, 1]
+        pred[3::4, 4] = pred[3::4, 3]
+        keep = np.sort(np.argsort(rng.random((n, 6)), axis=1)[:, :m], axis=1)
+        meas = np.take_along_axis(pred, keep, axis=1) \
+            + rng.normal(0.0, 0.5, (n, m)) + rng.uniform(-5.0, 5.0, (n, 1))
+        meas[::2] = rng.uniform(-12.0, 12.0, (n // 2 + n % 2, m))
+        meas = np.sort(meas, axis=1)
+        given = rng.uniform(-5.0, 5.0, n)
+        diff, k, first = _match(pred, meas)
+        offset, inj = (meas - first).mean(axis=1), _INJECTIONS[m][k]
+        diff_at, k_at, _ = _match(pred, meas, given)
+        inj_at = _INJECTIONS[m][k_at]
+        for r in range(n):
+            pairs, off = reference_match(pred[r], meas[r])
+            assert list(enumerate(inj[r].tolist())) == pairs
+            assert offset[r] == pytest.approx(off, abs=1e-12)
+            assert diff[r] == pytest.approx(
+                [pred[r, j] + off - meas[r, i] for i, j in pairs], abs=1e-12)
+            pairs_at, _ = reference_match(pred[r], meas[r], given[r])
+            assert list(enumerate(inj_at[r].tolist())) == pairs_at
+            assert diff_at[r] == pytest.approx(
+                [pred[r, j] + given[r] - meas[r, i] for i, j in pairs_at],
+                abs=1e-12)
+
+    def test_broadcasts_over_strain_grid(self):
+        rng = np.random.default_rng(5)
+        pred = np.sort(rng.uniform(-10.0, 10.0, (7, 6)), axis=1)
+        meas = np.sort(rng.uniform(-10.0, 10.0, (3, 4)), axis=1)
+        diff, k, first = _match(pred, meas[:, None, :])
+        assert diff.shape == first.shape == (3, 7, 4) and k.shape == (3, 7)
+        for a in range(3):
+            for b in range(7):
+                d, kk, f = _match(pred[b], meas[a])
+                assert diff[a, b] == pytest.approx(d, abs=1e-12)
+                assert k[a, b] == kk and np.array_equal(first[a, b], f)
+
+    @pytest.mark.xfail(strict=True, reason="the rule centres on the mean of "
+                       "all six predicted lines, so a defect missing an "
+                       "outer line is matched to the wrong lines")
+    def test_recovers_lines_missing_an_outer_one(self):
+        pred = predicted_lines(TRUTH, 10.0)
+        diff, _, _ = _match(pred, pred[:5] + 1.7)
+        assert np.max(np.abs(diff)) < 1e-9
 
 
 class TestObservedDefect:
@@ -136,7 +200,7 @@ class TestFit:
             pytest.approx(3.0, abs=1e-5)
 
     def test_partial_line_lists(self):
-        # defects reporting only 4 of 6 lines use the generic path
+        # every defect reports only its middle four lines
         full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
                                   seed=7)
         data = [replace(d, lines=d.lines[1:5]) for d in full]
@@ -144,6 +208,39 @@ class TestFit:
         assert res.params.lambda_z == pytest.approx(5.3, abs=1e-3)
         assert res.params.d_es == pytest.approx(1.42, abs=1e-3)
         assert res.residual_rms < 1e-5
+
+    def test_mixed_line_counts(self):
+        # one ensemble with 6-, 5- and 4-line defects; the 5-line ones miss
+        # an inner line, the 4-line ones both outer lines
+        full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
+                                  seed=11)
+        drops = [(), (2,), (3,), (0, 5), (0, 5)]
+        data = [replace(d, lines=tuple(x for i, x in enumerate(d.lines)
+                                       if i not in drop))
+                for d, drop in zip(full, drops)]
+        res = fit(data, init=self.INIT)
+        assert res.converged
+        assert res.params.lambda_z == pytest.approx(5.3, abs=1e-3)
+        assert res.params.d_es == pytest.approx(1.42, abs=1e-3)
+        assert res.params.delta_cap == pytest.approx(1.55, abs=1e-3)
+        assert res.residual_rms < 1e-5
+        assert [len(res.assignments[d.id]) for d in data] == [6, 5, 5, 4, 4]
+        assert res.assignments[data[1].id] == [(0, 0), (1, 1), (2, 3),
+                                               (3, 4), (4, 5)]
+
+    def test_strain_beyond_grid_not_converged(self):
+        data = synthesize_dataset(TRUTH, [3.0, 8.0, 14.0, 40.0, 45.0],
+                                  seed=9)
+        res = fit(data, init=self.INIT)
+        assert not res.converged
+        assert max(res.strains.values()) == pytest.approx(STRAIN_MAX,
+                                                          abs=0.01)
+
+    def test_too_many_lines_raises(self):
+        data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)
+        data[0] = replace(data[0], lines=data[0].lines + (30.0,))
+        with pytest.raises(FitError, match="more measured lines"):
+            fit(data)
 
     def test_predicted_lines_sorted(self):
         vals = predicted_lines(TRUTH, 4.0)

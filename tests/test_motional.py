@@ -32,6 +32,13 @@ class TestExchangeModel:
         with pytest.raises(ValueError):
             ExchangeModel(freq_a=1.0, freq_b=1.0, hop_rate=-0.1)
 
+    @pytest.mark.parametrize("name", ["freq_a", "linewidth_0", "hop_rate",
+                                      "weight_a"])
+    def test_rejects_non_finite(self, name):
+        kwargs = {"freq_a": 1.7, "freq_b": 1.1, name: np.nan}
+        with pytest.raises(ValueError, match="finite"):
+            ExchangeModel(**kwargs)
+
 
 class TestLineshape:
     GRID = np.linspace(0.2, 2.6, 4801)
@@ -82,6 +89,12 @@ class TestTemperatureMap:
     def test_validation(self):
         with pytest.raises(ValueError):
             TemperatureMap(r0=0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"r0": np.nan}, {"r0": np.inf},
+                                        {"ea": np.nan}])
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            TemperatureMap(**kwargs)
 
 
 class TestBranchFrequencies:

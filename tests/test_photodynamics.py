@@ -50,6 +50,13 @@ class TestRateMatrix:
         with pytest.raises(ValueError):
             RateParams(k_isc_z=0.06, k_isc_xy=0.05)
 
+    @pytest.mark.parametrize("name", ["gamma_rad", "beta_z", "linewidth",
+                                      "mw_mix_rate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            RateParams(**{name: value})
+
     def test_lorentzian_peak_unit_height(self):
         assert lorentzian_peak(0.0, 0.1) == 1.0
         assert lorentzian_peak(0.05, 0.1) == pytest.approx(0.5)
