@@ -241,14 +241,15 @@ def _cmd_odmr(cfg, args, command):
 def _cmd_avg(cfg, args, command):
     if args.points < 2:
         raise UsageError("--points must be >= 2")
-    params = cfg.fine_structure()
+    if not np.isfinite(args.max_strain):
+        raise UsageError("--max-strain must be finite")
     grid = np.linspace(0.0, args.max_strain, args.points)
-    rows = [(d, averaged_splitting(params, d)) for d in grid]
+    vals = averaged_splitting(cfg.fine_structure(), grid)
     path = _out(cfg, "avg.csv")
-    write_csv(path, ["delta_perp_ghz", "avg_split_ghz"], rows)
-    vals = [r[1] for r in rows]
-    print(f"averaged splitting in [{format_number(min(vals))}, "
-          f"{format_number(max(vals))}] GHz")
+    write_csv(path, ["delta_perp_ghz", "avg_split_ghz"],
+              list(zip(grid.tolist(), vals.tolist())))
+    print(f"averaged splitting in [{format_number(vals.min())}, "
+          f"{format_number(vals.max())}] GHz")
     _finish(cfg, command, [path])
 
 
@@ -308,10 +309,10 @@ def _cmd_fit(cfg, args, command):
               [(d.id, result.strains[d.id], result.offsets[d.id])
                for d in data])
     print("\n".join(report))
+    _finish(cfg, command, [rpath, spath], inputs=[args.input])
     if not result.converged:
         raise FitError("fit did not converge (optimizer stopped, or a "
                        "strain lies at the strain-grid edge); result flagged")
-    _finish(cfg, command, [rpath, spath], inputs=[args.input])
 
 
 _COMMANDS = {

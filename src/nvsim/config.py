@@ -61,8 +61,10 @@ class Config:
         n = int(self.values["strain_points"])
         if n < 2:
             raise ConfigError("strain_points must be >= 2")
-        return np.linspace(self.values["strain_min"],
-                           self.values["strain_max"], n)
+        lo, hi = self.values["strain_min"], self.values["strain_max"]
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError("strain_min and strain_max must be finite")
+        return np.linspace(lo, hi, n)
 
     def dump(self):
         """Key-sorted text snapshot; reloading it reproduces the config."""

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (FineStructureParams, StrainVector,
                     build_excited_hamiltonian)
+from .sweep import strain_family, strain_hamiltonians
 
 STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
@@ -121,20 +121,9 @@ def predicted_lines(params, delta_perp):
     return np.linalg.eigvalsh(h)
 
 
-def _strain_family(params):
-    """(h0, hd) with H(delta_perp) = h0 + delta_perp * hd; the spectrum
-    depends on the strain vector only through its norm, so the sweep is
-    taken along +x."""
-    h0 = build_excited_hamiltonian(params, StrainVector(0.0, 0.0))
-    h1 = build_excited_hamiltonian(params, StrainVector(1.0, 0.0))
-    return h0, h1 - h0
-
-
 def _batch_lines(family, dperps):
     """Sorted eigenvalues (n, 6) over a strain batch, one stacked solve."""
-    h0, hd = family
-    return np.linalg.eigvalsh(h0[None, :, :]
-                              + np.asarray(dperps)[:, None, None] * hd)
+    return np.linalg.eigvalsh(strain_hamiltonians(family, dperps))
 
 
 def _measured(defect):
@@ -257,6 +246,10 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
     every defect's strain is re-optimized by a grid scan plus 1-D
     refinement (a deterministic multi-start over strain). A defect whose
     best grid point is STRAIN_MAX flags the fit not converged."""
+    # scipy is imported here, not at module level, so that commands which
+    # do not fit never pay for loading it
+    from scipy.optimize import minimize
+
     if not data:
         raise FitError("no defects supplied")
     fm = init if init is not None else FitModel()
@@ -276,7 +269,7 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
     groups = _groups(data)
 
     def solve_strains(params):
-        family = _strain_family(params)
+        family = strain_family(params)
         grid_pred = _batch_lines(family, grid)
         strains, costs = np.empty(len(data)), np.empty(len(data))
         at_edge = np.empty(len(data), dtype=bool)

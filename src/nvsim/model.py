@@ -76,12 +76,8 @@ class StrainVector:
 class OperatorSet:
     """Fixed 6x6 operator matrices in the product basis above."""
 
-    l_z: np.ndarray
     v_x: np.ndarray
     v_y: np.ndarray
-    s_x: np.ndarray
-    s_y: np.ndarray
-    s_z: np.ndarray
     s_z2: np.ndarray
     proj_a1: np.ndarray
     proj_a2: np.ndarray
@@ -110,19 +106,14 @@ A2_STATE = (_ket(3) - _ket(1)) / np.sqrt(2.0)
 def build_operators():
     """Return the full six-dimensional operator set (orbital parts are
     tensored with the spin identity and vice versa)."""
-    sx, sy, sz = _spin_ops()
-    lz_orb = np.array([[0, -1j], [1j, 0]])
+    sz = _spin_ops()[2]
     vx_orb = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     vy_orb = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
     return OperatorSet(
-        l_z=kron(lz_orb, i3),
         v_x=kron(vx_orb, i3),
         v_y=kron(vy_orb, i3),
-        s_x=kron(i2, sx),
-        s_y=kron(i2, sy),
-        s_z=kron(i2, sz),
         s_z2=kron(i2, sz @ sz),
         proj_a1=np.outer(A1_STATE, A1_STATE.conj()),
         proj_a2=np.outer(A2_STATE, A2_STATE.conj()),

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .linalg import hermitian_eigen
 from .model import build_excited_hamiltonian, ground_levels
@@ -158,6 +157,13 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
     return g
 
 
+def expm(a):
+    """Matrix exponential. scipy is imported on the first call, so that
+    importing nvsim does not load it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
+
+
 def uniform_ground():
     pop = np.zeros(N_LEVELS)
     pop[:3] = 1.0 / 3.0
@@ -172,11 +178,10 @@ def propagate(pop, generator, duration):
     if duration == 0:
         return pop.copy()
     out = expm(generator * duration) @ pop
-    total = out.sum()
-    if abs(total - pop.sum()) > 1e-9:
+    err = abs(out.sum() - pop.sum())
+    if not err <= 1e-9:   # also catches NaN
         raise RateModelError(
-            f"propagation violated probability conservation by "
-            f"{abs(total - pop.sum()):.3e}")
+            f"propagation violated probability conservation by {err:.3e}")
     return out
 
 

@@ -1,6 +1,8 @@
 """Tests for configuration parsing, CSV emission and the CLI."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +215,33 @@ class TestExitCodes:
         assert run(["--config", cfg, "fit", fixture]) == 2
         assert "converged = False" in (out / "fit_report.txt").read_text()
         assert "strain-grid edge" in capsys.readouterr().err
+        assert (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("extra", ["strain_max = inf\n",
+                                       "strain_min = nan\n"])
+    def test_non_finite_strain_grid_rejected(self, tmp_path, capsys, extra):
+        cfg, out = make_config(tmp_path, extra)
+        assert run(["--config", cfg, "sweep"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_max_strain_rejected(self, tmp_path, capsys, value):
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "avg", "--max-strain", value]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "avg.csv").exists()
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        code = ("import sys, nvsim.cli; print(sorted(n for n in sys.modules "
+                "if n.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from nvsim.model import FineStructureParams, StrainVector
-from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS, RateParams,
+from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
+                                 RateModelError, RateParams,
                                  build_rate_matrix, excitation_spectrum,
                                  lorentzian_peak, polarize, propagate,
                                  rabi_trace, stationary_state,
@@ -67,6 +68,12 @@ class TestRateMatrix:
         pop = propagate(uniform_ground(), g, 5000.0)
         assert pop.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.min(pop) >= -1e-12
+
+    def test_propagation_rejects_nan_generator(self):
+        g = build_rate_matrix(PARAMS, STRAIN, RATES, green_on=True)
+        g[4, 3] = np.nan
+        with pytest.raises(RateModelError, match="conservation"):
+            propagate(uniform_ground(), g, 1.0)
 
     def test_stationary_state_is_stationary(self):
         g = build_rate_matrix(PARAMS, STRAIN, RATES, laser_detuning=4.0,

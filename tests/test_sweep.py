@@ -45,6 +45,28 @@ class TestSweep:
         with pytest.raises(SweepError):
             sweep(DEFAULTS, np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(SweepError, match="finite"):
+            sweep(DEFAULTS, np.array([0.0, 1.0, bad]))
+
+    def test_batched_energies_match_direct_diagonalisation(self):
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 10.0),
+                lambda_perp=rng.uniform(0.01, 1.0),
+                d_es=rng.uniform(0.1, 3.0),
+                delta_cap=rng.uniform(0.1, 3.0),
+                e_es_coeff=rng.choice([-1.0, 1.0]) * rng.uniform(0.01, 0.2))
+            grid = np.unique(rng.uniform(-40.0, 40.0,
+                                         rng.integers(2, 31)))
+            sr = sweep(params, grid)
+            direct = np.array([np.linalg.eigvalsh(build_excited_hamiltonian(
+                params, StrainVector(d, 0.0))) for d in grid])
+            assert np.max(np.abs(np.sort(sr.energies, axis=1) - direct)) \
+                <= 1e-10
+
     def test_tracks_are_continuous(self):
         sr = coarse_sweep(DEFAULTS)
         steps = np.abs(np.diff(sr.energies, axis=0))
@@ -90,6 +112,49 @@ class TestAveragedSplitting:
         for d in (0.0, 1.0, 7.31, 20.0, 50.0):
             assert averaged_splitting(DECOUPLED, d) == \
                 pytest.approx(1.42, abs=1e-9)
+
+    @staticmethod
+    def per_point_splitting(params, d):
+        """One Hamiltonian per strain: the ms=0 pair is the levels of
+        ms=0 weight above 1/2, or else the two sorted positions of most
+        ms=0 weight in the lambda_perp = 0 reference."""
+        def eig(p):
+            return np.linalg.eigh(build_excited_hamiltonian(
+                p, StrainVector(d, 0.0)))
+
+        def psz(vectors):
+            return np.abs(vectors[2]) ** 2 + np.abs(vectors[5]) ** 2
+
+        values, vectors = eig(params)
+        ms0 = np.flatnonzero(psz(vectors) > 0.5)
+        fallback = ms0.size != 2
+        if fallback:
+            ref_vectors = eig(replace(params, lambda_perp=0.0))[1]
+            ms0 = np.argsort(psz(ref_vectors))[-2:]
+        ms1 = np.setdiff1d(np.arange(6), ms0)
+        return values[ms1].mean() - values[ms0].mean(), fallback
+
+    @pytest.mark.parametrize("params", [DEFAULTS, DECOUPLED,
+                                        replace(DEFAULTS, e_es_coeff=0.05)])
+    def test_grid_form_equals_per_point_reference(self, params):
+        # plus points at which the default couplings mix the ms=0 characters
+        grid = np.union1d(np.linspace(-20.0, 30.0, 501),
+                          [-15.536, -7.319, 7.312, 15.52])
+        batched = averaged_splitting(params, grid)
+        ref = [self.per_point_splitting(params, d) for d in grid]
+        assert batched.shape == grid.shape
+        assert np.max(np.abs(batched - [r[0] for r in ref])) <= 1e-10
+        if params is DEFAULTS:
+            assert sum(r[1] for r in ref) >= 4   # the fallback ran
+
+    def test_scalar_strain_gives_float(self):
+        assert isinstance(averaged_splitting(DEFAULTS, 3.0), float)
+        assert averaged_splitting(DEFAULTS, 3.0) == \
+            averaged_splitting(DEFAULTS, [3.0])[0]
+
+    def test_rejects_non_finite_strain(self):
+        with pytest.raises(ValueError, match="finite"):
+            averaged_splitting(DEFAULTS, [0.0, np.nan])
 
     def test_stays_near_d_es_with_coupling(self):
         devs = [abs(averaged_splitting(DEFAULTS, d) - 1.42)
