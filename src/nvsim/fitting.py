@@ -49,8 +49,9 @@ class ObservedDefect:
             raise ValueError(f"defect {self.id}: need at least 2 lines")
         if not all(np.isfinite(x) for x in self.lines):
             raise ValueError(f"defect {self.id}: non-finite line position")
-        if self.sigma <= 0:
-            raise ValueError(f"defect {self.id}: sigma must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"defect {self.id}: sigma must be positive "
+                             "and finite")
 
 
 @dataclass
@@ -240,16 +241,63 @@ def _refine_strains(family, grid, costs, meas, sigmas,
     return xs[:, 1], fs[:, 1]
 
 
+def _nelder_mead(func, x0, maxiter, xatol, fatol):
+    """Minimize func by the adaptive Nelder-Mead simplex (Gao and Han
+    2012), step for step as scipy's `minimize(method="Nelder-Mead")` with
+    `adaptive=True`, no bounds and no evaluation limit. Returns the best
+    vertex, the iteration count and whether the tolerances were met
+    within maxiter iterations."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.array([x0] * (n + 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(np.copy(x)) for x in sim], dtype=float)
+    for _ in range(2):      # twice, as scipy: argsort may reorder ties
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nit < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = func(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:      # outside contraction
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = func(np.copy(xc))
+                accept = fxc <= fxr
+            else:                   # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = func(np.copy(xc))
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:                   # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = func(np.copy(sim[j]))
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], nit, nit < maxiter
+
+
 def fit(data, init=None, max_iter=400, tol=1e-6):
     """Fit shared fine-structure parameters plus per-defect strain and
     offset. Nelder-Mead over the global parameters; for each candidate,
     every defect's strain is re-optimized by a grid scan plus 1-D
     refinement (a deterministic multi-start over strain). A defect whose
     best grid point is STRAIN_MAX flags the fit not converged."""
-    # scipy is imported here, not at module level, so that commands which
-    # do not fit never pay for loading it
-    from scipy.optimize import minimize
-
     if not data:
         raise FitError("no defects supplied")
     fm = init if init is not None else FitModel()
@@ -287,11 +335,9 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
         return float(solve_strains(params)[1].sum())
 
     x0 = np.array([getattr(fm.params, n) for n in names])
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": max_iter, "xatol": 1e-6,
-                            "fatol": tol, "adaptive": True})
+    x, nit, success = _nelder_mead(objective, x0, max_iter, 1e-6, tol)
 
-    best = replace(fm.params, **dict(zip(names, res.x)))
+    best = replace(fm.params, **dict(zip(names, x)))
     strains, _, at_edge = solve_strains(best)
     offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
     for idx, meas, _ in groups:
@@ -306,8 +352,8 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
         strains={d.id: float(x) for d, x in zip(data, strains)},
         offsets={d.id: float(x) for d, x in zip(data, offsets)},
         residual_rms=float(np.sqrt(sq.sum() / n_lines)),
-        iterations=int(res.nit),
-        converged=bool(res.success) and not at_edge.any(),
+        iterations=nit,
+        converged=success and not at_edge.any(),
         assignments=pairs,
     )
 

@@ -42,6 +42,8 @@ class ExchangeModel:
             raise ValueError("exchange-model parameters must be finite")
         if self.freq_a <= 0 or self.freq_b <= 0:
             raise ValueError("ESR frequencies must be positive")
+        if self.linewidth_0 <= 0:
+            raise ValueError("linewidth_0 must be positive")
         if self.hop_rate < 0:
             raise ValueError("hop_rate must be nonnegative")
         if not 0.0 <= self.weight_a <= 1.0:
@@ -108,6 +110,8 @@ def exchange_lineshape(model, grid):
     Gamma0]^-1 w }, with K the exchange generator and Gamma0 the
     intrinsic damping. Integrated area is hop-rate independent."""
     grid = np.asarray(grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("frequency grid must be finite")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("frequency grid must be ascending")
     gamma0 = np.pi * model.linewidth_0  # damping giving FWHM linewidth_0
@@ -121,7 +125,9 @@ def exchange_lineshape(model, grid):
         a = 1j * 2.0 * np.pi * (nu * np.eye(2) - np.diag(omega)) \
             + kmat + gamma0 * np.eye(2)
         det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        assert det != 0, "resolvent singular despite positive damping"
+        if det == 0 or not np.isfinite(det):
+            raise ArithmeticError(
+                f"exchange resolvent singular or overflowed at {nu} GHz")
         inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
         out[i] = (w @ inv @ w).real / np.pi
     return out

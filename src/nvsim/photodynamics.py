@@ -157,11 +157,39 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
     return g
 
 
+# Degree-13 Pade coefficients and the 1-norm up to which that approximant
+# is accurate to double precision (Higham 2005).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
 def expm(a):
-    """Matrix exponential. scipy is imported on the first call, so that
-    importing nvsim does not load it."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
+    """Matrix exponential by scaling and squaring (Higham 2005): the
+    degree-13 Pade approximant of exp(a / 2**s), squared s times, with s
+    the least that brings the 1-norm below _THETA13. A non-finite matrix
+    gives NaN, which the callers' conservation checks reject."""
+    a = np.asarray(a, dtype=float)
+    norm = np.linalg.norm(a, 1)
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0 ** s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def uniform_ground():
@@ -190,7 +218,11 @@ def stationary_state(generator):
     a = np.vstack([generator, np.ones(N_LEVELS)])
     b = np.zeros(N_LEVELS + 1)
     b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < N_LEVELS:
+        raise RateModelError(
+            f"stationary state not unique (bordered generator rank {rank} "
+            f"< {N_LEVELS}: the generator is reducible)")
     residual = np.max(np.abs(generator @ sol))
     if residual > 1e-8 or np.min(sol) < -1e-8:
         raise RateModelError(

@@ -232,6 +232,32 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (out / "avg.csv").exists()
 
+    @pytest.mark.parametrize("scan", [[], ["--temperature-scan"]])
+    def test_nonpositive_odmr_linewidth_rejected(self, tmp_path, capsys,
+                                                 scan):
+        cfg, out = make_config(tmp_path, "linewidth = -0.02\n")
+        assert run(["--config", cfg, "odmr", *scan]) == 1
+        assert "linewidth_0 must be positive" in capsys.readouterr().err
+        assert not list(out.glob("odmr*.csv"))
+
+    def test_non_finite_odmr_grid_rejected(self, tmp_path, capsys):
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "odmr", "--freq-max", "inf"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "odmr.csv").exists()
+
+    def test_singular_exchange_resolvent_is_numerical(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # equal branch frequencies, no exchange at 0.1 K and a damping whose
+        # square underflows make the resolvent exactly singular at 1 GHz
+        monkeypatch.setattr(cli, "branch_esr_frequencies",
+                            lambda params, dperp: (1.0, 1.0, 0.0, 0.0))
+        cfg, out = make_config(tmp_path, "linewidth = 1e-321\n")
+        assert run(["--config", cfg, "odmr", "--temperature", "0.1",
+                    "--freq-min", "1.0"]) == 2
+        assert "singular" in capsys.readouterr().err
+        assert not (out / "odmr.csv").exists()
+
 
 class TestImportCost:
     def test_cli_import_loads_no_scipy(self):
@@ -242,6 +268,22 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["rabi", "fit"])
+    def test_command_loads_no_scipy(self, tmp_path, command):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        cfg, out = make_config(tmp_path)
+        argv = ["--config", cfg, command]
+        if command == "fit":
+            argv.append(write_fixture(tmp_path, n=4))
+        code = ("import sys; from nvsim.cli import run; "
+                "rc = run(sys.argv[1:]); print(rc, sorted(n for n in "
+                "sys.modules if n.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "0 []"
+        assert (out / "manifest.txt").exists()
 
 
 class TestDeterminism:

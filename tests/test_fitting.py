@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from nvsim.fitting import (_INJECTIONS, STRAIN_MAX, FitError, FitModel,
-                           ObservedDefect, _match, assign_lines, fit,
-                           predicted_lines, residuals, synthesize_dataset)
+                           ObservedDefect, _match, _nelder_mead,
+                           assign_lines, fit, predicted_lines, residuals,
+                           synthesize_dataset)
 from nvsim.model import FineStructureParams
 
 TRUTH = FineStructureParams()
@@ -119,6 +120,66 @@ class TestMatch:
         assert np.max(np.abs(diff)) < 1e-9
 
 
+def simplex_problems():
+    """24 seeded 3- and 4-D problems: (objective, x0, maxiter, fatol)."""
+    rng = np.random.default_rng(41)
+    problems = []
+    for i in range(24):
+        n = 3 + (i // 4) % 2
+        q = rng.normal(size=(n, n))
+        hess, centre = q @ q.T + n * np.eye(n), rng.normal(size=n)
+
+        def quadratic(x, hess=hess, centre=centre):
+            return float((x - centre) @ hess @ (x - centre))
+
+        def rosenbrock(x):
+            return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2
+                                + (1.0 - x[:-1]) ** 2))
+
+        def boxed(x, quadratic=quadratic):
+            # the fit's out-of-bounds penalty, which ties vertices
+            return 1e12 if np.any(np.abs(x) > 1.5) else quadratic(x)
+
+        def terraced(x, quadratic=quadratic):
+            # flat steps make contractions fail, so the simplex shrinks
+            return float(np.floor(4.0 * quadratic(x)))
+
+        func = (quadratic, rosenbrock, boxed, terraced)[i % 4]
+        x0 = rng.uniform(-1.2, 1.2, n)
+        if i % 5 == 0:
+            x0[rng.integers(n)] = 0.0   # takes the 0.00025 initial step
+        maxiter = 25 if i % 6 == 1 else 400
+        problems.append((func, x0, maxiter, (1e-6, 1e-9)[i % 2]))
+    return problems
+
+
+class TestNelderMead:
+    """_nelder_mead against the optimizer it replaces, scipy's adaptive
+    Nelder-Mead: the same points evaluated in the same order, hence the
+    same result bit for bit."""
+
+    def test_follows_scipy_step_for_step(self):
+        from scipy.optimize import minimize
+
+        outcomes = set()
+        for func, x0, maxiter, fatol in simplex_problems():
+            ours_at, ref_at = [], []
+            x, nit, success = _nelder_mead(
+                lambda x: ours_at.append(x) or func(x), x0, maxiter,
+                1e-6, fatol)
+            ref = minimize(lambda x: ref_at.append(x) or func(x), x0,
+                           method="Nelder-Mead",
+                           options={"maxiter": maxiter, "xatol": 1e-6,
+                                    "fatol": fatol, "adaptive": True})
+            assert x.tobytes() == ref.x.tobytes()
+            assert (nit, success) == (ref.nit, ref.success)
+            assert len(ours_at) == ref.nfev
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(ours_at, ref_at))
+            outcomes.add(success)
+        assert outcomes == {True, False}   # some problems hit maxiter
+
+
 class TestObservedDefect:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -127,6 +188,11 @@ class TestObservedDefect:
             ObservedDefect(id="x", lines=(1.0, np.inf))
         with pytest.raises(ValueError):
             ObservedDefect(id="x", lines=(1.0, 2.0), sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            ObservedDefect(id="x", lines=(1.0, 2.0), sigma=sigma)
 
 
 class TestResiduals:

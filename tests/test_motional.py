@@ -32,6 +32,11 @@ class TestExchangeModel:
         with pytest.raises(ValueError):
             ExchangeModel(freq_a=1.0, freq_b=1.0, hop_rate=-0.1)
 
+    @pytest.mark.parametrize("width", [0.0, -0.02])
+    def test_rejects_nonpositive_linewidth(self, width):
+        with pytest.raises(ValueError, match="linewidth_0"):
+            ExchangeModel(freq_a=1.7, freq_b=1.1, linewidth_0=width)
+
     @pytest.mark.parametrize("name", ["freq_a", "linewidth_0", "hop_rate",
                                       "weight_a"])
     def test_rejects_non_finite(self, name):
@@ -73,6 +78,23 @@ class TestLineshape:
     def test_rejects_descending_grid(self):
         with pytest.raises(ValueError):
             exchange_lineshape(model(0.0), np.array([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            exchange_lineshape(model(0.0), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("freq, width, nu", [
+        # the damping pi * linewidth_0 squares to zero (underflow) at the
+        # shared branch frequency with no exchange: det = 0 exactly
+        (1.0, 1e-320, 1.0),
+        # (2 pi nu)^2 overflows
+        (1.0, 0.1, 1e300),
+    ])
+    def test_singular_resolvent_raises(self, freq, width, nu):
+        m = ExchangeModel(freq_a=freq, freq_b=freq, linewidth_0=width)
+        with pytest.raises(ArithmeticError, match="singular or overflowed"):
+            exchange_lineshape(m, np.array([nu]))
 
 
 class TestTemperatureMap:

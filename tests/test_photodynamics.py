@@ -9,7 +9,7 @@ from nvsim.model import FineStructureParams, StrainVector
 from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
                                  RateModelError, RateParams,
                                  build_rate_matrix, excitation_spectrum,
-                                 lorentzian_peak, polarize, propagate,
+                                 expm, lorentzian_peak, polarize, propagate,
                                  rabi_trace, stationary_state,
                                  transition_lines, uniform_ground)
 
@@ -81,6 +81,53 @@ class TestRateMatrix:
         ss = stationary_state(g)
         assert np.max(np.abs(g @ ss)) < 1e-10
         assert ss.sum() == pytest.approx(1.0)
+
+    def test_stationary_state_rejects_reducible_generator(self):
+        # two closed classes, levels 0-4 and 5-9: a 2-D null space
+        rng = np.random.default_rng(3)
+        rates = np.zeros((N_LEVELS, N_LEVELS))
+        for block in (slice(0, 5), slice(5, N_LEVELS)):
+            rates[block, block] = rng.uniform(0.01, 0.1, (5, 5))
+        np.fill_diagonal(rates, 0.0)
+        g = rates - np.diag(rates.sum(axis=0))
+        with pytest.raises(RateModelError, match="not unique"):
+            stationary_state(g)
+
+
+def rate_generators(rng, count):
+    """Random generators: nonnegative off-diagonal rates, about half of
+    them zero, with columns summing to zero."""
+    for _ in range(count):
+        rates = rng.uniform(0.0, 1.0, (N_LEVELS, N_LEVELS)) \
+            * (rng.uniform(size=(N_LEVELS, N_LEVELS)) < 0.5)
+        np.fill_diagonal(rates, 0.0)
+        yield rates - np.diag(rates.sum(axis=0))
+
+
+class TestExpm:
+    def test_matches_scipy_on_rate_generators(self):
+        from scipy.linalg import expm as scipy_expm
+
+        rng = np.random.default_rng(7)
+        for scale in (1e-3, 1.0, 10.0, 1e3, 1e6):
+            for g in rate_generators(rng, 8):
+                a = g * (scale / np.linalg.norm(g, 1))   # t * ||G||_1
+                e = expm(a)
+                assert np.max(np.abs(e - scipy_expm(a))) < 1e-10
+                assert np.max(np.abs(e.sum(axis=0) - 1.0)) < 1e-10
+
+    def test_matches_scipy_on_model_propagators(self):
+        from scipy.linalg import expm as scipy_expm
+
+        for kwargs, ns in (({"green_on": True}, 3000.0), ({}, 2000.0),
+                           ({"laser_detuning": 4.0, "mw_on": True}, 1000.0)):
+            a = build_rate_matrix(PARAMS, STRAIN, RATES, **kwargs) * ns
+            assert np.max(np.abs(expm(a) - scipy_expm(a))) < 1e-12
+
+    def test_zero_and_non_finite(self):
+        assert np.max(np.abs(expm(np.zeros((3, 3))) - np.eye(3))) < 1e-15
+        assert np.all(np.isnan(expm(np.array([[np.inf, 0.0],
+                                               [0.0, 1.0]]))))
 
 
 class TestPolarization:
