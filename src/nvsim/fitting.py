@@ -18,8 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import (FineStructureParams, StrainVector,
-                    build_excited_hamiltonian)
+from .model import FineStructureParams
 from .sweep import strain_family, strain_hamiltonians
 
 STRAIN_MAX = 30.0
@@ -116,15 +115,12 @@ def assign_lines(predicted, measured):
 
 
 def predicted_lines(params, delta_perp):
-    """The six excited eigenvalues (GHz): line positions up to the
-    per-defect offset, with the ground sublevels collapsed."""
-    h = build_excited_hamiltonian(params, StrainVector(delta_perp, 0.0))
-    return np.linalg.eigvalsh(h)
-
-
-def _batch_lines(family, dperps):
-    """Sorted eigenvalues (n, 6) over a strain batch, one stacked solve."""
-    return np.linalg.eigvalsh(strain_hamiltonians(family, dperps))
+    """The six excited eigenvalues (GHz), sorted along the last axis:
+    line positions up to the per-defect offset, with the ground
+    sublevels collapsed. Strains of any shape (...) give (..., 6), from
+    one stacked solve."""
+    return np.linalg.eigvalsh(
+        strain_hamiltonians(strain_family(params), delta_perp))
 
 
 def _measured(defect):
@@ -202,7 +198,7 @@ def _groups(data):
              np.array([data[i].sigma for i in idx])) for idx in idxs]
 
 
-def _refine_strains(family, grid, costs, meas, sigmas,
+def _refine_strains(params, grid, costs, meas, sigmas,
                     iters=REFINE_ITERS):
     """Per-defect strain minimization: safeguarded successive parabolic
     interpolation, batched across defects (one stacked eigensolve per
@@ -227,7 +223,7 @@ def _refine_strains(family, grid, costs, meas, sigmas,
         bad = (~np.isfinite(cand)) | (cand <= x0) | (cand >= x2) \
             | (np.abs(cand - x1) < 1e-14)
         cand = np.where(bad, fallback, cand)
-        fc = _cost(_batch_lines(family, cand), meas, sigmas)
+        fc = _cost(predicted_lines(params, cand), meas, sigmas)
         # merge the new point, keeping a bracketing triple around the min
         allx = np.concatenate([xs, cand[:, None]], axis=1)
         allf = np.concatenate([fs, fc[:, None]], axis=1)
@@ -317,14 +313,13 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
     groups = _groups(data)
 
     def solve_strains(params):
-        family = strain_family(params)
-        grid_pred = _batch_lines(family, grid)
+        grid_pred = predicted_lines(params, grid)
         strains, costs = np.empty(len(data)), np.empty(len(data))
         at_edge = np.empty(len(data), dtype=bool)
         for idx, meas, sigmas in groups:
             grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
             strains[idx], costs[idx] = _refine_strains(
-                family, grid, grid_costs, meas, sigmas)
+                params, grid, grid_costs, meas, sigmas)
             at_edge[idx] = np.argmin(grid_costs, axis=1) == grid.size - 1
         return strains, costs, at_edge
 
@@ -341,8 +336,7 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
     strains, _, at_edge = solve_strains(best)
     offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
     for idx, meas, _ in groups:
-        pred = np.array([predicted_lines(best, x) for x in strains[idx]])
-        diff, k, first = _match(pred, meas)
+        diff, k, first = _match(predicted_lines(best, strains[idx]), meas)
         offsets[idx] = _mean(meas - first)
         sq[idx] = (diff * diff).sum(axis=1)
         pairs.update((data[i].id, list(enumerate(row.tolist())))
@@ -365,8 +359,8 @@ def synthesize_dataset(params, strains, offsets=None, noise=0.0, seed=0):
     if offsets is None:
         offsets = rng.uniform(-5.0, 5.0, size=len(strains))
     defects = []
-    for i, (d, off) in enumerate(zip(strains, offsets)):
-        lines = predicted_lines(params, d) + off
+    for i, lines in enumerate(predicted_lines(params, strains)
+                              + np.asarray(offsets)[:, None]):
         if noise > 0:
             lines = lines + rng.normal(0.0, noise, size=lines.size)
         defects.append(ObservedDefect(

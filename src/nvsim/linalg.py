@@ -1,17 +1,17 @@
-"""Dense complex Hermitian eigensolver and tensor-product helpers.
+"""Dense complex Hermitian eigensolver by cyclic Jacobi rotations.
 
 All matrices are plain numpy arrays (complex128). Target sizes are tiny
 (dim <= 12), so a cyclic Jacobi sweep is used: robust, dependency-free,
 and deterministic including the eigenvector phase convention.
 
-`hermitian_eigen` is the entry point for one matrix at a time (levels,
-transition lines, rate models, branch ESR frequencies). Strain grids do
-not come here: `nvsim.sweep` diagonalises a whole grid in one stacked
-LAPACK call. The Jacobi solver stays for single matrices because the
-frozen excitation-spectrum reference pins its rounding: with LAPACK in
-its place, two far-tail values of the default spectrum (about 5e-8
-against a 2.6e-3 peak) move by 2e-16, past that reference's 1e-9
-relative tolerance.
+Every other spectrum goes through the batched LAPACK core of
+`nvsim.sweep`. `hermitian_eigen` has one production caller, the rate
+model's `photodynamics._excited_structure`, because the frozen
+excitation-spectrum reference pins its rounding: with LAPACK in its
+place, two far-tail values of the default spectrum (about 5e-8 against a
+2.6e-3 peak) move by 2e-16, past that reference's 1e-9 relative
+tolerance. Even a subtraction-free (GTH) stationary solve misses that
+reference in the far tail, so only a peak-relative floor lets it go.
 """
 
 import numpy as np
@@ -40,18 +40,13 @@ class EigenSystem:
         self.vectors = vectors
 
 
-def kron(a, b):
-    """Kronecker (tensor) product; dims multiply."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def _phase_normalize(vectors, cutoff=1e-8):
+def _phase_normalize(vectors):
     """Rotate each column's global phase so its first non-negligible
     component is real positive. Makes degenerate output reproducible."""
     v = vectors.copy()
     for k in range(v.shape[1]):
         col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > cutoff)
+        nz = np.flatnonzero(np.abs(col) > 1e-8)
         if nz.size:
             lead = col[nz[0]]
             col *= np.conj(lead) / np.abs(lead)

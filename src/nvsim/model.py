@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import hermitian_eigen, kron
-
 GPA_TO_GHZ = 1.0e3
 
 BASIS_LABELS = ("Ex*Sx", "Ex*Sy", "Ex*Sz", "Ey*Sx", "Ey*Sy", "Ey*Sz")
@@ -112,9 +110,9 @@ def build_operators():
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
     return OperatorSet(
-        v_x=kron(vx_orb, i3),
-        v_y=kron(vy_orb, i3),
-        s_z2=kron(i2, sz @ sz),
+        v_x=np.kron(vx_orb, i3),
+        v_y=np.kron(vy_orb, i3),
+        s_z2=np.kron(i2, sz @ sz),
         proj_a1=np.outer(A1_STATE, A1_STATE.conj()),
         proj_a2=np.outer(A2_STATE, A2_STATE.conj()),
     )
@@ -124,8 +122,9 @@ _OPS = build_operators()
 
 # Spin-orbit product operator: lz_orb (x) sz_spin, not the product of the
 # padded six-dimensional matrices.
-_LZ_SZ = kron(np.array([[0, -1j], [1j, 0]]), _spin_ops()[2])
-_SX2_MINUS_SY2 = kron(np.eye(2), np.diag([-1.0, 1.0, 0.0])).astype(complex)
+_LZ_SZ = np.kron(np.array([[0, -1j], [1j, 0]]), _spin_ops()[2])
+_SX2_MINUS_SY2 = np.kron(np.eye(2),
+                         np.diag([-1.0, 1.0, 0.0])).astype(complex)
 
 # Transverse spin-orbit operator. Both C3v-allowed couplings between the
 # ms=0 and ms=+-1 sectors are included so that each of the two
@@ -141,8 +140,9 @@ def _transverse_so_operator():
     sx, sy, sz = _spin_ops()
     vx = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
     vy = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    vector = kron(vx, sx) + kron(vy, sy)
-    anticomm = kron(vx, sx @ sz + sz @ sx) - kron(vy, sy @ sz + sz @ sy)
+    vector = np.kron(vx, sx) + np.kron(vy, sy)
+    anticomm = (np.kron(vx, sx @ sz + sz @ sx)
+                - np.kron(vy, sy @ sz + sz @ sy))
     return TRANSVERSE_SO_SCALE * (vector + anticomm)
 
 
@@ -193,14 +193,11 @@ def zero_strain_levels(params):
                   (eprime, "E'y"), (a1, "A1"), (a2, "A2")]
         return sorted(levels, key=lambda t: t[0])
 
-    es = hermitian_eigen(build_excited_hamiltonian(params, StrainVector()))
-    refs = symmetry_states()
-    out = []
-    for k in range(6):
-        overlaps = {lab: abs(np.vdot(ref, es.vectors[:, k])) ** 2
-                    for lab, ref in refs.items()}
-        out.append((float(es.values[k]), max(overlaps, key=overlaps.get)))
-    return out
+    values, vectors = np.linalg.eigh(
+        build_excited_hamiltonian(params, StrainVector()))
+    labels, refs = zip(*symmetry_states().items())
+    best = np.abs(np.conj(refs) @ vectors).argmax(axis=0)
+    return [(e, labels[k]) for e, k in zip(values.tolist(), best.tolist())]
 
 
 def symmetry_states():

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eigen
-from .model import StrainVector, build_excited_hamiltonian
-from .sweep import classify_level
+from .sweep import branch_spin_weights, strain_family, strain_hamiltonians
 
 KB_MEV_PER_K = 0.08617333  # Boltzmann constant, meV/K
 
@@ -81,25 +79,24 @@ def branch_esr_frequencies(params, strain_perp):
 
     Requires strain large enough that every level is cleanly assigned to
     a branch (orbital weight > 0.9)."""
-    es = hermitian_eigen(build_excited_hamiltonian(
-        params, StrainVector(strain_perp, 0.0)))
-    chars = [classify_level(es.vectors[:, k]) for k in range(6)]
-    if any(0.1 < c.p_branch_x < 0.9 for c in chars):
+    if not np.isfinite(strain_perp):
+        raise ValueError("strain components must be finite")
+    values, vectors = np.linalg.eigh(
+        strain_hamiltonians(strain_family(params), strain_perp))
+    p_x, p_sz = branch_spin_weights(vectors)
+    if np.any((p_x > 0.1) & (p_x < 0.9)):
         raise BranchError(
             f"branches unresolved at delta_perp={strain_perp} GHz")
-    out = {}
-    for branch, in_branch in (("a", lambda c: c.p_branch_x > 0.9),
-                              ("b", lambda c: c.p_branch_x < 0.1)):
-        idx = [k for k in range(6) if in_branch(chars[k])]
-        sz = [k for k in idx if chars[k].p_sz > 0.5]
-        ms1 = [k for k in idx if chars[k].p_sz <= 0.5]
-        if len(sz) != 1 or len(ms1) != 2:
+    out = []
+    for in_branch in (p_x > 0.9, p_x < 0.1):
+        sz = values[in_branch & (p_sz > 0.5)]
+        ms1 = values[in_branch & (p_sz <= 0.5)]
+        if sz.size != 1 or ms1.size != 2:
             raise BranchError(
                 f"spin characters unresolved at delta_perp={strain_perp}")
-        freq = float(np.mean(es.values[ms1]) - es.values[sz[0]])
-        split = float(abs(es.values[ms1[1]] - es.values[ms1[0]]))
-        out[branch] = (freq, split)
-    return out["a"][0], out["b"][0], out["a"][1], out["b"][1]
+        out.append((float(np.mean(ms1) - sz[0]),
+                    float(abs(ms1[1] - ms1[0]))))
+    return out[0][0], out[1][0], out[0][1], out[1][1]
 
 
 def exchange_lineshape(model, grid):

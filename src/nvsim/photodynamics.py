@@ -233,8 +233,8 @@ def stationary_state(generator):
 def excitation_spectrum(params, strain, rp, detunings, mw_on=True):
     """Steady-state photoluminescence rate versus laser detuning."""
     detunings = np.asarray(detunings, dtype=float)
-    if detunings.size and np.any(np.diff(detunings) <= 0):
-        raise ValueError("detuning grid must be ascending")
+    if not np.all(np.isfinite(detunings)) or np.any(np.diff(detunings) <= 0):
+        raise ValueError("detuning grid must be finite and ascending")
     pl = np.empty(detunings.size)
     for i, nu in enumerate(detunings):
         gmat = build_rate_matrix(params, strain, rp, laser_detuning=nu,
@@ -277,8 +277,10 @@ def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
     """Initialize (green pulse plus dark settle), rotate (MW for tau),
     read out (resonant laser on `readout_line`, integrating PL).
     Returns (tau, counts) rows."""
-    if omega_mw <= 0:
-        raise ValueError("omega_mw must be positive")
+    if not (np.isfinite(omega_mw) and omega_mw > 0):
+        raise ValueError("omega_mw must be positive and finite")
+    if not np.all(np.isfinite(mw_durations)):
+        raise ValueError("MW durations must be finite")
     if readout_line.strength <= 0:
         raise ValueError("readout line has zero strength")
 

@@ -1,12 +1,15 @@
 """Strain sweeps: adiabatic level tracking, crossing detection and the
 orbit-averaged spin splitting.
 
-Every strain grid goes through one batched core: the Hamiltonian is affine
-in the strain (`strain_family`), so a whole grid is diagonalised by one
-stacked LAPACK call and its level characters are read off in one pass.
+Every strain-dependent spectrum goes through one batched core: the
+Hamiltonian is affine in the strain (`strain_family`), so a whole grid is
+diagonalised by one stacked LAPACK call and its level characters are read
+off in one pass. Crossing refinement and the repump strain share one
+batched bisection.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -15,7 +18,6 @@ from .model import (FineStructureParams, StrainVector,
                     build_excited_hamiltonian, symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class SweepError(Exception):
@@ -56,15 +58,19 @@ class SweepResult:
     ambiguous_points: list            # grid indices where tracking overlap^2 < 0.5
 
 
+@lru_cache(maxsize=16)
 def strain_family(params):
     """(h0, hd, hd_neg): the Hamiltonian at transverse strain (delta, 0)
     is h0 + delta * hd for delta >= 0 and h0 + delta * hd_neg below. The
     slopes differ only through the e_es term, which follows |delta|; the
     spectrum depends on the strain vector only through its norm, so
-    sweeps run along x."""
+    sweeps run along x. Cached read-only: the fit asks for the same
+    params once per strain refinement step."""
     h0 = build_excited_hamiltonian(params, StrainVector(0.0, 0.0))
     hd = build_excited_hamiltonian(params, StrainVector(1.0, 0.0)) - h0
     hd_neg = h0 - build_excited_hamiltonian(params, StrainVector(-1.0, 0.0))
+    for m in (h0, hd, hd_neg):
+        m.flags.writeable = False
     return h0, hd, hd_neg
 
 
@@ -82,15 +88,24 @@ def _finite_strains(deltas):
     return deltas
 
 
-def _characters(vectors, tag_refs=None):
+def branch_spin_weights(vectors):
+    """Upper-branch (Ex) weight and ms=0 (Sz) weight of every eigenvector
+    column of vectors (..., 6, k), each (..., k)."""
+    w = np.abs(vectors) ** 2
+    return (w[..., 0, :] + w[..., 1, :] + w[..., 2, :],
+            w[..., 2, :] + w[..., 5, :])
+
+
+def _characters(vectors):
     """LevelCharacter of every eigenvector column of vectors (n, 6, k),
     as n lists of k. A symmetry tag is attached when the overlap with a
     zero-strain symmetry state reaches SYMMETRY_OVERLAP_MIN."""
-    refs = symmetry_states() if tag_refs is None else tag_refs
+    refs = symmetry_states()
     tags = list(refs) + [None]
     w = np.abs(vectors) ** 2
-    pops = np.stack([w[:, 0] + w[:, 1] + w[:, 2], w[:, 0] + w[:, 3],
-                     w[:, 1] + w[:, 4], w[:, 2] + w[:, 5]], axis=-1)
+    p_x, p_sz = branch_spin_weights(vectors)
+    pops = np.stack([p_x, w[:, 0] + w[:, 3], w[:, 1] + w[:, 4], p_sz],
+                    axis=-1)
     ref_rows = np.array(list(refs.values()), dtype=complex).reshape(-1, 6)
     hit = np.abs(ref_rows.conj() @ vectors) ** 2 >= SYMMETRY_OVERLAP_MIN
     # a last row of hits stands for "no tag"
@@ -100,7 +115,7 @@ def _characters(vectors, tag_refs=None):
             for prow, trow in zip(pops.tolist(), first.tolist())]
 
 
-def classify_level(vec, tag_refs=None):
+def classify_level(vec):
     """Branch and spin populations of a unit-norm 6-vector; a symmetry
     tag is attached when the overlap with a zero-strain symmetry state
     exceeds 0.9."""
@@ -110,7 +125,7 @@ def classify_level(vec, tag_refs=None):
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"eigenvector norm {norm:.6f} is not 1")
-    return _characters(v.reshape(1, 6, 1), tag_refs)[0][0]
+    return _characters(v.reshape(1, 6, 1))[0][0]
 
 
 def _greedy_match(ov):
@@ -160,69 +175,70 @@ def sweep(params, grid):
                        ambiguous_points=ambiguous)
 
 
-def _golden_min(f, a, b, tol=1e-9):
-    """Golden-section minimum of f on [a, b]."""
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def _bisect(f, lo, hi, tol):
+    """Roots of the batched f (an array of points to an array of values)
+    on the brackets [lo, hi], across each of which f changes sign: the
+    midpoints once every bracket is at most tol wide or cannot split."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f_lo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        split = (hi - lo > tol) & (lo < mid) & (mid < hi)
+        if not split.any():
+            return mid
+        f_mid = f(mid)
+        left = split & (f_lo * f_mid <= 0)
+        right = split & ~left
+        hi = np.where(left, mid, hi)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
 
 
 def detect_crossings(sr, gap_threshold):
     """Locate (avoided) crossings: local minima of pairwise track gaps
-    below `gap_threshold`, refined by golden-section search on the true
-    sorted-eigenvalue gap. `avoided` requires an exchange of dominant
-    spin character between the two tracks across the minimum."""
+    below `gap_threshold`, each bisected between its grid neighbours to a
+    zero of the Hellmann-Feynman gap derivative <hi|Hd|hi> - <lo|Hd|lo>
+    of the sorted ranks lo, hi the two tracks hold at the minimum.
+    `avoided` requires an exchange of dominant spin character between
+    the two tracks across the minimum."""
     if gap_threshold <= 0:
         raise ValueError("gap_threshold must be positive")
     n = sr.grid.size
     family = strain_family(sr.params)
+    _, hd, hd_neg = family
+    pair_a, pair_b = np.triu_indices(6, 1)
+    gap = np.abs(sr.energies[:, pair_a] - sr.energies[:, pair_b])
+    mid = gap[1:-1]
+    minima = (mid <= gap[:-2]) & (mid < gap[2:]) & (mid < gap_threshold)
+    pair, i = np.nonzero(minima.T)      # pair-major, as events are listed
+    i += 1
+    a, b = pair_a[pair], pair_b[pair]
+    cand = np.arange(i.size)
+    rank = np.argsort(np.argsort(sr.energies[i], kind="stable"))
+    lo, hi = np.sort([rank[cand, a], rank[cand, b]], axis=0)
+
+    def slope_gap(x):
+        vectors = np.linalg.eigh(strain_hamiltonians(family, x))[1]
+        slopes = np.where((x < 0)[:, None, None], hd_neg, hd)
+        hf = np.sum(vectors.conj() * (slopes @ vectors), axis=1).real
+        return hf[cand, hi] - hf[cand, lo]
+
+    x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)
+    values = np.linalg.eigvalsh(strain_hamiltonians(family, x))
+    min_gap = values[cand, hi] - values[cand, lo]
     events = []
-    for a in range(6):
-        for b in range(a + 1, 6):
-            gap = np.abs(sr.energies[:, a] - sr.energies[:, b])
-            mid = gap[1:-1]
-            minima = (mid <= gap[:-2]) & (mid < gap[2:]) \
-                & (mid < gap_threshold)
-            for i in (np.flatnonzero(minima) + 1).tolist():
-                # rank of the lower of the two levels in the sorted spectrum
-                lower = min(sr.energies[i, a], sr.energies[i, b])
-                rank = min(int(np.argmin(np.abs(np.sort(sr.energies[i])
-                                                - lower))), 4)
-
-                def sorted_gap(x):
-                    ev = np.linalg.eigvalsh(
-                        strain_hamiltonians(family, [x]))[0]
-                    return ev[rank + 1] - ev[rank]
-
-                x, g = _golden_min(sorted_gap, sr.grid[max(i - 1, 0)],
-                                   sr.grid[min(i + 1, n - 1)])
-                before = sr.characters[max(i - 3, 0)]
-                after = sr.characters[min(i + 3, n - 1)]
-                exchanged = (
-                    before[a].dominant_spin == after[b].dominant_spin
-                    and before[b].dominant_spin == after[a].dominant_spin
-                    and before[a].dominant_spin != before[b].dominant_spin)
-                events.append(CrossingEvent(
-                    strain_at_min_gap=float(x), track_a=a, track_b=b,
-                    min_gap=float(g), avoided=exchanged))
+    for k, (ik, ak, bk) in enumerate(zip(i.tolist(), a.tolist(),
+                                         b.tolist())):
+        before = sr.characters[max(ik - 3, 0)]
+        after = sr.characters[min(ik + 3, n - 1)]
+        exchanged = (
+            before[ak].dominant_spin == after[bk].dominant_spin
+            and before[bk].dominant_spin == after[ak].dominant_spin
+            and before[ak].dominant_spin != before[bk].dominant_spin)
+        events.append(CrossingEvent(
+            strain_at_min_gap=float(x[k]), track_a=ak, track_b=bk,
+            min_gap=float(min_gap[k]), avoided=exchanged))
     events.sort(key=lambda e: e.strain_at_min_gap)
     return events
-
-
-def _sz_weights(vectors):
-    """ms=0 (Sz) population of every eigenvector column (n, 6)."""
-    return np.abs(vectors[:, 2]) ** 2 + np.abs(vectors[:, 5]) ** 2
 
 
 def averaged_splitting(params, dperp):
@@ -233,7 +249,7 @@ def averaged_splitting(params, dperp):
     deltas = _finite_strains(dperp)
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), deltas))
-    ms0 = _sz_weights(vectors) > 0.5
+    ms0 = branch_spin_weights(vectors)[1] > 0.5
     mixed = np.flatnonzero(ms0.sum(axis=1) != 2)
     if mixed.size:
         # near an avoided crossing characters mix; fall back on the
@@ -242,7 +258,8 @@ def averaged_splitting(params, dperp):
         ref = strain_family(replace(params, lambda_perp=0.0))
         _, ref_vectors = np.linalg.eigh(
             strain_hamiltonians(ref, deltas[mixed]))
-        top2 = np.argsort(_sz_weights(ref_vectors), axis=1)[:, -2:]
+        top2 = np.argsort(branch_spin_weights(ref_vectors)[1],
+                          axis=1)[:, -2:]
         ms0[mixed] = False
         ms0[mixed[:, None], top2] = True
     n = deltas.size
@@ -256,9 +273,9 @@ def _upper_branch_sz_gaps(family, deltas):
     ms=+-1 level at every strain; NaN where the upper branch is not
     resolved into three levels with one ms=0 among them."""
     values, vectors = np.linalg.eigh(strain_hamiltonians(family, deltas))
-    w = np.abs(vectors) ** 2
-    upper = w[:, 0] + w[:, 1] + w[:, 2] > 0.5
-    sz = upper & (_sz_weights(vectors) > 0.5)
+    p_x, p_sz = branch_spin_weights(vectors)
+    upper = p_x > 0.5
+    sz = upper & (p_sz > 0.5)
     resolved = (upper.sum(axis=1) == 3) & (sz.sum(axis=1) == 1)
     e_sz = np.take_along_axis(values, sz.argmax(axis=1)[:, None], axis=1)
     gaps = np.where(upper & ~sz, np.abs(values - e_sz), np.inf).min(axis=1)
@@ -272,8 +289,12 @@ def nv2_condition_strain(params, window=(0.0, 100.0), tol=1e-6):
     target = params.d_gs
     family = strain_family(params)
 
-    def unresolved(d):
-        return SweepError(f"upper branch not resolved at delta_perp={d}")
+    def resolved(d, fs):
+        bad = np.flatnonzero(np.isnan(fs))
+        if bad.size:
+            raise SweepError("upper branch not resolved at "
+                             f"delta_perp={d[bad[0]]}")
+        return fs
 
     lo = max(window[0], 0.3)  # branches unresolved at tiny strain
     xs = _finite_strains(np.linspace(lo, window[1], 400))
@@ -282,20 +303,10 @@ def nv2_condition_strain(params, window=(0.0, 100.0), tol=1e-6):
     # the scan ends at the first sign change, and fails at an unresolved
     # point on the way there
     end = change[0] + 1 if change.size else xs.size - 1
-    bad = np.flatnonzero(np.isnan(fs[:end + 1]))
-    if bad.size:
-        raise unresolved(xs[bad[0]])
+    resolved(xs[:end + 1], fs[:end + 1])
     if not change.size:
         raise SweepError(f"no strain in {window} satisfies the "
                          f"d_gs={target} GHz condition")
-    a, b, fa = xs[end - 1], xs[end], fs[end - 1]
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = _upper_branch_sz_gaps(family, np.array([m]))[0] - target
-        if np.isnan(fm):
-            raise unresolved(m)
-        if fa * fm <= 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
+    return _bisect(lambda d: resolved(d, _upper_branch_sz_gaps(family, d)
+                                      - target),
+                   xs[end - 1:end], xs[end:end + 1], tol)[0]

@@ -14,6 +14,7 @@ from nvsim.cli import run
 from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
                           format_number, parse_config, write_csv)
 from nvsim.fitting import synthesize_dataset
+from nvsim.linalg import hermitian_eigen
 from nvsim.model import FineStructureParams
 
 
@@ -246,6 +247,24 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (out / "odmr.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--tau-max", "--omega-mw"])
+    def test_non_finite_rabi_input_rejected(self, tmp_path, capsys, flag):
+        cfg, out = make_config(tmp_path)
+        with np.errstate(invalid="ignore"):
+            assert run(["--config", cfg, "rabi", flag, "inf"]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "rabi.csv").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--detuning-max", "inf"),
+                                             ("--detuning-min", "nan")])
+    def test_non_finite_detuning_grid_rejected(self, tmp_path, capsys, flag,
+                                               value):
+        cfg, out = make_config(tmp_path)
+        with np.errstate(invalid="ignore"):
+            assert run(["--config", cfg, "excitation", flag, value]) == 1
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "excitation.csv").exists()
+
     def test_singular_exchange_resolvent_is_numerical(self, tmp_path, capsys,
                                                       monkeypatch):
         # equal branch frequencies, no exchange at 0.1 K and a damping whose
@@ -257,6 +276,30 @@ class TestExitCodes:
                     "--freq-min", "1.0"]) == 2
         assert "singular" in capsys.readouterr().err
         assert not (out / "odmr.csv").exists()
+
+
+class TestSpectralPath:
+    def test_only_the_rate_model_uses_the_jacobi_solver(self, tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+        def jacobi_forbidden(*args, **kwargs):
+            raise AssertionError("hermitian_eigen called")
+
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "nvsim" or module is None \
+                    or name == "nvsim.photodynamics":
+                continue
+            for attr, value in list(vars(module).items()):
+                if value is hermitian_eigen:
+                    monkeypatch.setattr(module, attr, jacobi_forbidden)
+                    patched.append(f"{name}.{attr}")
+        assert "nvsim.linalg.hermitian_eigen" in patched
+        cfg, out = make_config(tmp_path)
+        fixture = write_fixture(tmp_path, n=4)
+        for argv in (["levels"], ["sweep"], ["avg"], ["odmr"],
+                     ["odmr", "--temperature-scan"], ["fit", fixture]):
+            assert run(["--config", cfg, *argv]) == 0, argv
 
 
 class TestImportCost:

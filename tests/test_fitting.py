@@ -10,7 +10,8 @@ from nvsim.fitting import (_INJECTIONS, STRAIN_MAX, FitError, FitModel,
                            ObservedDefect, _match, _nelder_mead,
                            assign_lines, fit, predicted_lines, residuals,
                            synthesize_dataset)
-from nvsim.model import FineStructureParams
+from nvsim.model import (FineStructureParams, StrainVector,
+                         build_excited_hamiltonian)
 
 TRUTH = FineStructureParams()
 
@@ -311,3 +312,13 @@ class TestFit:
     def test_predicted_lines_sorted(self):
         vals = predicted_lines(TRUTH, 4.0)
         assert np.all(np.diff(vals) >= 0)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_predicted_lines_batch_any_shape(self, shape):
+        params = replace(TRUTH, e_es_coeff=0.05)
+        strains = np.random.default_rng(8).uniform(-25.0, 25.0, shape)
+        lines = predicted_lines(params, strains)
+        assert lines.shape == shape + (6,)
+        direct = [np.linalg.eigvalsh(build_excited_hamiltonian(
+            params, StrainVector(d, 0.0))) for d in np.ravel(strains)]
+        assert np.max(np.abs(lines.reshape(-1, 6) - direct)) <= 1e-10

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from nvsim.linalg import (EigenError, hermitian_eigen, kron,
-                          offdiag_norm)
+from nvsim.linalg import EigenError, hermitian_eigen, offdiag_norm
 
 
 def random_hermitian(rng, n):
@@ -81,15 +80,5 @@ class TestHermitianEigen:
 
 
 class TestHelpers:
-    def test_kron_mixed_product(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        d = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.allclose(lhs, rhs)
-
     def test_offdiag_norm_diagonal_is_zero(self):
         assert offdiag_norm(np.diag([1.0, 2.0]).astype(complex)) == 0.0

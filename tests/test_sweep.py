@@ -13,10 +13,38 @@ from nvsim.sweep import (SweepError, averaged_splitting, classify_level,
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
+# tracks 1 and 2 reach a gap minimum at 1.35 GHz on a 0.05 GHz grid while
+# holding the sorted ranks 0 and 2: a third level lies between them
+NON_ADJACENT = FineStructureParams(
+    lambda_z=2.9377782841203905, lambda_perp=0.1686099135192661,
+    d_es=1.8763648523917893, delta_cap=0.22743182308801177)
 
 
 def coarse_sweep(params, lo=0.01, hi=30.0, n=601):
     return sweep(params, np.linspace(lo, hi, n))
+
+
+def rank_gap(params, x, lo, hi):
+    """Gap between the sorted levels of ranks lo and hi at strain x."""
+    ev = np.linalg.eigvalsh(build_excited_hamiltonian(
+        params, StrainVector(x, 0.0)))
+    return ev[hi] - ev[lo]
+
+
+def candidate_ranks(sr, event, threshold):
+    """Sorted ranks (lo, hi) that the event's two tracks hold at each grid
+    minimum of their gap whose bracket contains the event's strain."""
+    a, b = event.track_a, event.track_b
+    gap = np.abs(sr.energies[:, a] - sr.energies[:, b])
+    out = []
+    for i in range(1, gap.size - 1):
+        if (gap[i] <= gap[i - 1] and gap[i] < gap[i + 1]
+                and gap[i] < threshold
+                and sr.grid[i - 1] <= event.strain_at_min_gap
+                <= sr.grid[i + 1]):
+            rank = np.argsort(np.argsort(sr.energies[i], kind="stable"))
+            out.append(tuple(sorted((rank[a], rank[b]))))
+    return out
 
 
 class TestClassify:
@@ -95,6 +123,44 @@ class TestCrossings:
         assert all(e.min_gap < 1e-6 for e in events)
         assert not any(e.avoided for e in events)
 
+    def test_non_adjacent_ranks_refine_their_own_gap(self):
+        grid = np.linspace(0.0, 30.0, 601)
+        sr = sweep(NON_ADJACENT, grid)
+        [event] = [e for e in detect_crossings(sr, 0.5)
+                   if (e.track_a, e.track_b) == (1, 2)]
+        assert candidate_ranks(sr, event, 0.5) == [(0, 2)]
+        x = event.strain_at_min_gap
+        assert 1.3 <= x <= 1.4
+        # the gap of the two tracks' own levels, not that of ranks 0 and 1
+        # (0.0093 at the bracket edge 1.3 GHz)
+        assert event.min_gap == pytest.approx(
+            rank_gap(NON_ADJACENT, x, 0, 2), abs=1e-10)
+        assert event.min_gap <= min(rank_gap(NON_ADJACENT, 1.3, 0, 2),
+                                    rank_gap(NON_ADJACENT, 1.4, 0, 2))
+        assert event.min_gap > 0.05
+
+    def test_min_gap_is_the_gap_of_the_refined_ranks(self):
+        rng = np.random.default_rng(21)
+        grid = np.linspace(-20.0, 30.0, 501)
+        events = 0
+        for _ in range(30):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 10.0),
+                lambda_perp=rng.choice([0.0, rng.uniform(0.01, 1.0)]),
+                d_es=rng.uniform(0.1, 3.0),
+                delta_cap=rng.uniform(0.1, 3.0),
+                e_es_coeff=rng.uniform(-0.2, 0.2))
+            sr = sweep(params, grid)
+            for e in detect_crossings(sr, 0.5):
+                ranks = candidate_ranks(sr, e, 0.5)
+                assert ranks, "strain outside every candidate bracket"
+                err = min(abs(e.min_gap - rank_gap(
+                    params, e.strain_at_min_gap, lo, hi))
+                    for lo, hi in ranks)
+                assert err <= 1e-10
+                events += 1
+        assert events >= 100
+
     def test_upper_branch_has_no_crossing(self):
         sr = coarse_sweep(DEFAULTS, n=1201)
         last = sr.characters[-1]
@@ -166,6 +232,10 @@ class TestRepumpCondition:
     def test_condition_strain(self):
         d = nv2_condition_strain(DEFAULTS)
         assert d == pytest.approx(3.464, abs=0.01)
+
+    def test_zero_tolerance_stops_at_float_resolution(self):
+        d = nv2_condition_strain(DEFAULTS, tol=0.0)
+        assert d == pytest.approx(nv2_condition_strain(DEFAULTS), abs=1e-6)
 
     def test_no_solution_raises(self):
         with pytest.raises(SweepError):
