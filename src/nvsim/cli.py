@@ -311,8 +311,11 @@ def _cmd_fit(cfg, args, command):
     print("\n".join(report))
     _finish(cfg, command, [rpath, spath], inputs=[args.input])
     if not result.converged:
-        raise FitError("fit did not converge (optimizer stopped, or a "
-                       "strain lies at the strain-grid edge); result flagged")
+        why = ("defects at the strain-grid edge: "
+               f"{', '.join(result.edge_ids)}" if result.edge_ids else
+               "the optimizer stopped at its iteration limit "
+               f"({result.iterations} iterations)")
+        raise FitError(f"fit did not converge: {why}; result flagged")
 
 
 _COMMANDS = {

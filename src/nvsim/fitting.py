@@ -11,6 +11,10 @@ optimization.
 
 One path serves any line count: a defect's m lines match the six predicted
 ones by one of C(6, m) <= 20 injections, in closed form batched per m.
+The strain of a defect with all six lines is refined by Gauss-Newton and
+secant steps on exact Hellmann-Feynman slopes; with fewer lines the
+matching can switch inside the bracket, the cost has kinks there, and a
+safeguarded parabolic search refines it instead.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,11 +23,12 @@ from itertools import combinations
 import numpy as np
 
 from .model import FineStructureParams
-from .sweep import strain_family, strain_hamiltonians
+from .sweep import strain_family, strain_hamiltonians, strain_slopes
 
 STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
-REFINE_ITERS = 18
+REFINE_ITERS = 18       # parabolic steps, partial line lists
+GN_STEPS = 4            # Gauss-Newton then secant steps, full lines
 N_LINES = 6             # predicted excited-state lines
 
 # Order-preserving injections of m sorted lines into six, in descending
@@ -76,6 +81,7 @@ class FitResult:
     iterations: int
     converged: bool
     assignments: dict = field(default_factory=dict)
+    edge_ids: tuple = ()    # defects whose best grid strain is STRAIN_MAX
 
 
 def assign_lines(predicted, measured):
@@ -148,7 +154,7 @@ def _take(sel, k):
     if sel.shape[-2] == 1:
         return sel[..., 0, :]
     sel = np.broadcast_to(sel, k.shape + sel.shape[-2:])
-    return np.take_along_axis(sel, k[..., None, None], axis=-2)[..., 0, :]
+    return sel[(*np.indices(k.shape, sparse=True), k)]
 
 
 def _match(pred, meas, offset=None):
@@ -237,6 +243,48 @@ def _refine_strains(params, grid, costs, meas, sigmas,
     return xs[:, 1], fs[:, 1]
 
 
+def _gauss_newton_strains(params, grid, costs, meas, sigmas):
+    """Per-defect strain minimization for full line lists, batched across
+    defects, from the coarse-grid minimum and kept in the grid bracket
+    around it. The residual r is centred, which removes the offset, and
+    its strain derivative J is the centred Hellmann-Feynman slope, from
+    the same stacked eigensolve as the lines; so the gradient J.r of half
+    the squared residual is exact. The first step is Gauss-Newton, with
+    curvature J.J; later steps take the secant curvature of the exact
+    gradient between the last two points, which converges superlinearly
+    where large residuals slow Gauss-Newton, and fall back on J.J where
+    that is not positive. Returns the best strain evaluated (the grid
+    minimum included) and its cost."""
+    family = strain_family(params)
+    k = np.argmin(costs, axis=1)
+    kb = np.clip(k, 1, grid.size - 2)
+    lo, hi = grid[kb - 1], grid[kb + 1]
+    x = best_x = grid[k]
+    best_cost = costs[np.arange(k.size), k]
+    for step in range(GN_STEPS + 1):
+        if step < GN_STEPS:
+            values, slopes = strain_slopes(family, x)
+        else:
+            values = predicted_lines(params, x)
+        r = _match(values, meas)[0]
+        cost = (r * r).sum(axis=1) / sigmas ** 2
+        better = cost < best_cost
+        best_x = np.where(better, x, best_x)
+        best_cost = np.where(better, cost, best_cost)
+        if step == GN_STEPS:
+            return best_x, best_cost
+        jac = slopes - _mean(slopes)[:, None]
+        grad, curv = (jac * r).sum(axis=1), (jac * jac).sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if step:
+                secant = (grad - last_grad) / (x - last_x)
+                curv = np.where(secant > 0, secant, curv)
+            dx = grad / curv
+        last_x, last_grad = x, grad
+        # a non-finite step (a flat J) counts as no step
+        x = np.clip(x - np.where(np.isfinite(dx), dx, 0.0), lo, hi)
+
+
 def _nelder_mead(func, x0, maxiter, xatol, fatol):
     """Minimize func by the adaptive Nelder-Mead simplex (Gao and Han
     2012), step for step as scipy's `minimize(method="Nelder-Mead")` with
@@ -293,7 +341,8 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
     offset. Nelder-Mead over the global parameters; for each candidate,
     every defect's strain is re-optimized by a grid scan plus 1-D
     refinement (a deterministic multi-start over strain). A defect whose
-    best grid point is STRAIN_MAX flags the fit not converged."""
+    best grid point is STRAIN_MAX flags the fit not converged and is
+    listed in `edge_ids`."""
     if not data:
         raise FitError("no defects supplied")
     fm = init if init is not None else FitModel()
@@ -318,7 +367,9 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
         at_edge = np.empty(len(data), dtype=bool)
         for idx, meas, sigmas in groups:
             grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
-            strains[idx], costs[idx] = _refine_strains(
+            refine = (_gauss_newton_strains if meas.shape[1] == N_LINES
+                      else _refine_strains)
+            strains[idx], costs[idx] = refine(
                 params, grid, grid_costs, meas, sigmas)
             at_edge[idx] = np.argmin(grid_costs, axis=1) == grid.size - 1
         return strains, costs, at_edge
@@ -349,6 +400,7 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
         iterations=nit,
         converged=success and not at_edge.any(),
         assignments=pairs,
+        edge_ids=tuple(d.id for d, e in zip(data, at_edge) if e),
     )
 
 

@@ -6,6 +6,14 @@ Hamiltonian is affine in the strain (`strain_family`), so a whole grid is
 diagonalised by one stacked LAPACK call and its level characters are read
 off in one pass. Crossing refinement and the repump strain share one
 batched bisection.
+
+The family is stored in the real gauge D^dagger H D, D = diag(1, i, 1, i,
+1, i), where every strain Hamiltonian is real symmetric, so LAPACK runs
+its faster real solvers. Nothing read off the eigenvectors depends on D:
+populations, overlaps between family eigenvectors and Hellmann-Feynman
+slopes do not, and every symmetry state lies on the even or on the odd
+basis indices only, where D is a constant phase, so its overlaps with a
+vector have the same magnitude in either basis.
 """
 
 from dataclasses import dataclass, replace
@@ -18,6 +26,9 @@ from .model import (FineStructureParams, StrainVector,
                     build_excited_hamiltonian, symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
+
+# The diagonal of the gauge D (see the module docstring)
+_GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
 
 
 class SweepError(Exception):
@@ -64,14 +75,20 @@ def strain_family(params):
     is h0 + delta * hd for delta >= 0 and h0 + delta * hd_neg below. The
     slopes differ only through the e_es term, which follows |delta|; the
     spectrum depends on the strain vector only through its norm, so
-    sweeps run along x. Cached read-only: the fit asks for the same
-    params once per strain refinement step."""
+    sweeps run along x. All three are real, in the gauge D^dagger H D.
+    Cached read-only: the fit asks for the same params once per strain
+    refinement step."""
     h0 = build_excited_hamiltonian(params, StrainVector(0.0, 0.0))
     hd = build_excited_hamiltonian(params, StrainVector(1.0, 0.0)) - h0
     hd_neg = h0 - build_excited_hamiltonian(params, StrainVector(-1.0, 0.0))
+    family = []
     for m in (h0, hd, hd_neg):
+        # D^dagger H D is real for this Hamiltonian, and multiplying by
+        # +-i is exact, so .real drops only zeros
+        m = np.ascontiguousarray((_GAUGE.conj()[:, None] * m * _GAUGE).real)
         m.flags.writeable = False
-    return h0, hd, hd_neg
+        family.append(m)
+    return tuple(family)
 
 
 def strain_hamiltonians(family, deltas):
@@ -79,6 +96,17 @@ def strain_hamiltonians(family, deltas):
     h0, hd, hd_neg = family
     d = np.asarray(deltas, dtype=float)[..., None, None]
     return h0 + d * np.where(d < 0, hd_neg, hd)
+
+
+def strain_slopes(family, deltas):
+    """Eigenvalues (..., 6) at the strains (delta, 0) of deltas and their
+    Hellmann-Feynman derivatives dE_k/d(delta) = v_k . Hd . v_k, with Hd
+    the family's slope on the strain's side of zero."""
+    h0, hd, hd_neg = family
+    d = np.asarray(deltas, dtype=float)[..., None, None]
+    slope = np.where(d < 0, hd_neg, hd)
+    values, vectors = np.linalg.eigh(h0 + d * slope)
+    return values, np.sum(vectors * (slope @ vectors), axis=-2)
 
 
 def _finite_strains(deltas):
@@ -159,8 +187,7 @@ def sweep(params, grid):
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), grid))
     # overlap^2 of each point's eigenvectors with the previous point's
-    steps = np.abs(vectors[:-1].conj().transpose(0, 2, 1)
-                   @ vectors[1:]) ** 2
+    steps = (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2
     perms = np.empty((grid.size, 6), dtype=int)
     perms[0] = np.arange(6)
     ambiguous = []
@@ -204,7 +231,6 @@ def detect_crossings(sr, gap_threshold):
         raise ValueError("gap_threshold must be positive")
     n = sr.grid.size
     family = strain_family(sr.params)
-    _, hd, hd_neg = family
     pair_a, pair_b = np.triu_indices(6, 1)
     gap = np.abs(sr.energies[:, pair_a] - sr.energies[:, pair_b])
     mid = gap[1:-1]
@@ -217,9 +243,7 @@ def detect_crossings(sr, gap_threshold):
     lo, hi = np.sort([rank[cand, a], rank[cand, b]], axis=0)
 
     def slope_gap(x):
-        vectors = np.linalg.eigh(strain_hamiltonians(family, x))[1]
-        slopes = np.where((x < 0)[:, None, None], hd_neg, hd)
-        hf = np.sum(vectors.conj() * (slopes @ vectors), axis=1).real
+        hf = strain_slopes(family, x)[1]
         return hf[cand, hi] - hf[cand, lo]
 
     x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)

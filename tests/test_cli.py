@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nvsim
-from nvsim import cli
+from nvsim import cli, fitting
 from nvsim.cli import run
 from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
                           format_number, parse_config, write_csv)
@@ -217,6 +217,28 @@ class TestExitCodes:
         assert "converged = False" in (out / "fit_report.txt").read_text()
         assert "strain-grid edge" in capsys.readouterr().err
         assert (out / "manifest.txt").exists()
+
+    def test_fit_edge_message_names_the_defects(self, tmp_path, capsys):
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, _ = make_config(tmp_path, init)
+        fixture = write_fixture(tmp_path,
+                                strains=[3.0, 8.0, 14.0, 40.0, 45.0])
+        assert run(["--config", cfg, "fit", fixture]) == 2
+        err = capsys.readouterr().err
+        assert "defects at the strain-grid edge: nv04, nv05;" in err
+        assert "iteration limit" not in err
+
+    def test_fit_iteration_limit_message(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr(cli, "fit", lambda data, init: fitting.fit(
+            data, init=init, max_iter=3))
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "fit", write_fixture(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "optimizer stopped at its iteration limit (3 iterations)" \
+            in err
+        assert "edge" not in err
+        assert "converged = False" in (out / "fit_report.txt").read_text()
 
     @pytest.mark.parametrize("extra", ["strain_max = inf\n",
                                        "strain_min = nan\n"])

@@ -5,13 +5,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nvsim.fitting import (_INJECTIONS, STRAIN_MAX, FitError, FitModel,
-                           ObservedDefect, _match, _nelder_mead,
-                           assign_lines, fit, predicted_lines, residuals,
-                           synthesize_dataset)
+from nvsim.fitting import (_INJECTIONS, COARSE_STEP, STRAIN_MAX, FitError,
+                           FitModel, ObservedDefect, _cost,
+                           _gauss_newton_strains, _groups, _match,
+                           _nelder_mead, _refine_strains, assign_lines, fit,
+                           predicted_lines, residuals, synthesize_dataset)
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
+from nvsim.sweep import strain_family, strain_slopes
 
 TRUTH = FineStructureParams()
 
@@ -181,6 +185,50 @@ class TestNelderMead:
         assert outcomes == {True, False}   # some problems hit maxiter
 
 
+class TestGaussNewtonStrains:
+    """Full line lists refine their strains by Gauss-Newton on
+    Hellmann-Feynman slopes; partial ones keep the parabolic search."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(delta=st.floats(-30.0, 30.0),
+           lambda_perp=st.floats(0.0, 1.0),
+           e_es=st.floats(-0.5, 0.5).filter(lambda e: abs(e) >= 1e-3))
+    def test_slopes_match_central_differences(self, delta, lambda_perp,
+                                              e_es):
+        h = 1e-5
+        assume(abs(delta) > 10 * h)    # the e_es term kinks at zero strain
+        params = replace(TRUTH, lambda_perp=lambda_perp, e_es_coeff=e_es)
+        values, slopes = strain_slopes(strain_family(params), delta)
+        assume(np.min(np.diff(values)) > 0.01)     # non-degenerate
+        central = (predicted_lines(params, delta + h)
+                   - predicted_lines(params, delta - h)) / (2 * h)
+        assert np.all(np.abs(slopes - central) <= 1e-6 * np.abs(slopes))
+
+    @pytest.mark.parametrize("shift", [0.0, 0.4, -0.4])
+    def test_no_worse_than_the_parabolic_search(self, shift):
+        # 0.3 GHz has a bracket touching zero strain, 29.8 GHz one at the
+        # grid's end
+        strains = [0.3, 1.1, 4.0, 7.31, 12.0, 15.5, 21.0, 26.0, 29.8]
+        data = synthesize_dataset(TRUTH, strains, noise=0.01, seed=12)
+        params = replace(TRUTH, lambda_z=TRUTH.lambda_z + shift,
+                         d_es=TRUTH.d_es + shift,
+                         delta_cap=TRUTH.delta_cap + shift)
+        grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
+        (_, meas, sigmas), = _groups(data)
+        grid_costs = _cost(predicted_lines(params, grid), meas[:, None, :],
+                           sigmas[:, None])
+        x_gn, cost_gn = _gauss_newton_strains(params, grid, grid_costs,
+                                              meas, sigmas)
+        cost_par = _refine_strains(params, grid, grid_costs, meas,
+                                   sigmas)[1]
+        assert np.all(cost_gn <= cost_par * (1 + 1e-9) + 1e-12)
+        assert np.all(cost_gn <= grid_costs.min(axis=1))
+        # the reported cost is the cost at the reported strain
+        assert cost_gn == pytest.approx(
+            _cost(predicted_lines(params, x_gn), meas, sigmas),
+            rel=1e-9, abs=1e-12)
+
+
 class TestObservedDefect:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -302,6 +350,11 @@ class TestFit:
         assert not res.converged
         assert max(res.strains.values()) == pytest.approx(STRAIN_MAX,
                                                           abs=0.01)
+        assert res.edge_ids == ("nv04", "nv05")
+
+    def test_converged_fit_has_no_edge_ids(self):
+        data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
+        assert fit(data, init=self.INIT).edge_ids == ()
 
     def test_too_many_lines_raises(self):
         data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from nvsim.model import FineStructureParams, StrainVector, \
-    build_excited_hamiltonian
+    build_excited_hamiltonian, symmetry_states
 from nvsim.linalg import hermitian_eigen
 from nvsim.sweep import (SweepError, averaged_splitting, classify_level,
-                         detect_crossings, nv2_condition_strain, sweep)
+                         detect_crossings, nv2_condition_strain,
+                         strain_family, strain_hamiltonians, sweep)
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
@@ -66,6 +67,62 @@ class TestClassify:
         tags = {classify_level(es.vectors[:, k]).symmetry_tag
                 for k in range(6)}
         assert tags == {"E1", "E2", "E'x", "E'y", "A1", "A2"}
+
+
+class TestRealGauge:
+    """The strain family is stored as D^dagger H D, D = diag(1, i, 1, i,
+    1, i), which is real symmetric."""
+
+    @staticmethod
+    def random_params(rng):
+        return FineStructureParams(
+            lambda_z=rng.uniform(1.0, 15.0), lambda_perp=rng.uniform(0.0, 1.0),
+            d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
+            e_es_coeff=rng.uniform(-0.5, 0.5), delta_z=rng.uniform(-2.0, 2.0),
+            zpl_offset=rng.uniform(-3.0, 3.0))
+
+    def test_family_is_real(self):
+        rng = np.random.default_rng(60)
+        for params in [DEFAULTS] + [self.random_params(rng)
+                                    for _ in range(5)]:
+            for m in strain_family(params):
+                assert m.dtype == np.float64 and m.flags.c_contiguous
+                assert np.array_equal(m, m.T)
+
+    def test_spectrum_equals_the_complex_hamiltonians(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            params = self.random_params(rng)
+            deltas = rng.uniform(-30.0, 30.0, 8)
+            gauged = np.linalg.eigvalsh(
+                strain_hamiltonians(strain_family(params), deltas))
+            direct = [np.linalg.eigvalsh(build_excited_hamiltonian(
+                params, StrainVector(d, 0.0))) for d in deltas]
+            assert np.max(np.abs(gauged - direct)) <= 1e-12
+
+    def test_classify_level_in_either_basis(self):
+        # photodynamics classifies eigenvectors of build_excited_hamiltonian,
+        # the strain core those of the gauged family: the same levels
+        # must get the same characters and tags
+        gauge = np.array([1, 1j, 1, 1j, 1, 1j])
+        h = build_excited_hamiltonian(DECOUPLED, StrainVector())
+        for name, state in symmetry_states().items():
+            energy = np.vdot(state, h @ state).real
+            assert np.max(np.abs(h @ state - energy * state)) <= 1e-12
+            assert classify_level(state).symmetry_tag == name
+            assert classify_level(gauge.conj() * state).symmetry_tag == name
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            params = self.random_params(rng)
+            delta = rng.uniform(-10.0, 10.0)
+            vectors = np.linalg.eigh(build_excited_hamiltonian(
+                params, StrainVector(delta, 0.0)))[1]
+            for v in vectors.T:
+                a, b = classify_level(v), classify_level(gauge.conj() * v)
+                assert a.symmetry_tag == b.symmetry_tag
+                assert [a.p_branch_x, a.p_sx, a.p_sy, a.p_sz] == \
+                    pytest.approx([b.p_branch_x, b.p_sx, b.p_sy, b.p_sz],
+                                  abs=1e-15)
 
 
 class TestSweep:
