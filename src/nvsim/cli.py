@@ -17,7 +17,8 @@ from .config import (Config, ConfigError, RunManifest, format_number,
                      load_config, sha256_file, write_csv)
 from .fitting import FitError, FitModel, ObservedDefect, fit
 from .linalg import EigenError
-from .model import GPA_TO_GHZ, StrainVector, zero_strain_levels
+from .model import (GPA_TO_GHZ, MAX_STRAIN_GHZ, StrainVector,
+                    zero_strain_levels)
 from .motional import (BranchError, ExchangeModel, branch_esr_frequencies,
                        esr_contrast_vs_temperature, exchange_lineshape)
 from .photodynamics import (RateModelError, excitation_spectrum,
@@ -107,10 +108,15 @@ def _strain_flags(sp, default=3.0):
 
 def _resolve_strain(args):
     if args.gpa is not None:
-        return args.gpa * GPA_TO_GHZ
-    if args.strain is not None:
-        return args.strain
-    return args.default_strain
+        strain = args.gpa * GPA_TO_GHZ
+    elif args.strain is not None:
+        strain = args.strain
+    else:
+        return args.default_strain
+    if not abs(strain) <= MAX_STRAIN_GHZ:
+        raise UsageError(f"strain {strain:g} GHz is not finite or beyond "
+                         f"the {MAX_STRAIN_GHZ:g} GHz (1 TPa) limit")
+    return strain
 
 
 def _out(cfg, name):
@@ -290,13 +296,14 @@ def _cmd_fit(cfg, args, command):
     init = FitModel(params=cfg.fine_structure(),
                     fit_lambda_perp=args.free_lambda_perp)
     result = fit(data, init=init)
-    p = result.params
-    report = [
-        f"defects = {len(data)}",
-        f"lambda_z_ghz = {format_number(p.lambda_z)}",
-        f"d_es_ghz = {format_number(p.d_es)}",
-        f"delta_cap_ghz = {format_number(p.delta_cap)}",
-        f"lambda_perp_ghz = {format_number(p.lambda_perp)}",
+    report = [f"defects = {len(data)}"]
+    for name in ("lambda_z", "d_es", "delta_cap", "lambda_perp"):
+        report.append(f"{name}_ghz = "
+                      f"{format_number(getattr(result.params, name))}")
+        if name in result.errors:
+            report.append(f"{name}_err_ghz = "
+                          f"{format_number(result.errors[name])}")
+    report += [
         f"residual_rms_ghz = {format_number(result.residual_rms)}",
         f"iterations = {result.iterations}",
         f"converged = {result.converged}",
@@ -311,10 +318,15 @@ def _cmd_fit(cfg, args, command):
     print("\n".join(report))
     _finish(cfg, command, [rpath, spath], inputs=[args.input])
     if not result.converged:
-        why = ("defects at the strain-grid edge: "
-               f"{', '.join(result.edge_ids)}" if result.edge_ids else
-               "the optimizer stopped at its iteration limit "
-               f"({result.iterations} iterations)")
+        if result.edge_ids:
+            why = ("defects at the strain-grid edge: "
+                   f"{', '.join(result.edge_ids)}")
+        elif result.stalled:
+            why = ("no step the optimizer tried lowered the cost "
+                   f"(iteration {result.iterations})")
+        else:
+            why = ("the optimizer stopped at its iteration limit "
+                   f"({result.iterations} iterations)")
         raise FitError(f"fit did not converge: {why}; result flagged")
 
 

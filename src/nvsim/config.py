@@ -8,7 +8,7 @@ fall back to defaults. All energies are GHz, times ns, temperatures K.
 import hashlib
 from dataclasses import dataclass, field, fields
 
-from .model import FineStructureParams
+from .model import MAX_STRAIN_GHZ, FineStructureParams
 from .motional import DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE, TemperatureMap
 from .photodynamics import RateParams
 
@@ -62,8 +62,9 @@ class Config:
         if n < 2:
             raise ConfigError("strain_points must be >= 2")
         lo, hi = self.values["strain_min"], self.values["strain_max"]
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ConfigError("strain_min and strain_max must be finite")
+        if not (abs(lo) <= MAX_STRAIN_GHZ and abs(hi) <= MAX_STRAIN_GHZ):
+            raise ConfigError("strain_min and strain_max must be finite "
+                              f"and within +-{MAX_STRAIN_GHZ:g} GHz")
         return np.linspace(lo, hi, n)
 
     def dump(self):

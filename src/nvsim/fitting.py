@@ -5,9 +5,12 @@ Each defect contributes two to six line detunings relative to an
 arbitrary per-defect reference; the model predicts the six excited-state
 eigenvalues at the defect's (unknown) transverse strain, shifted by a
 free per-defect offset. Global parameters (lambda_z, d_es, delta_cap and
-optionally lambda_perp) are shared across defects and found by
-derivative-free simplex descent over a nested per-defect strain/offset
-optimization.
+optionally lambda_perp) are shared across defects. They are found by
+variable projection (Golub and Pereyra 2003): a Levenberg-Marquardt loop
+(More 1978) over the globals alone, on the cost minimized over every
+defect's strain and offset, with an exact Jacobian. The Hamiltonian is
+linear in every global, so one eigensolve gives all Hellmann-Feynman
+slopes.
 
 One path serves any line count: a defect's m lines match the six predicted
 ones by one of C(6, m) <= 20 injections, in closed form batched per m.
@@ -23,13 +26,20 @@ from itertools import combinations
 import numpy as np
 
 from .model import FineStructureParams
-from .sweep import strain_family, strain_hamiltonians, strain_slopes
+from .sweep import (parameter_operators, strain_family, strain_hamiltonians,
+                    strain_slopes)
 
 STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
+STRAIN_GRID = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
 REFINE_ITERS = 18       # parabolic steps, partial line lists
 GN_STEPS = 4            # Gauss-Newton then secant steps, full lines
 N_LINES = 6             # predicted excited-state lines
+XTOL = 1e-10            # LM step test, relative to the largest global
+MU_START = 1e-3         # LM damping at the first step
+MU_MAX = 1e16           # LM damping at which the loop gives up
+SCALE_FLOOR = 1e-12     # LM damping scale floor, relative to the largest
+PERP_FLOOR = 1e-4       # GHz, least lambda_perp the fit steps to
 
 # Order-preserving injections of m sorted lines into six, in descending
 # colex order: ties go to the later lines, as in `assign_lines`.
@@ -82,6 +92,8 @@ class FitResult:
     converged: bool
     assignments: dict = field(default_factory=dict)
     edge_ids: tuple = ()    # defects whose best grid strain is STRAIN_MAX
+    errors: dict = field(default_factory=dict)  # global -> 1 sigma, GHz
+    stalled: bool = False   # no damped step lowered the cost
 
 
 def assign_lines(predicted, measured):
@@ -160,19 +172,20 @@ def _take(sel, k):
 def _match(pred, meas, offset=None):
     """Line matching, batched over the leading axes of sorted pred (..., 6)
     and meas (..., m). Unless given, offset = mean(meas - first), first
-    being the injection closest in L1 after centring. Returns residuals
-    pred + offset - meas of the injection closest in L1 at that offset,
-    its row of _INJECTIONS[m], and first (None if the offset is given)."""
+    being the injection closest in L1 after centring both on their means
+    (pred on that of all six lines). Returns residuals pred + offset - meas
+    of the injection closest in L1 at that offset, its row of
+    _INJECTIONS[m], and first's row (None if the offset is given)."""
     sel = pred[..., _INJECTIONS[meas.shape[-1]]]
     meas_mean = _mean(meas)
     meas_c = meas - meas_mean[..., None]
     if offset is None:
-        first = _take(sel, _closest(sel, _mean(pred), meas_c))
-        anchor = _mean(first)
+        k_first = _closest(sel, _mean(pred), meas_c)
+        anchor = _mean(_take(sel, k_first))
     else:
-        first, anchor = None, meas_mean - offset
+        k_first, anchor = None, meas_mean - offset
     k = _closest(sel, anchor, meas_c)
-    return (_take(sel, k) - anchor[..., None]) - meas_c, k, first
+    return (_take(sel, k) - anchor[..., None]) - meas_c, k, k_first
 
 
 def _cost(pred, meas, sigmas):
@@ -285,64 +298,88 @@ def _gauss_newton_strains(params, grid, costs, meas, sigmas):
         x = np.clip(x - np.where(np.isfinite(dx), dx, 0.0), lo, hi)
 
 
-def _nelder_mead(func, x0, maxiter, xatol, fatol):
-    """Minimize func by the adaptive Nelder-Mead simplex (Gao and Han
-    2012), step for step as scipy's `minimize(method="Nelder-Mead")` with
-    `adaptive=True`, no bounds and no evaluation limit. Returns the best
-    vertex, the iteration count and whether the tolerances were met
-    within maxiter iterations."""
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    sim = np.array([x0] * (n + 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(np.copy(x)) for x in sim], dtype=float)
-    for _ in range(2):      # twice, as scipy: argsort may reorder ties
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    nit = 1
-    while nit < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = func(np.copy(xr))
-        if fxr < fsim[0]:
-            xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = func(np.copy(xe))
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:      # outside contraction
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc = func(np.copy(xc))
-                accept = fxc <= fxr
-            else:                   # inside contraction
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = func(np.copy(xc))
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:                   # shrink towards the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = func(np.copy(sim[j]))
-        nit += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], nit, nit < maxiter
+def _solve_strains(params, groups):
+    """Every defect's best strain at params and its whitened cost, in data
+    order: a scan of STRAIN_GRID, then the refinement for its line count.
+    Also flags the defects whose best grid strain is STRAIN_MAX."""
+    n = sum(idx.size for idx, _, _ in groups)
+    grid_pred = predicted_lines(params, STRAIN_GRID)
+    strains, costs = np.empty(n), np.empty(n)
+    at_edge = np.empty(n, dtype=bool)
+    for idx, meas, sigmas in groups:
+        grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
+        refine = (_gauss_newton_strains if meas.shape[1] == N_LINES
+                  else _refine_strains)
+        strains[idx], costs[idx] = refine(
+            params, STRAIN_GRID, grid_costs, meas, sigmas)
+        at_edge[idx] = np.argmin(grid_costs, axis=1) == STRAIN_GRID.size - 1
+    return strains, costs, at_edge
+
+
+def _linearize(params, names, strains, groups):
+    """The matched residuals at the strains and their reduced Jacobian in
+    the globals names, from one eigensolve per group of `_groups`. Per
+    group: `_match`'s residuals and rows, the offsets, and the whitened
+    Jacobian (n, m, p).
+
+    A residual is sel_k - mean(first) - (meas - mean meas), so its
+    derivative is that of the matched row k minus the mean derivative of
+    first, the injection the offset is fixed on; it is not row k's own
+    mean wherever the two rows differ. Derivatives are Hellmann-Feynman
+    slopes, exact since the Hamiltonian is linear in every global.
+    Variable projection (Kaufman): the strain direction is projected out
+    of each defect's rows, J = J_theta - J_delta (J_delta . J_theta) /
+    (J_delta . J_delta), as the strain is re-minimized at every point."""
+    family = strain_family(params)
+    ops = parameter_operators(tuple(names))
+    out = []
+    for idx, meas, sigmas in groups:
+        values, d_delta, d_theta = strain_slopes(family, strains[idx], ops)
+        diff, k, k_first = _match(values, meas)
+        rows = _INJECTIONS[meas.shape[1]]
+        offset = _mean(meas - _take(values[:, rows], k_first))
+        # derivatives along the strain, then each global: (n, 1 + p, 6)
+        sel = np.concatenate([d_delta[:, None], d_theta], axis=1)[..., rows]
+        fixed = sel.shape[:2]
+        d = (_take(sel, np.broadcast_to(k[:, None], fixed))
+             - _mean(_take(sel, np.broadcast_to(k_first[:, None], fixed)))
+             [..., None]) / sigmas[:, None, None]
+        j_delta, j_theta = d[:, 0], d[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = (j_theta @ j_delta[..., None]) \
+                / (j_delta * j_delta).sum(axis=1)[:, None, None]
+        # a flat strain direction has nothing to project out
+        coef = np.where(np.isfinite(coef), coef, 0.0)
+        jac = j_theta - coef * j_delta[:, None, :]
+        out.append((diff, k, offset, jac.transpose(0, 2, 1)))
+    return out
+
+
+def _stack(groups, lin):
+    """Whitened residual vector r and Jacobian J (rows, p) of all groups."""
+    r = np.concatenate([(diff / sigmas[:, None]).ravel()
+                        for (_, _, sigmas), (diff, _, _, _)
+                        in zip(groups, lin)])
+    jac = np.concatenate([j.reshape(-1, j.shape[-1])
+                          for _, _, _, j in lin])
+    return r, jac
 
 
 def fit(data, init=None, max_iter=400, tol=1e-6):
     """Fit shared fine-structure parameters plus per-defect strain and
-    offset. Nelder-Mead over the global parameters; for each candidate,
-    every defect's strain is re-optimized by a grid scan plus 1-D
-    refinement (a deterministic multi-start over strain). A defect whose
-    best grid point is STRAIN_MAX flags the fit not converged and is
-    listed in `edge_ids`."""
+    offset, by variable projection: the cost of the globals is its
+    minimum over every defect's strain (a grid scan plus 1-D refinement,
+    a deterministic multi-start) and offset (closed form). A
+    Levenberg-Marquardt loop minimizes it on the exact reduced Jacobian
+    (see `_linearize`). It converges when the Gauss-Newton step, clipped
+    to the bounds, moves no global by more than XTOL relative to the
+    largest, or an accepted step lowers the cost by at most tol relative.
+    It stops without when no damped step up to MU_MAX lowers the cost
+    (`stalled`) or after max_iter iterations. lambda_perp, when free, is
+    kept at least PERP_FLOOR. A defect whose best grid point is
+    STRAIN_MAX flags the fit not converged and is listed in `edge_ids`.
+    1 sigma errors of the globals come from the final Jacobian,
+    (J^T J)^-1 cost / (lines - free)."""
     if not data:
         raise FitError("no defects supplied")
     fm = init if init is not None else FitModel()
@@ -356,51 +393,81 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
             f"under-determined: {n_lines} lines for {n_free} free "
             f"parameters ({len(names)} global + 2 per defect)")
 
-    grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
     lo = np.array([fm.bounds[n][0] for n in names])
     hi = np.array([fm.bounds[n][1] for n in names])
+    if fm.fit_lambda_perp:
+        # the spectrum is even in lambda_perp: at 0 every slope in it and
+        # the cost's gradient vanish, and no step would leave 0
+        lo[-1] = max(lo[-1], PERP_FLOOR)
     groups = _groups(data)
 
-    def solve_strains(params):
-        grid_pred = predicted_lines(params, grid)
-        strains, costs = np.empty(len(data)), np.empty(len(data))
-        at_edge = np.empty(len(data), dtype=bool)
-        for idx, meas, sigmas in groups:
-            grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
-            refine = (_gauss_newton_strains if meas.shape[1] == N_LINES
-                      else _refine_strains)
-            strains[idx], costs[idx] = refine(
-                params, grid, grid_costs, meas, sigmas)
-            at_edge[idx] = np.argmin(grid_costs, axis=1) == grid.size - 1
-        return strains, costs, at_edge
-
-    def objective(theta):
-        if np.any(theta < lo) or np.any(theta > hi):
-            return 1e12
+    def evaluate(theta):
         params = replace(fm.params, **dict(zip(names, theta)))
-        return float(solve_strains(params)[1].sum())
+        strains, costs, at_edge = _solve_strains(params, groups)
+        return params, strains, at_edge, float(costs.sum())
 
-    x0 = np.array([getattr(fm.params, n) for n in names])
-    x, nit, success = _nelder_mead(objective, x0, max_iter, 1e-6, tol)
+    theta = np.clip([getattr(fm.params, n) for n in names], lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, strains, at_edge, cost = evaluate(theta)
+    if not np.isfinite(cost):
+        raise FitError(f"the cost at the starting parameters is not finite "
+                       f"({cost:g}): line positions out of range")
+    mu, nit, converged, stalled = MU_START, 0, False, False
+    while not (converged or stalled) and nit < max_iter:
+        nit += 1
+        r, jac = _stack(groups, _linearize(params, names, strains, groups))
+        # the undamped (Gauss-Newton) step tests convergence; a damped
+        # one is short merely because mu is large
+        gauss_newton = np.clip(
+            theta + np.linalg.lstsq(jac, -r, rcond=None)[0], lo, hi) - theta
+        if np.max(np.abs(gauss_newton)) <= XTOL * np.max(np.abs(theta)):
+            converged = True
+            break
+        grad, hess = jac.T @ r, jac.T @ jac
+        # the floor keeps a flat column from making the system singular
+        scale = np.diag(hess)
+        scale = np.maximum(scale, SCALE_FLOOR * scale.max())
+        while True:
+            step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
+            trial = np.clip(theta + step, lo, hi)
+            state = evaluate(trial)
+            if state[3] < cost:
+                converged = cost - state[3] <= tol * cost
+                theta, (params, strains, at_edge, cost) = trial, state
+                mu /= 10.0
+                break
+            mu *= 10.0
+            if mu > MU_MAX:
+                stalled = True
+                break
 
-    best = replace(fm.params, **dict(zip(names, x)))
-    strains, _, at_edge = solve_strains(best)
+    lin = _linearize(params, names, strains, groups)
+    _, jac = _stack(groups, lin)
+    dof = n_lines - n_free
+    errors = {}
+    # a global the lines do not depend on has no error
+    cols = np.flatnonzero(np.any(jac != 0.0, axis=0))
+    if dof > 0 and cols.size:
+        cov = np.linalg.inv(jac[:, cols].T @ jac[:, cols]) * (cost / dof)
+        errors = dict(zip([names[j] for j in cols],
+                          np.sqrt(np.diag(cov)).tolist()))
     offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
-    for idx, meas, _ in groups:
-        diff, k, first = _match(predicted_lines(best, strains[idx]), meas)
-        offsets[idx] = _mean(meas - first)
+    for (idx, meas, _), (diff, k, offset, _) in zip(groups, lin):
+        offsets[idx] = offset
         sq[idx] = (diff * diff).sum(axis=1)
         pairs.update((data[i].id, list(enumerate(row.tolist())))
                      for i, row in zip(idx, _INJECTIONS[meas.shape[1]][k]))
     return FitResult(
-        params=best,
+        params=params,
         strains={d.id: float(x) for d, x in zip(data, strains)},
         offsets={d.id: float(x) for d, x in zip(data, offsets)},
         residual_rms=float(np.sqrt(sq.sum() / n_lines)),
         iterations=nit,
-        converged=success and not at_edge.any(),
+        converged=converged and not at_edge.any(),
+        stalled=stalled,
         assignments=pairs,
         edge_ids=tuple(d.id for d, e in zip(data, at_edge) if e),
+        errors=errors,
     )
 
 

@@ -18,6 +18,13 @@ import numpy as np
 
 GPA_TO_GHZ = 1.0e3
 
+# Largest transverse strain accepted from input, GHz (1 TPa). Float64
+# eigenvalues of the 6x6 Hamiltonian carry an error of about eps times
+# the strain, ~1e-10 GHz at this limit against a ~1 GHz fine structure;
+# far beyond it, cancellation swamps the splittings (the averaged
+# splitting is 0.1 GHz off at 1e14 GHz and meaningless at 1e16).
+MAX_STRAIN_GHZ = 1.0e6
+
 BASIS_LABELS = ("Ex*Sx", "Ex*Sy", "Ex*Sz", "Ey*Sx", "Ey*Sy", "Ey*Sz")
 
 # Symmetry labels of the zero-strain eigenstates, lowest pair first.

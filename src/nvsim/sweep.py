@@ -22,13 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (FineStructureParams, StrainVector,
+from .model import (MAX_STRAIN_GHZ, FineStructureParams, StrainVector,
                     build_excited_hamiltonian, symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
 
 # The diagonal of the gauge D (see the module docstring)
 _GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
+
+# The parameters the Hamiltonian is linear in, with no constant term
+LINEAR_PARAMS = ("lambda_z", "d_es", "delta_cap", "lambda_perp")
 
 
 class SweepError(Exception):
@@ -81,14 +84,32 @@ def strain_family(params):
     h0 = build_excited_hamiltonian(params, StrainVector(0.0, 0.0))
     hd = build_excited_hamiltonian(params, StrainVector(1.0, 0.0)) - h0
     hd_neg = h0 - build_excited_hamiltonian(params, StrainVector(-1.0, 0.0))
-    family = []
-    for m in (h0, hd, hd_neg):
-        # D^dagger H D is real for this Hamiltonian, and multiplying by
-        # +-i is exact, so .real drops only zeros
-        m = np.ascontiguousarray((_GAUGE.conj()[:, None] * m * _GAUGE).real)
-        m.flags.writeable = False
-        family.append(m)
-    return tuple(family)
+    return tuple(_gauged(m) for m in (h0, hd, hd_neg))
+
+
+def _gauged(m):
+    """D^dagger m D as a contiguous read-only real array. D^dagger H D is
+    real for this Hamiltonian, and multiplying by +-i is exact, so .real
+    drops only zeros."""
+    m = np.ascontiguousarray((_GAUGE.conj()[:, None] * m * _GAUGE).real)
+    m.flags.writeable = False
+    return m
+
+
+@lru_cache(maxsize=4)
+def parameter_operators(names):
+    """dH/d(name) for each of the tuple names, stacked (p, 6, 6) and in
+    the gauge of `strain_family`. The Hamiltonian is linear in each of
+    LINEAR_PARAMS, so the derivative is that parameter's term at 1 GHz,
+    the same at every parameter value and strain."""
+    if not set(names) <= set(LINEAR_PARAMS):
+        raise ValueError(f"the Hamiltonian is linear only in "
+                         f"{', '.join(LINEAR_PARAMS)}")
+    zero = FineStructureParams(**dict.fromkeys(LINEAR_PARAMS, 0.0))
+    ops = np.stack([_gauged(build_excited_hamiltonian(
+        replace(zero, **{name: 1.0}), StrainVector())) for name in names])
+    ops.flags.writeable = False
+    return ops
 
 
 def strain_hamiltonians(family, deltas):
@@ -98,21 +119,29 @@ def strain_hamiltonians(family, deltas):
     return h0 + d * np.where(d < 0, hd_neg, hd)
 
 
-def strain_slopes(family, deltas):
+def strain_slopes(family, deltas, operators=None):
     """Eigenvalues (..., 6) at the strains (delta, 0) of deltas and their
     Hellmann-Feynman derivatives dE_k/d(delta) = v_k . Hd . v_k, with Hd
-    the family's slope on the strain's side of zero."""
+    the family's slope on the strain's side of zero. Given operators
+    (p, 6, 6) in the family's gauge, such as `parameter_operators`, it
+    also returns v_k . O_j . v_k (..., p, 6), the derivatives along the
+    parameters they multiply, from the same eigensolve."""
     h0, hd, hd_neg = family
     d = np.asarray(deltas, dtype=float)[..., None, None]
     slope = np.where(d < 0, hd_neg, hd)
     values, vectors = np.linalg.eigh(h0 + d * slope)
-    return values, np.sum(vectors * (slope @ vectors), axis=-2)
+    slopes = np.sum(vectors * (slope @ vectors), axis=-2)
+    if operators is None:
+        return values, slopes
+    v = vectors[..., None, :, :]
+    return values, slopes, np.sum(v * (operators @ v), axis=-2)
 
 
 def _finite_strains(deltas):
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if deltas.ndim != 1 or not np.all(np.isfinite(deltas)):
-        raise ValueError("strains must be a 1-D grid of finite numbers")
+    if deltas.ndim != 1 or not np.all(np.abs(deltas) <= MAX_STRAIN_GHZ):
+        raise ValueError("strains must be a 1-D grid of finite numbers "
+                         f"within +-{MAX_STRAIN_GHZ:g} GHz")
     return deltas
 
 

@@ -163,6 +163,34 @@ class TestCliCommands:
         assert "delta_cap_ghz = 1.550000" in report
         assert (out2 / "fit_strains.csv").exists()
 
+    def test_fit_reports_errors(self, tmp_path):
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
+        fixture = write_fixture(tmp_path, noise=0.01)
+        for flags, free in (([], ()), (["--free-lambda-perp"],
+                                       ("lambda_perp",))):
+            assert run(["--config", cfg, "fit", *flags, fixture]) == 0
+            report = dict(line.split(" = ") for line in (
+                out / "fit_report.txt").read_text().splitlines())
+            names = ("lambda_z", "d_es", "delta_cap") + free
+            assert {k for k in report if k.endswith("_err_ghz")} == {
+                f"{n}_err_ghz" for n in names}
+            for n in names:
+                assert 0 < float(report[f"{n}_err_ghz"]) < 0.2
+
+    def test_fit_free_lambda_perp_from_zero(self, tmp_path, capsys):
+        init = ("lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+                "lambda_perp = 0\n")
+        cfg, out = make_config(tmp_path, init)
+        fixture = write_fixture(tmp_path)
+        assert run(["--config", cfg, "fit", "--free-lambda-perp",
+                    fixture]) == 0
+        report = dict(line.split(" = ") for line in (
+            out / "fit_report.txt").read_text().splitlines())
+        assert float(report["lambda_perp_ghz"]) == pytest.approx(0.2,
+                                                                 abs=1e-6)
+        assert "lambda_perp_err_ghz" in report
+
     def test_env_config(self, tmp_path, monkeypatch):
         cfg, out = make_config(tmp_path)
         monkeypatch.setenv("NVSIM_CONFIG", cfg)
@@ -230,14 +258,36 @@ class TestExitCodes:
 
     def test_fit_iteration_limit_message(self, tmp_path, capsys,
                                          monkeypatch):
+        # from the truth the fit converges in one iteration, so it starts
+        # off the truth
         monkeypatch.setattr(cli, "fit", lambda data, init: fitting.fit(
-            data, init=init, max_iter=3))
-        cfg, out = make_config(tmp_path)
+            data, init=init, max_iter=1))
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
         assert run(["--config", cfg, "fit", write_fixture(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "optimizer stopped at its iteration limit (3 iterations)" \
+        assert "optimizer stopped at its iteration limit (1 iterations)" \
             in err
         assert "edge" not in err
+        assert "converged = False" in (out / "fit_report.txt").read_text()
+
+    def test_fit_stalled_message(self, tmp_path, capsys, monkeypatch):
+        # a cost that never falls below the start's
+        solve = fitting._solve_strains
+        start = []
+
+        def flat(params, groups):
+            strains, costs, at_edge = solve(params, groups)
+            start.append(costs)
+            return strains, start[0], at_edge
+
+        monkeypatch.setattr(fitting, "_solve_strains", flat)
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
+        assert run(["--config", cfg, "fit", write_fixture(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no step the optimizer tried lowered the cost" in err
+        assert "iteration limit" not in err
         assert "converged = False" in (out / "fit_report.txt").read_text()
 
     @pytest.mark.parametrize("extra", ["strain_max = inf\n",
@@ -254,6 +304,42 @@ class TestExitCodes:
         assert run(["--config", cfg, "avg", "--max-strain", value]) == 1
         assert "finite" in capsys.readouterr().err
         assert not (out / "avg.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["avg", "--max-strain", "1e14"], ["avg", "--max-strain", "1e308"],
+        ["lines", "--strain", "2e6"], ["lines", "--gpa", "1001"],
+        ["rabi", "--strain=-1e16"], ["odmr", "--strain", "1e7"],
+        ["sweep", "strain_max = 1e14\n"],
+        ["sweep", "strain_min = -2e6\n"]])
+    def test_strain_beyond_physical_limit_rejected(self, tmp_path, capsys,
+                                                   argv):
+        # float64 cancellation swamps the splittings far beyond 1e6 GHz
+        extra = argv.pop() if argv[-1].endswith("\n") else ""
+        cfg, out = make_config(tmp_path, extra)
+        assert run(["--config", cfg, *argv]) == 1
+        assert "1e+06 GHz" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+
+    def test_strain_at_physical_limit_accepted(self, tmp_path):
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "avg", "--max-strain", "1e6",
+                    "--points", "5"]) == 0
+        rows = (out / "avg.csv").read_text().splitlines()[1:]
+        assert all(abs(float(r.split(",")[1]) - 1.42) < 0.05 for r in rows)
+
+    def test_fit_non_finite_starting_cost(self, tmp_path, capfd):
+        cfg, out = make_config(tmp_path)
+        bad = tmp_path / "huge.csv"
+        bad.write_text("defect_id,line_ghz\n" + "".join(
+            f"nv{i},{1e300 * (1 + 1e-15 * k):.17g}\n"
+            for i in range(2) for k in range(6)))
+        assert run(["--config", cfg, "fit", str(bad)]) == 2
+        err = capfd.readouterr().err
+        assert "numerical failure: the cost at the starting parameters " \
+            "is not finite" in err
+        assert "Traceback" not in err and "LASCL" not in err
+        assert "Warning" not in err
+        assert not (out / "fit_report.txt").exists()
 
     @pytest.mark.parametrize("scan", [[], ["--temperature-scan"]])
     def test_nonpositive_odmr_linewidth_rejected(self, tmp_path, capsys,

@@ -8,8 +8,9 @@ import pytest
 from nvsim.model import FineStructureParams, StrainVector, \
     build_excited_hamiltonian, symmetry_states
 from nvsim.linalg import hermitian_eigen
-from nvsim.sweep import (SweepError, averaged_splitting, classify_level,
-                         detect_crossings, nv2_condition_strain,
+from nvsim.sweep import (LINEAR_PARAMS, SweepError, averaged_splitting,
+                         classify_level, detect_crossings,
+                         nv2_condition_strain, parameter_operators,
                          strain_family, strain_hamiltonians, sweep)
 
 DEFAULTS = FineStructureParams()
@@ -123,6 +124,22 @@ class TestRealGauge:
                 assert [a.p_branch_x, a.p_sx, a.p_sy, a.p_sz] == \
                     pytest.approx([b.p_branch_x, b.p_sx, b.p_sy, b.p_sz],
                                   abs=1e-15)
+
+    def test_parameter_operators_rebuild_the_family(self):
+        # the zero-strain family member is the sum of the linear terms,
+        # plus the identity shift of the two offsets
+        rng = np.random.default_rng(63)
+        ops = parameter_operators(LINEAR_PARAMS)
+        assert ops.dtype == np.float64 and ops.shape == (4, 6, 6)
+        for _ in range(10):
+            params = self.random_params(rng)
+            linear = np.tensordot(
+                [getattr(params, n) for n in LINEAR_PARAMS], ops, axes=1)
+            shift = (params.zpl_offset + params.delta_z) * np.eye(6)
+            assert np.max(np.abs(strain_family(params)[0] - linear - shift)) \
+                <= 1e-12
+        with pytest.raises(ValueError, match="linear only"):
+            parameter_operators(("e_es_coeff",))
 
 
 class TestSweep:
