@@ -221,10 +221,14 @@ def _refine_strains(params, grid, costs, meas, sigmas,
                     iters=REFINE_ITERS):
     """Per-defect strain minimization: safeguarded successive parabolic
     interpolation, batched across defects (one stacked eigensolve per
-    iteration)."""
+    iteration). Returns the best strain evaluated (the grid minimum
+    included) and its cost, the final bracket's middle on a tie: at a
+    grid-end minimum the clipped bracket's middle is not the best."""
     nd = costs.shape[0]
-    k = np.clip(np.argmin(costs, axis=1), 1, grid.size - 2)
     idx = np.arange(nd)
+    k = np.argmin(costs, axis=1)
+    best_x, best_f = grid[k], costs[idx, k]
+    k = np.clip(k, 1, grid.size - 2)
     xs = np.stack([grid[k - 1], grid[k], grid[k + 1]], axis=1)
     fs = np.stack([costs[idx, k - 1], costs[idx, k],
                    costs[idx, k + 1]], axis=1)
@@ -243,6 +247,9 @@ def _refine_strains(params, grid, costs, meas, sigmas,
             | (np.abs(cand - x1) < 1e-14)
         cand = np.where(bad, fallback, cand)
         fc = _cost(predicted_lines(params, cand), meas, sigmas)
+        better = fc < best_f
+        best_x = np.where(better, cand, best_x)
+        best_f = np.where(better, fc, best_f)
         # merge the new point, keeping a bracketing triple around the min
         allx = np.concatenate([xs, cand[:, None]], axis=1)
         allf = np.concatenate([fs, fc[:, None]], axis=1)
@@ -253,7 +260,9 @@ def _refine_strains(params, grid, costs, meas, sigmas,
         cols = np.stack([kmin - 1, kmin, kmin + 1], axis=1)
         xs = np.take_along_axis(allx, cols, axis=1)
         fs = np.take_along_axis(allf, cols, axis=1)
-    return xs[:, 1], fs[:, 1]
+    middle = fs[:, 1] <= best_f
+    return (np.where(middle, xs[:, 1], best_x),
+            np.where(middle, fs[:, 1], best_f))
 
 
 def _gauss_newton_strains(params, grid, costs, meas, sigmas):

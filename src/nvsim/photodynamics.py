@@ -65,7 +65,14 @@ class RateParams:
 
 
 class RateModelError(Exception):
-    pass
+    """A rate-model computation failed. For a stack of generators,
+    `index` is the first failing member and the message names it;
+    `reason` is the message without it."""
+
+    def __init__(self, reason, index=None):
+        self.reason, self.index = reason, index
+        super().__init__(reason if index is None
+                         else f"generator {index}: {reason}")
 
 
 @lru_cache(maxsize=64)
@@ -107,20 +114,24 @@ def lorentzian_peak(detuning, fwhm):
 
 def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
                       mw_on=False, green_on=False):
-    """10x10 population-rate generator G with dP/dt = G P.
+    """Population-rate generator G with dP/dt = G P: (10, 10) for a
+    scalar laser_detuning, (n, 10, 10) for n detunings.
 
     Columns sum to zero. The resonant laser drives every optical line at
     pump_res_max * strength * profile(laser offset); optical pumping is
     bidirectional (absorption and stimulated emission at equal rates).
+    Each entry of a stack gets the same sequence of operations as the
+    single matrix at its detuning, so the two agree bit for bit.
     """
     values, chars = _excited_structure(params, strain)
     spin_pop = np.array([[c.p_sz, c.p_sx, c.p_sy] for c in chars])  # (6,3)
     g_energies = np.array(ground_levels(params))  # gSz, gSx, gSy
-    g = np.zeros((N_LEVELS, N_LEVELS))
+    laser_detuning = np.asarray(laser_detuning, dtype=float)
+    g = np.zeros(laser_detuning.shape + (N_LEVELS, N_LEVELS))
 
     def move(src, dst, rate):
-        g[dst, src] += rate
-        g[src, src] -= rate
+        g[..., dst, src] += rate
+        g[..., src, src] -= rate
 
     for k in range(6):
         e = 3 + k
@@ -131,9 +142,10 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
             # resonant drive on the (gi -> e) line
             offset = laser_detuning - (values[k] - g_energies[gi])
             prof = lorentzian_peak(offset, rp.linewidth)
-            if not np.isfinite(prof):
+            if not np.all(np.isfinite(prof)):
+                bad = laser_detuning.flat[np.argmin(np.isfinite(prof))]
                 raise RateModelError(
-                    f"line profile not finite at detuning {laser_detuning}")
+                    f"line profile not finite at detuning {bad}")
             pump = rp.pump_res_max * (share / 2.0) * prof
             move(gi, e, pump)
             move(e, gi, pump)
@@ -213,37 +225,69 @@ def propagate(pop, generator, duration):
     return out
 
 
+def _member(flat, shape):
+    """The index of flat member `flat` of a stack of the given shape:
+    an int for a 1-D stack, None for a single matrix."""
+    if not shape:
+        return None
+    index = tuple(int(i) for i in np.unravel_index(flat, shape))
+    return index[0] if len(index) == 1 else index
+
+
 def stationary_state(generator):
-    """Unique normalized null vector of the generator."""
-    a = np.vstack([generator, np.ones(N_LEVELS)])
+    """Unique normalized null vector of each generator of a (..., 10, 10)
+    stack, as (..., 10): the least-squares solution of the generator
+    bordered by a row of ones, one LAPACK solve per member. A failure
+    names the first failing member of a stack."""
+    generator = np.asarray(generator, dtype=float)
+    shape = generator.shape[:-2]
+    gens = generator.reshape((-1, N_LEVELS, N_LEVELS))
+    finite = np.isfinite(gens).all(axis=(1, 2))
+    if not finite.all():
+        # LAPACK can hang on a non-finite matrix; never hand it one
+        raise RateModelError("generator not finite",
+                             _member(np.argmin(finite), shape))
+    a = np.empty((gens.shape[0], N_LEVELS + 1, N_LEVELS))
+    a[:, :N_LEVELS] = gens
+    a[:, N_LEVELS] = 1.0
     b = np.zeros(N_LEVELS + 1)
     b[-1] = 1.0
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < N_LEVELS:
+    sol = np.empty((gens.shape[0], N_LEVELS))
+    rank = np.empty(gens.shape[0], dtype=int)
+    for i in range(gens.shape[0]):
+        sol[i], _, rank[i], _ = np.linalg.lstsq(a[i], b, rcond=None)
+    residual = np.abs(np.einsum("nij,nj->ni", gens, sol)).max(axis=1)
+    reducible = rank < N_LEVELS
+    failed = reducible | (residual > 1e-8) | (sol.min(axis=1) < -1e-8)
+    if failed.any():
+        i = np.argmax(failed)
+        if reducible[i]:
+            raise RateModelError(
+                f"stationary state not unique (bordered generator rank "
+                f"{rank[i]} < {N_LEVELS}: the generator is reducible)",
+                _member(i, shape))
         raise RateModelError(
-            f"stationary state not unique (bordered generator rank {rank} "
-            f"< {N_LEVELS}: the generator is reducible)")
-    residual = np.max(np.abs(generator @ sol))
-    if residual > 1e-8 or np.min(sol) < -1e-8:
-        raise RateModelError(
-            f"stationary state not found (residual {residual:.3e})")
-    return np.clip(sol, 0.0, None) / np.clip(sol, 0.0, None).sum()
+            f"stationary state not found (residual {residual[i]:.3e})",
+            _member(i, shape))
+    pos = np.clip(sol, 0.0, None)
+    return (pos / pos.sum(axis=1, keepdims=True)).reshape(
+        shape + (N_LEVELS,))
 
 
 def excitation_spectrum(params, strain, rp, detunings, mw_on=True):
-    """Steady-state photoluminescence rate versus laser detuning."""
+    """Steady-state photoluminescence rate versus laser detuning, from one
+    stacked generator build and one stacked stationary solve."""
     detunings = np.asarray(detunings, dtype=float)
     if not np.all(np.isfinite(detunings)) or np.any(np.diff(detunings) <= 0):
         raise ValueError("detuning grid must be finite and ascending")
-    pl = np.empty(detunings.size)
-    for i, nu in enumerate(detunings):
-        gmat = build_rate_matrix(params, strain, rp, laser_detuning=nu,
-                                 mw_on=mw_on, green_on=False)
-        try:
-            ss = stationary_state(gmat)
-        except RateModelError as err:
-            raise RateModelError(f"at detuning {nu} GHz: {err}") from err
-        pl[i] = rp.gamma_rad * ss[IDX_EXC].sum()
+    gmats = build_rate_matrix(params, strain, rp, laser_detuning=detunings,
+                              mw_on=mw_on, green_on=False)
+    try:
+        ss = stationary_state(gmats)
+    except RateModelError as err:
+        raise RateModelError(f"at detuning {detunings[err.index]} GHz: "
+                             f"{err.reason}") from err
+    pl = rp.gamma_rad * ss[:, IDX_EXC].sum(axis=1)
     return np.column_stack([detunings, pl])
 
 

@@ -236,6 +236,16 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (out / "rabi.csv").exists()
 
+    def test_non_finite_generator_is_numerical(self, tmp_path, capfd):
+        # the MW mixing rate overflows the generator's diagonal to -inf;
+        # handed to LAPACK, that printed DLASCL errors and never returned
+        cfg, out = make_config(tmp_path, "mw_mix_rate = 1e308\n")
+        assert run(["--config", cfg, "excitation"]) == 2
+        err = capfd.readouterr().err
+        assert "at detuning -10.0 GHz: generator not finite" in err
+        assert "DLASCL" not in err and "Traceback" not in err
+        assert not (out / "excitation.csv").exists()
+
     def test_fit_strain_beyond_grid(self, tmp_path, capsys):
         init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
         cfg, out = make_config(tmp_path, init)

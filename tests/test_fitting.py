@@ -174,6 +174,23 @@ class TestGaussNewtonStrains:
             rel=1e-9, abs=1e-12)
 
 
+    @pytest.mark.parametrize("drop", [(0, 5), (5,)])
+    def test_parabolic_search_keeps_a_grid_end_minimum(self, drop):
+        # a partial-line defect beyond the grid: its bracket is clipped
+        # to [29.5, 30], and every point inside costs more than 30 GHz
+        full = synthesize_dataset(TRUTH, [40.0], seed=9)
+        data = [replace(d, lines=tuple(x for i, x in enumerate(d.lines)
+                                       if i not in drop)) for d in full]
+        (_, meas, sigmas), = _groups(data)
+        grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
+        grid_costs = _cost(predicted_lines(TRUTH, grid), meas[:, None, :],
+                           sigmas[:, None])
+        assert np.argmin(grid_costs) == grid.size - 1
+        x, cost = _refine_strains(TRUTH, grid, grid_costs, meas, sigmas)
+        assert x[0] == STRAIN_MAX
+        assert cost[0] <= grid_costs.min()
+
+
 class TestObservedDefect:
     def test_validation(self):
         with pytest.raises(ValueError):

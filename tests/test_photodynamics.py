@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nvsim import photodynamics
 from nvsim.model import FineStructureParams, StrainVector
 from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
                                  RateModelError, RateParams,
@@ -93,6 +94,17 @@ class TestRateMatrix:
         with pytest.raises(RateModelError, match="not unique"):
             stationary_state(g)
 
+    def test_stationary_state_rejects_non_finite_generator(self):
+        # LAPACK hangs on a bordered generator holding an inf
+        g = build_rate_matrix(PARAMS, STRAIN, RATES, mw_on=True)
+        g[0, 0] = -np.inf
+        with pytest.raises(RateModelError, match="not finite"):
+            stationary_state(g)
+        stack = np.stack([g, g])
+        stack[0, 0, 0] = -1.0       # only member 1 is non-finite
+        with pytest.raises(RateModelError, match="generator 1: .*finite"):
+            stationary_state(stack)
+
 
 def rate_generators(rng, count):
     """Random generators: nonnegative off-diagonal rates, about half of
@@ -102,6 +114,83 @@ def rate_generators(rng, count):
             * (rng.uniform(size=(N_LEVELS, N_LEVELS)) < 0.5)
         np.fill_diagonal(rates, 0.0)
         yield rates - np.diag(rates.sum(axis=0))
+
+
+class TestStacked:
+    """A stack of detunings or generators gives, bit for bit, what the
+    single-matrix calls give member by member."""
+
+    @pytest.mark.parametrize("kwargs", [{}, {"green_on": True},
+                                        {"mw_on": True},
+                                        {"green_on": True, "mw_on": True}])
+    def test_build_equals_per_detuning(self, kwargs):
+        nus = np.linspace(-6.0, 6.0, 37)
+        stack = build_rate_matrix(PARAMS, STRAIN, RATES, laser_detuning=nus,
+                                  **kwargs)
+        assert stack.shape == (nus.size, N_LEVELS, N_LEVELS)
+        for nu, g in zip(nus, stack):
+            assert np.array_equal(g, build_rate_matrix(
+                PARAMS, STRAIN, RATES, laser_detuning=nu, **kwargs))
+
+    def test_stationary_state_equals_per_matrix(self):
+        gens = np.array(list(rate_generators(np.random.default_rng(5), 12)))
+        stack = stationary_state(gens)
+        assert stack.shape == (12, N_LEVELS)
+        for g, ss in zip(gens, stack):
+            assert np.array_equal(ss, stationary_state(g))
+        deep = stationary_state(gens.reshape(3, 4, N_LEVELS, N_LEVELS))
+        assert np.array_equal(deep, stack.reshape(3, 4, N_LEVELS))
+
+    def test_reducible_member_is_named(self):
+        gens = np.array(list(rate_generators(np.random.default_rng(5), 6)))
+        # cut member 4 into two closed classes, levels 0-4 and 5-9
+        rates = gens[4] - np.diag(np.diag(gens[4]))
+        rates[:5, 5:] = rates[5:, :5] = 0.0
+        gens[4] = rates - np.diag(rates.sum(axis=0))
+        with pytest.raises(RateModelError,
+                           match="generator 4: stationary state not unique"):
+            stationary_state(gens)
+
+    @pytest.mark.parametrize("strain, mw_on", [(STRAIN, True),
+                                               (STRAIN, False),
+                                               (StrainVector(12.0, 0.0),
+                                                True)])
+    def test_spectrum_equals_scalar_loop(self, strain, mw_on):
+        grid = np.linspace(-10.0, 10.0, 161)
+        loop = []
+        for nu in grid:
+            g = build_rate_matrix(PARAMS, strain, RATES, laser_detuning=nu,
+                                  mw_on=mw_on)
+            loop.append(RATES.gamma_rad * stationary_state(g)[IDX_EXC].sum())
+        spec = excitation_spectrum(PARAMS, strain, RATES, grid, mw_on=mw_on)
+        assert np.array_equal(spec[:, 0], grid)
+        assert np.array_equal(spec[:, 1], loop)
+
+    def test_spectrum_error_names_the_detuning(self, monkeypatch):
+        grid = np.linspace(-10.0, 10.0, 5)
+        with pytest.raises(RateModelError, match=r"^at detuning -10.0 GHz: "
+                                                 r"generator not finite$"):
+            excitation_spectrum(PARAMS, STRAIN,
+                                replace(RATES, mw_mix_rate=1e308), grid)
+
+        def third_zero(*args, **kwargs):
+            g = build_rate_matrix(*args, **kwargs)
+            g[2] = 0.0
+            return g
+
+        monkeypatch.setattr(photodynamics, "build_rate_matrix", third_zero)
+        with pytest.raises(RateModelError, match=r"^at detuning 0.0 GHz: "
+                                                 r"stationary state not uniq"):
+            excitation_spectrum(PARAMS, STRAIN, RATES, grid)
+
+    def test_build_names_a_non_finite_profile(self):
+        line = strong_lines()[0]
+        grid = np.array([line.detuning - 1.0, line.detuning,
+                         line.detuning + 1.0])
+        with pytest.raises(RateModelError,
+                           match=f"not finite at detuning {line.detuning}"):
+            build_rate_matrix(PARAMS, STRAIN, replace(RATES, linewidth=0.0),
+                              laser_detuning=grid)
 
 
 class TestExpm:
