@@ -1,37 +1,57 @@
 """Strain-dependent fine structure, photodynamics and magnetic-resonance
-signatures of the NV- triplet excited state."""
+signatures of the NV- triplet excited state.
 
-from .config import (ARTIFACT_VERSION, Config, RunManifest, load_config,
-                     parse_config, write_csv)
-from .fitting import FitModel, FitResult, ObservedDefect, assign_lines, fit
-from .linalg import EigenSystem, hermitian_eigen
-from .model import (FineStructureParams, StrainVector,
-                    build_excited_hamiltonian, ground_levels,
-                    zero_strain_levels)
-from .motional import (ExchangeModel, TemperatureMap,
-                       branch_esr_frequencies, esr_contrast_vs_temperature,
-                       exchange_lineshape)
-from .photodynamics import (RateParams, TransitionLine, build_rate_matrix,
-                            excitation_spectrum, polarize, propagate,
-                            rabi_trace, stationary_state, transition_lines)
-from .sweep import (CrossingEvent, LevelCharacter, SweepResult,
-                    averaged_splitting, detect_crossings,
-                    nv2_condition_strain, sweep)
+The public names load lazily (PEP 562): each module is imported on the
+first access to one of its names, so `import nvsim` and each CLI command
+pay only for the modules they use.
+"""
 
-__version__ = ARTIFACT_VERSION
+import importlib
 
-__all__ = [
-    "Config", "RunManifest", "load_config", "parse_config", "write_csv",
-    "FitModel", "FitResult", "ObservedDefect", "assign_lines", "fit",
-    "EigenSystem", "hermitian_eigen",
-    "FineStructureParams", "StrainVector", "build_excited_hamiltonian",
-    "ground_levels", "zero_strain_levels",
-    "ExchangeModel", "TemperatureMap", "branch_esr_frequencies",
-    "esr_contrast_vs_temperature", "exchange_lineshape",
-    "RateParams", "TransitionLine", "build_rate_matrix",
-    "excitation_spectrum", "polarize", "propagate", "rabi_trace",
-    "stationary_state", "transition_lines",
-    "CrossingEvent", "LevelCharacter", "SweepResult",
-    "averaged_splitting", "detect_crossings", "nv2_condition_strain",
-    "sweep",
-]
+# `sweep` names both a submodule and a function. Importing the submodule
+# binds it as this package's attribute, after which a lazy lookup would
+# never run, so the function is bound here, once, over the module.
+from .sweep import sweep
+
+_SOURCES = {
+    "config": ("Config", "RunManifest", "load_config", "parse_config",
+               "write_csv"),
+    "fitting": ("FitModel", "FitResult", "ObservedDefect", "assign_lines",
+                "fit"),
+    "linalg": ("EigenSystem", "hermitian_eigen"),
+    "model": ("FineStructureParams", "StrainVector",
+              "build_excited_hamiltonian", "ground_levels",
+              "zero_strain_levels"),
+    "motional": ("ExchangeModel", "TemperatureMap", "branch_esr_frequencies",
+                 "esr_contrast_vs_temperature", "exchange_lineshape"),
+    "photodynamics": ("RateParams", "TransitionLine", "build_rate_matrix",
+                      "excitation_spectrum", "polarize", "propagate",
+                      "rabi_trace", "stationary_state", "transition_lines"),
+    "sweep": ("CrossingEvent", "LevelCharacter", "SweepResult",
+              "averaged_splitting", "detect_crossings",
+              "nv2_condition_strain", "sweep"),
+}
+
+# public name -> (module, attribute in it)
+_LAZY = {name: (mod, name) for mod, names in _SOURCES.items()
+         for name in names}
+_LAZY["__version__"] = ("config", "ARTIFACT_VERSION")
+
+__all__ = [name for names in _SOURCES.values() for name in names]
+
+
+def __getattr__(name):
+    if name in _SOURCES:        # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        mod, attr = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{mod}", __name__), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_SOURCES))

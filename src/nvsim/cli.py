@@ -5,6 +5,9 @@ NVSIM_CONFIG environment variable), writes one or more CSVs plus a run
 manifest into the configured output directory, and prints a short
 summary. Exit codes: 0 success, 1 usage/configuration error, 2
 numerical failure.
+
+Each command imports the modules it runs when it runs, so a process
+loads only what its subcommand uses.
 """
 
 import argparse
@@ -15,15 +18,8 @@ import numpy as np
 
 from .config import (Config, ConfigError, RunManifest, format_number,
                      load_config, sha256_file, write_csv)
-from .fitting import FitError, FitModel, ObservedDefect, fit
-from .linalg import EigenError
 from .model import (GPA_TO_GHZ, MAX_STRAIN_GHZ, StrainVector,
                     zero_strain_levels)
-from .motional import (BranchError, ExchangeModel, branch_esr_frequencies,
-                       esr_contrast_vs_temperature, exchange_lineshape)
-from .photodynamics import (RateModelError, excitation_spectrum,
-                            rabi_trace, transition_lines)
-from .sweep import SweepError, averaged_splitting, detect_crossings, sweep
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -149,6 +145,7 @@ def _cmd_levels(cfg, args, command):
 
 
 def _cmd_sweep(cfg, args, command):
+    from .sweep import detect_crossings, sweep
     sr = sweep(cfg.fine_structure(), cfg.strain_grid())
     path = _out(cfg, "sweep.csv")
     write_csv(path, ["delta_perp_ghz"] + [f"track{k+1}_ghz"
@@ -166,6 +163,7 @@ def _cmd_sweep(cfg, args, command):
 
 
 def _cmd_lines(cfg, args, command):
+    from .photodynamics import transition_lines
     strain = StrainVector(_resolve_strain(args), 0.0)
     lines = transition_lines(cfg.fine_structure(), strain)
     path = _out(cfg, "lines.csv")
@@ -181,6 +179,7 @@ def _cmd_lines(cfg, args, command):
 
 
 def _cmd_excitation(cfg, args, command):
+    from .photodynamics import excitation_spectrum
     if args.detuning_points < 2:
         raise UsageError("--detuning-points must be >= 2")
     strain = StrainVector(_resolve_strain(args), 0.0)
@@ -196,6 +195,7 @@ def _cmd_excitation(cfg, args, command):
 
 
 def _pick_readout_line(lines, family):
+    from .photodynamics import RateModelError
     want = {"sz": ("gSz",), "sxy": ("gSx", "gSy")}[family]
     pool = [ln for ln in lines
             if ln.ground_sublevel in want and ln.spin_conserving]
@@ -205,6 +205,7 @@ def _pick_readout_line(lines, family):
 
 
 def _cmd_rabi(cfg, args, command):
+    from .photodynamics import rabi_trace, transition_lines
     strain = StrainVector(_resolve_strain(args), 0.0)
     params, rp = cfg.fine_structure(), cfg.rates()
     line = _pick_readout_line(transition_lines(params, strain),
@@ -219,6 +220,8 @@ def _cmd_rabi(cfg, args, command):
 
 
 def _cmd_odmr(cfg, args, command):
+    from .motional import (ExchangeModel, branch_esr_frequencies,
+                           esr_contrast_vs_temperature, exchange_lineshape)
     params = cfg.fine_structure()
     dperp = _resolve_strain(args)
     tmap = cfg.temperature_map()
@@ -245,6 +248,7 @@ def _cmd_odmr(cfg, args, command):
 
 
 def _cmd_avg(cfg, args, command):
+    from .sweep import averaged_splitting
     if args.points < 2:
         raise UsageError("--points must be >= 2")
     if not np.isfinite(args.max_strain):
@@ -260,6 +264,7 @@ def _cmd_avg(cfg, args, command):
 
 
 def _read_defects(path):
+    from .fitting import ObservedDefect
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -292,6 +297,7 @@ def _read_defects(path):
 
 
 def _cmd_fit(cfg, args, command):
+    from .fitting import FitError, FitModel, fit
     data = _read_defects(args.input)
     init = FitModel(params=cfg.fine_structure(),
                     fit_lambda_perp=args.free_lambda_perp)
@@ -350,10 +356,10 @@ def run(argv):
         cfg = load_config(cfg_path) if cfg_path else Config()
         _COMMANDS[args.command](cfg, args, " ".join(["nvsim"] + list(argv)))
         return 0
-    # LinAlgError subclasses ValueError, so numerical failures are caught
-    # before usage errors
-    except (EigenError, SweepError, RateModelError, BranchError,
-            FitError, ArithmeticError, np.linalg.LinAlgError) as err:
+    # every nvsim numerical error subclasses ArithmeticError, so this
+    # needs no module a command did not import; LinAlgError subclasses
+    # ValueError, so numerical failures are caught before usage errors
+    except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"nvsim: numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_EXIT
     except (UsageError, ConfigError, ValueError) as err:

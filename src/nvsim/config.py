@@ -5,11 +5,10 @@ blank lines ignored. Unknown keys are rejected so typos cannot silently
 fall back to defaults. All energies are GHz, times ns, temperatures K.
 """
 
-import hashlib
 from dataclasses import dataclass, field, fields
 
-from .model import MAX_STRAIN_GHZ, FineStructureParams
-from .motional import DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE, TemperatureMap
+from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
+                    MAX_STRAIN_GHZ, FineStructureParams)
 from .photodynamics import RateParams
 
 ARTIFACT_VERSION = "0.1.0"
@@ -53,6 +52,7 @@ class Config:
         return RateParams(**{k: self.values[k] for k in names})
 
     def temperature_map(self):
+        from .motional import TemperatureMap
         return TemperatureMap(r0=self.values["hop_attempt_rate"],
                               ea=self.values["hop_activation_mev"])
 
@@ -136,6 +136,7 @@ def write_csv(path, header, rows):
 
 
 def sha256_file(path):
+    import hashlib      # only `fit` hashes an input; OpenSSL loads slowly
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

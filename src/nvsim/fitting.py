@@ -48,7 +48,7 @@ _INJECTIONS = {m: np.array(sorted(combinations(range(N_LINES), m),
                for m in range(1, N_LINES + 1)}
 
 
-class FitError(Exception):
+class FitError(ArithmeticError):
     pass
 
 
@@ -212,7 +212,8 @@ def residuals(fm, data):
 def _groups(data):
     """(positions in data, sorted lines (n, m), sigmas (n,)) per count m."""
     counts = np.array([len(d.lines) for d in data])
-    idxs = [np.flatnonzero(counts == m) for m in np.unique(counts)]
+    # not np.unique, which imports numpy.ma
+    idxs = [np.flatnonzero(counts == m) for m in sorted(set(counts.tolist()))]
     return [(idx, np.array([_measured(data[i]) for i in idx]),
              np.array([data[i].sigma for i in idx])) for idx in idxs]
 

@@ -22,7 +22,7 @@ HERMITICITY_TOL = 1e-10
 MAX_DIM = 64
 
 
-class EigenError(Exception):
+class EigenError(ArithmeticError):
     """Raised on invalid eigensolver input or non-convergence."""
 
 

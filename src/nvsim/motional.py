@@ -10,18 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE
 from .sweep import branch_spin_weights, strain_family, strain_hamiltonians
 
 KB_MEV_PER_K = 0.08617333  # Boltzmann constant, meV/K
 
-# Arrhenius defaults calibrated (not measured) so that, at the default
-# 20 GHz strain working point, the ESR contrast is ~0.5 at 150 K, >=0.8
-# near room temperature and ~0 in the cryogenic limit.
-DEFAULT_ATTEMPT_RATE = 3.2e3   # GHz (phonon-scale attempt frequency)
-DEFAULT_ACTIVATION_MEV = 60.0
 
-
-class BranchError(Exception):
+class BranchError(ArithmeticError):
     pass
 
 
@@ -115,19 +110,27 @@ def exchange_lineshape(model, grid):
     k = model.hop_rate
     wa = model.weight_a
     w = np.array([np.sqrt(wa), np.sqrt(1.0 - wa)])
-    omega = np.array([model.freq_a, model.freq_b])
-    kmat = k * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    out = np.empty(grid.size)
-    for i, nu in enumerate(grid):
-        a = 1j * 2.0 * np.pi * (nu * np.eye(2) - np.diag(omega)) \
-            + kmat + gamma0 * np.eye(2)
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        if det == 0 or not np.isfinite(det):
-            raise ArithmeticError(
-                f"exchange resolvent singular or overflowed at {nu} GHz")
-        inv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-        out[i] = (w @ inv @ w).real / np.pi
-    return out
+    # the matrix inverted, on the whole grid at once: both diagonal
+    # entries have the real part k + gamma0 and the imaginary parts im,
+    # both off-diagonal ones are -k
+    re = k + gamma0
+    im = 2.0 * np.pi * (grid[:, None] - [model.freq_a, model.freq_b])
+    # the determinant's complex products written out in real arithmetic,
+    # one rounding per operation; an overflow is reported just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = (re * re - im[:, 0] * im[:, 1] - k * k) \
+            + 1j * (re * im[:, 1] + im[:, 0] * re)
+    bad = (det == 0) | ~np.isfinite(det)
+    if bad.any():
+        raise ArithmeticError("exchange resolvent singular or overflowed "
+                              f"at {grid[np.argmax(bad)]} GHz")
+    inv = np.empty((grid.size, 2, 2), dtype=complex)
+    inv[:, 0, 0] = re + 1j * im[:, 1]
+    inv[:, 1, 1] = re + 1j * im[:, 0]
+    inv[:, 0, 1] = inv[:, 1, 0] = k
+    inv /= det[:, None, None]
+    # w^T inv w as one dot product per point
+    return ((w @ inv)[:, None, :] @ w)[:, 0].real / np.pi
 
 
 def _fast_limit_height(model):

@@ -64,7 +64,7 @@ class RateParams:
             raise ValueError("k_isc_z must not exceed k_isc_xy")
 
 
-class RateModelError(Exception):
+class RateModelError(ArithmeticError):
     """A rate-model computation failed. For a stack of generators,
     `index` is the first failing member and the message names it;
     `reason` is the message without it."""
@@ -112,6 +112,9 @@ def lorentzian_peak(detuning, fwhm):
     return half * half / (detuning * detuning + half * half)
 
 
+# A rate that overflows leaves a non-finite generator, which
+# stationary_state and propagate reject; numpy need not warn about it.
+@np.errstate(over="ignore", invalid="ignore")
 def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
                       mw_on=False, green_on=False):
     """Population-rate generator G with dP/dt = G P: (10, 10) for a

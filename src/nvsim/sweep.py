@@ -17,7 +17,7 @@ vector have the same magnitude in either basis.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ _GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
 LINEAR_PARAMS = ("lambda_z", "d_es", "delta_cap", "lambda_perp")
 
 
-class SweepError(Exception):
+class SweepError(ArithmeticError):
     pass
 
 
@@ -67,9 +67,15 @@ class CrossingEvent:
 class SweepResult:
     grid: np.ndarray                  # ascending delta_perp values (GHz)
     energies: np.ndarray              # (npoints, 6), track-ordered
-    characters: list                  # per point: list of 6 LevelCharacter
+    vectors: np.ndarray               # (npoints, 6, 6), track-ordered columns
     params: FineStructureParams
     ambiguous_points: list            # grid indices where tracking overlap^2 < 0.5
+
+    @cached_property
+    def characters(self):
+        """Per point, the list of the 6 tracks' LevelCharacter; built
+        on first access."""
+        return _characters(self.vectors)
 
 
 @lru_cache(maxsize=16)
@@ -217,18 +223,30 @@ def sweep(params, grid):
         strain_hamiltonians(strain_family(params), grid))
     # overlap^2 of each point's eigenvectors with the previous point's
     steps = (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2
+    # On a step where every row's largest overlap^2 is above 0.5 (so the
+    # step is not ambiguous), in a column of its own and above every other
+    # entry, those maxima are the six largest entries and greedy matching
+    # takes exactly them: the row argmax. Reordering the rows (tracks)
+    # changes none of this, so it is decided for all steps at once.
+    top = np.sort(steps, axis=2)
+    best = steps.argmax(axis=2)
+    plain = ((top[:, :, -1] > 0.5).all(axis=1)
+             & (top[:, :, -1].min(axis=1) > top[:, :, -2].max(axis=1))
+             & (np.sort(best, axis=1) == np.arange(6)).all(axis=1))
     perms = np.empty((grid.size, 6), dtype=int)
     perms[0] = np.arange(6)
     ambiguous = []
     for idx in range(1, grid.size):
+        if plain[idx - 1]:
+            perms[idx] = best[idx - 1][perms[idx - 1]]
+            continue
         perms[idx], quality = _greedy_match(steps[idx - 1][perms[idx - 1]])
         if min(quality) < 0.5:
             ambiguous.append(idx)
     energies = np.take_along_axis(values, perms, axis=1)
     tracked = np.take_along_axis(vectors, perms[:, None, :], axis=2)
-    return SweepResult(grid=grid, energies=energies,
-                       characters=_characters(tracked), params=params,
-                       ambiguous_points=ambiguous)
+    return SweepResult(grid=grid, energies=energies, vectors=tracked,
+                       params=params, ambiguous_points=ambiguous)
 
 
 def _bisect(f, lo, hi, tol):
@@ -278,11 +296,12 @@ def detect_crossings(sr, gap_threshold):
     x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)
     values = np.linalg.eigvalsh(strain_hamiltonians(family, x))
     min_gap = values[cand, hi] - values[cand, lo]
+    # only the two points read per crossing are classified
+    chars = _characters(sr.vectors[np.concatenate(
+        [np.maximum(i - 3, 0), np.minimum(i + 3, n - 1)])])
     events = []
-    for k, (ik, ak, bk) in enumerate(zip(i.tolist(), a.tolist(),
-                                         b.tolist())):
-        before = sr.characters[max(ik - 3, 0)]
-        after = sr.characters[min(ik + 3, n - 1)]
+    for k, (ak, bk) in enumerate(zip(a.tolist(), b.tolist())):
+        before, after = chars[k], chars[k + i.size]
         exchanged = (
             before[ak].dominant_spin == after[bk].dominant_spin
             and before[bk].dominant_spin == after[ak].dominant_spin

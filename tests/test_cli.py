@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nvsim
-from nvsim import cli, fitting
+from nvsim import cli, fitting, motional
 from nvsim.cli import run
 from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
                           format_number, parse_config, write_csv)
@@ -236,7 +236,8 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (out / "rabi.csv").exists()
 
-    def test_non_finite_generator_is_numerical(self, tmp_path, capfd):
+    def test_non_finite_generator_is_numerical(self, tmp_path, capfd,
+                                               recwarn):
         # the MW mixing rate overflows the generator's diagonal to -inf;
         # handed to LAPACK, that printed DLASCL errors and never returned
         cfg, out = make_config(tmp_path, "mw_mix_rate = 1e308\n")
@@ -244,6 +245,9 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert "at detuning -10.0 GHz: generator not finite" in err
         assert "DLASCL" not in err and "Traceback" not in err
+        # the overflow is reported once, as the failure, without a warning
+        assert "RuntimeWarning" not in err
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not (out / "excitation.csv").exists()
 
     def test_fit_strain_beyond_grid(self, tmp_path, capsys):
@@ -270,7 +274,8 @@ class TestExitCodes:
                                          monkeypatch):
         # from the truth the fit converges in one iteration, so it starts
         # off the truth
-        monkeypatch.setattr(cli, "fit", lambda data, init: fitting.fit(
+        fit = fitting.fit
+        monkeypatch.setattr(fitting, "fit", lambda data, init: fit(
             data, init=init, max_iter=1))
         init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
         cfg, out = make_config(tmp_path, init)
@@ -387,7 +392,7 @@ class TestExitCodes:
                                                       monkeypatch):
         # equal branch frequencies, no exchange at 0.1 K and a damping whose
         # square underflows make the resolvent exactly singular at 1 GHz
-        monkeypatch.setattr(cli, "branch_esr_frequencies",
+        monkeypatch.setattr(motional, "branch_esr_frequencies",
                             lambda params, dperp: (1.0, 1.0, 0.0, 0.0))
         cfg, out = make_config(tmp_path, "linewidth = 1e-321\n")
         assert run(["--config", cfg, "odmr", "--temperature", "0.1",
@@ -444,6 +449,56 @@ class TestImportCost:
         res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True, check=True)
         assert res.stdout.splitlines()[-1] == "0 []"
+        assert (out / "manifest.txt").exists()
+
+    def test_cli_import_loads_no_command_module(self):
+        # the fit, the lineshape, input hashing and numpy.ma load only
+        # where a command uses them
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
+                "'nvsim.motional', 'hashlib', 'numpy.ma') "
+                "if n in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    def test_fit_loads_no_numpy_ma(self, tmp_path):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        cfg, out = make_config(tmp_path)
+        code = ("import sys; from nvsim.cli import run; "
+                "rc = run(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code, "--config", cfg,
+                              "fit", write_fixture(tmp_path, n=4)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert res.stdout.splitlines()[-1] == "0 False"
+        assert (out / "fit_strains.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["levels"],
+        ["sweep"],
+        ["lines"],
+        ["excitation", "--detuning-points", "21"],
+        ["rabi", "--readout", "sxy", "--tau-points", "5"],
+        ["odmr", "--freq-points", "21"],
+        ["odmr", "--temperature-scan", "--temp-points", "5"],
+        ["avg", "--points", "11"],
+        ["fit"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+    def test_every_command_runs_in_a_fresh_process(self, tmp_path, argv):
+        # each command imports what it runs; a missing import shows only
+        # in a process that has not loaded it for another command
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        cfg, out = make_config(tmp_path, "strain_points = 41\n")
+        if argv == ["fit"]:
+            argv = ["fit", write_fixture(tmp_path, n=4)]
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-m", "nvsim.cli",
+                              "--config", cfg, *argv], env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
         assert (out / "manifest.txt").exists()
 
 

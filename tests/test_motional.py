@@ -96,6 +96,27 @@ class TestLineshape:
         with pytest.raises(ArithmeticError, match="singular or overflowed"):
             exchange_lineshape(m, np.array([nu]))
 
+    def test_singular_resolvent_names_the_first_bad_frequency(self):
+        m = ExchangeModel(freq_a=1.0, freq_b=1.0, linewidth_0=1e-320)
+        with pytest.raises(ArithmeticError, match="at 1.0 GHz"):
+            exchange_lineshape(m, np.array([0.5, 1.0, 1.5, 1e300]))
+
+    @pytest.mark.parametrize("hop", [1e-3, 1e-1, 10.0, 314.0, 1e3, 1e5])
+    @pytest.mark.parametrize("weight_a", [0.5, 0.3])
+    def test_matches_a_per_point_resolvent(self, hop, weight_a):
+        m = ExchangeModel(freq_a=1.7, freq_b=1.1, linewidth_0=0.1,
+                          hop_rate=hop, weight_a=weight_a)
+        grid = np.linspace(0.4, 2.6, 441)
+        w = np.sqrt([weight_a, 1.0 - weight_a])
+        kmat = hop * np.array([[1.0, -1.0], [-1.0, 1.0]])
+        ref = []
+        for nu in grid:
+            a = 2j * np.pi * np.diag(nu - np.array([m.freq_a, m.freq_b])) \
+                + kmat + np.pi * m.linewidth_0 * np.eye(2)
+            ref.append((w @ np.linalg.inv(a) @ w).real / np.pi)
+        np.testing.assert_allclose(exchange_lineshape(m, grid), ref,
+                                   rtol=1e-9, atol=0.0)
+
 
 class TestTemperatureMap:
     def test_arrhenius_monotone(self):

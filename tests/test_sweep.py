@@ -8,7 +8,8 @@ import pytest
 from nvsim.model import FineStructureParams, StrainVector, \
     build_excited_hamiltonian, symmetry_states
 from nvsim.linalg import hermitian_eigen
-from nvsim.sweep import (LINEAR_PARAMS, SweepError, averaged_splitting,
+from nvsim.sweep import (LINEAR_PARAMS, SweepError, _characters,
+                         _greedy_match, averaged_splitting,
                          classify_level, detect_crossings,
                          nv2_condition_strain, parameter_operators,
                          strain_family, strain_hamiltonians, sweep)
@@ -178,6 +179,75 @@ class TestSweep:
     def test_tracking_unambiguous_on_fine_grid(self):
         sr = sweep(DEFAULTS, np.linspace(0.01, 20.0, 801))
         assert sr.ambiguous_points == []
+
+
+def greedy_tracks(params, grid):
+    """sweep()'s tracking with greedy matching at every step: tracked
+    energies, tracked vectors and ambiguous points."""
+    values, vectors = np.linalg.eigh(
+        strain_hamiltonians(strain_family(params), grid))
+    steps = (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2
+    perms = [np.arange(6)]
+    ambiguous = []
+    for idx in range(1, grid.size):
+        perm, quality = _greedy_match(steps[idx - 1][perms[-1]])
+        perms.append(np.array(perm))
+        if min(quality) < 0.5:
+            ambiguous.append(idx)
+    perms = np.array(perms)
+    return (np.take_along_axis(values, perms, axis=1),
+            np.take_along_axis(vectors, perms[:, None, :], axis=2),
+            ambiguous)
+
+
+class TestTrackingShortcut:
+    """sweep() takes the row argmax where greedy matching must give it;
+    the tracks are those of greedy matching at every step."""
+
+    @pytest.mark.parametrize("grid, ambiguous", [
+        (np.linspace(0.0, 20.0, 801), []),       # the CLI's default grid
+        (np.linspace(0.01, 30.0, 1201), []),     # through both crossings
+        (np.linspace(0.0, 13.0, 10), [6]),       # coarse
+        (np.linspace(0.0, 20.5, 30), [11]),      # coarse
+    ])
+    def test_equals_greedy_matching(self, grid, ambiguous):
+        sr = sweep(DEFAULTS, grid)
+        energies, vectors, points = greedy_tracks(DEFAULTS, grid)
+        assert np.array_equal(sr.energies, energies)
+        assert np.array_equal(sr.vectors, vectors)
+        assert sr.ambiguous_points == points == ambiguous
+
+    def test_equals_greedy_matching_on_random_models(self):
+        rng = np.random.default_rng(3)
+        ambiguous = 0
+        for _ in range(60):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 10.0),
+                lambda_perp=rng.uniform(0.0, 1.0),
+                d_es=rng.uniform(0.3, 3.0),
+                delta_cap=rng.uniform(0.1, 3.0))
+            grid = np.linspace(0.0, rng.uniform(2.0, 30.0),
+                               int(rng.integers(5, 60)))
+            sr = sweep(params, grid)
+            energies, vectors, points = greedy_tracks(params, grid)
+            assert np.array_equal(sr.energies, energies)
+            assert np.array_equal(sr.vectors, vectors)
+            assert sr.ambiguous_points == points
+            ambiguous += len(points)
+        assert ambiguous > 0
+
+
+class TestCharacters:
+    def test_characters_of_the_tracked_vectors(self):
+        sr = coarse_sweep(DEFAULTS, n=201)
+        assert sr.characters == _characters(sr.vectors)
+        assert sr.characters is sr.characters     # built once
+
+    def test_crossing_detection_builds_no_characters(self):
+        sr = coarse_sweep(DEFAULTS, n=1201)
+        events = detect_crossings(sr, 0.5)
+        assert "characters" not in vars(sr)
+        assert sum(e.avoided for e in events) == 2
 
 
 class TestCrossings:
