@@ -8,9 +8,18 @@ numerical failure.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its subcommand uses.
+
+The process entry, `main()`, calls `gc.freeze()` after the command has
+run and just before the interpreter exits. The shutdown's garbage
+collections then skip the ~22k objects that numpy and nvsim allocated,
+objects that die with the process anyway. Everything else in a normal
+exit still happens: atexit handlers, the stdio flush, module teardown.
+`run()`, which tests and library callers use, leaves the collector as it
+finds it.
 """
 
 import argparse
+import gc
 import os
 import sys
 
@@ -115,6 +124,17 @@ def _resolve_strain(args):
     return strain
 
 
+def _grid(lo, hi, points, bounds, count):
+    """`np.linspace(lo, hi, points)` after the checks numpy does not make:
+    it accepts 0 or 1 points and warns on an infinite bound. `bounds` and
+    `count` name the flags for the message."""
+    if points < 2:
+        raise UsageError(f"{count} must be >= 2")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise UsageError(f"{bounds} must be finite")
+    return np.linspace(lo, hi, points)
+
+
 def _out(cfg, name):
     d = cfg["output_dir"]
     os.makedirs(d, exist_ok=True)
@@ -147,11 +167,11 @@ def _cmd_levels(cfg, args, command):
 def _cmd_sweep(cfg, args, command):
     from .sweep import detect_crossings, sweep
     sr = sweep(cfg.fine_structure(), cfg.strain_grid())
+    events = detect_crossings(sr, args.gap_threshold)
     path = _out(cfg, "sweep.csv")
     write_csv(path, ["delta_perp_ghz"] + [f"track{k+1}_ghz"
                                           for k in range(6)],
               [(sr.grid[i], *sr.energies[i]) for i in range(sr.grid.size)])
-    events = detect_crossings(sr, args.gap_threshold)
     cpath = _out(cfg, "crossings.csv")
     write_csv(cpath, ["delta_perp_ghz", "track_a", "track_b",
                       "min_gap_ghz", "avoided"],
@@ -180,11 +200,9 @@ def _cmd_lines(cfg, args, command):
 
 def _cmd_excitation(cfg, args, command):
     from .photodynamics import excitation_spectrum
-    if args.detuning_points < 2:
-        raise UsageError("--detuning-points must be >= 2")
     strain = StrainVector(_resolve_strain(args), 0.0)
-    grid = np.linspace(args.detuning_min, args.detuning_max,
-                       args.detuning_points)
+    grid = _grid(args.detuning_min, args.detuning_max, args.detuning_points,
+                 "--detuning-min and --detuning-max", "--detuning-points")
     spec = excitation_spectrum(cfg.fine_structure(), strain, cfg.rates(),
                                grid, mw_on=args.mw)
     path = _out(cfg, "excitation.csv")
@@ -210,7 +228,8 @@ def _cmd_rabi(cfg, args, command):
     params, rp = cfg.fine_structure(), cfg.rates()
     line = _pick_readout_line(transition_lines(params, strain),
                               args.readout)
-    taus = np.linspace(0.0, args.tau_max, args.tau_points)
+    taus = _grid(0.0, args.tau_max, args.tau_points, "--tau-max",
+                 "--tau-points")
     rows = rabi_trace(params, strain, rp, args.omega_mw, line, taus)
     path = _out(cfg, "rabi.csv")
     write_csv(path, ["tau_ns", "counts"], rows)
@@ -226,7 +245,8 @@ def _cmd_odmr(cfg, args, command):
     dperp = _resolve_strain(args)
     tmap = cfg.temperature_map()
     if args.temperature_scan:
-        temps = np.linspace(args.temp_min, args.temp_max, args.temp_points)
+        temps = _grid(args.temp_min, args.temp_max, args.temp_points,
+                      "--temp-min and --temp-max", "--temp-points")
         rows = esr_contrast_vs_temperature(
             tmap, params, dperp, temps, linewidth_0=cfg["linewidth"] * 5)
         path = _out(cfg, "odmr_contrast.csv")
@@ -238,7 +258,8 @@ def _cmd_odmr(cfg, args, command):
     model = ExchangeModel(freq_a=fa, freq_b=fb,
                           linewidth_0=cfg["linewidth"] * 5,
                           hop_rate=float(tmap.hop_rate(args.temperature)))
-    grid = np.linspace(args.freq_min, args.freq_max, args.freq_points)
+    grid = _grid(args.freq_min, args.freq_max, args.freq_points,
+                 "--freq-min and --freq-max", "--freq-points")
     shape = exchange_lineshape(model, grid)
     path = _out(cfg, "odmr.csv")
     write_csv(path, ["freq_ghz", "intensity"], list(zip(grid, shape)))
@@ -249,11 +270,8 @@ def _cmd_odmr(cfg, args, command):
 
 def _cmd_avg(cfg, args, command):
     from .sweep import averaged_splitting
-    if args.points < 2:
-        raise UsageError("--points must be >= 2")
-    if not np.isfinite(args.max_strain):
-        raise UsageError("--max-strain must be finite")
-    grid = np.linspace(0.0, args.max_strain, args.points)
+    grid = _grid(0.0, args.max_strain, args.points, "--max-strain",
+                 "--points")
     vals = averaged_splitting(cfg.fine_structure(), grid)
     path = _out(cfg, "avg.csv")
     write_csv(path, ["delta_perp_ghz", "avg_split_ghz"],
@@ -365,10 +383,19 @@ def run(argv):
     except (UsageError, ConfigError, ValueError) as err:
         print(f"nvsim: error: {err}", file=sys.stderr)
         return USAGE_EXIT
+    # an allocation too large for the host comes from the requested sizes
+    except MemoryError as err:
+        print(f"nvsim: error: out of memory: {err}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 def main():
-    raise SystemExit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # spares the shutdown collections a scan of every live object (see the
+    # module docstring); no run collects generation 2, so freezing before
+    # run() would buy nothing
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

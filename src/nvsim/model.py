@@ -12,7 +12,7 @@ Energies are in GHz throughout; 1 GPa of external stress corresponds to
 roughly 10^3 GHz of orbital splitting (GPA_TO_GHZ).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,6 @@ MAX_STRAIN_GHZ = 1.0e6
 # defaults do not load the motional module.
 DEFAULT_ATTEMPT_RATE = 3.2e3   # GHz (phonon-scale attempt frequency)
 DEFAULT_ACTIVATION_MEV = 60.0
-
-BASIS_LABELS = ("Ex*Sx", "Ex*Sy", "Ex*Sz", "Ey*Sx", "Ey*Sy", "Ey*Sz")
 
 # Symmetry labels of the zero-strain eigenstates, lowest pair first.
 SYMMETRY_LABELS = ("E1", "E2", "E'x", "E'y", "A1", "A2")
@@ -94,7 +92,6 @@ class OperatorSet:
     s_z2: np.ndarray
     proj_a1: np.ndarray
     proj_a2: np.ndarray
-    basis: tuple = field(default=BASIS_LABELS)
 
 
 def _spin_ops():

@@ -326,8 +326,11 @@ def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
     Returns (tau, counts) rows."""
     if not (np.isfinite(omega_mw) and omega_mw > 0):
         raise ValueError("omega_mw must be positive and finite")
+    mw_durations = np.asarray(mw_durations, dtype=float)
     if not np.all(np.isfinite(mw_durations)):
         raise ValueError("MW durations must be finite")
+    if np.any(mw_durations < 0):
+        raise ValueError("MW durations must be >= 0")
     if readout_line.strength <= 0:
         raise ValueError("readout line has zero strength")
 

@@ -274,7 +274,7 @@ def detect_crossings(sr, gap_threshold):
     of the sorted ranks lo, hi the two tracks hold at the minimum.
     `avoided` requires an exchange of dominant spin character between
     the two tracks across the minimum."""
-    if gap_threshold <= 0:
+    if not gap_threshold > 0:   # NaN too
         raise ValueError("gap_threshold must be positive")
     n = sr.grid.size
     family = strain_family(sr.params)

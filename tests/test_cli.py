@@ -1,5 +1,6 @@
 """Tests for configuration parsing, CSV emission and the CLI."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -23,6 +24,16 @@ def make_config(tmp_path, extra=""):
     path = tmp_path / "cfg.txt"
     path.write_text(f"output_dir = {out}\n{extra}", encoding="utf-8")
     return str(path), out
+
+
+def no_warning_err(capfd, recwarn):
+    """Stderr of the run, checked to carry no numpy warning. pytest records
+    warnings instead of printing them, so `recwarn` sees what a user's
+    terminal would."""
+    err = capfd.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+    return err
 
 
 def write_fixture(tmp_path, n=8, noise=0.0, strains=None):
@@ -364,29 +375,90 @@ class TestExitCodes:
         assert "linewidth_0 must be positive" in capsys.readouterr().err
         assert not list(out.glob("odmr*.csv"))
 
-    def test_non_finite_odmr_grid_rejected(self, tmp_path, capsys):
+    def test_non_finite_odmr_grid_rejected(self, tmp_path, capfd, recwarn):
+        # an infinite bound reaching np.linspace printed numpy's
+        # `invalid value encountered in multiply` before the usage error
         cfg, out = make_config(tmp_path)
         assert run(["--config", cfg, "odmr", "--freq-max", "inf"]) == 1
-        assert "finite" in capsys.readouterr().err
+        assert "finite" in no_warning_err(capfd, recwarn)
         assert not (out / "odmr.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--tau-max", "--omega-mw"])
-    def test_non_finite_rabi_input_rejected(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("argv", [
+        ["--freq-min", "nan"], ["--temperature-scan", "--temp-max", "inf"],
+        ["--temperature-scan", "--temp-min=-inf"]])
+    def test_non_finite_odmr_bounds_rejected(self, tmp_path, capfd, recwarn,
+                                             argv):
         cfg, out = make_config(tmp_path)
-        with np.errstate(invalid="ignore"):
-            assert run(["--config", cfg, "rabi", flag, "inf"]) == 1
-        assert "finite" in capsys.readouterr().err
+        assert run(["--config", cfg, "odmr", *argv]) == 1
+        assert "must be finite" in no_warning_err(capfd, recwarn)
+        assert not list(out.glob("odmr*.csv"))
+
+    @pytest.mark.parametrize("flag", ["--tau-max", "--omega-mw"])
+    def test_non_finite_rabi_input_rejected(self, tmp_path, capfd, recwarn,
+                                            flag):
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "rabi", flag, "inf"]) == 1
+        assert "finite" in no_warning_err(capfd, recwarn)
         assert not (out / "rabi.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--detuning-max", "inf"),
                                              ("--detuning-min", "nan")])
-    def test_non_finite_detuning_grid_rejected(self, tmp_path, capsys, flag,
-                                               value):
+    def test_non_finite_detuning_grid_rejected(self, tmp_path, capfd,
+                                               recwarn, flag, value):
         cfg, out = make_config(tmp_path)
-        with np.errstate(invalid="ignore"):
-            assert run(["--config", cfg, "excitation", flag, value]) == 1
-        assert "finite" in capsys.readouterr().err
+        assert run(["--config", cfg, "excitation", flag, value]) == 1
+        assert "finite" in no_warning_err(capfd, recwarn)
         assert not (out / "excitation.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["excitation"], "--detuning-points=1"),
+        (["rabi"], "--tau-points=0"),
+        (["odmr"], "--freq-points=0"), (["odmr"], "--freq-points=-5"),
+        (["odmr", "--temperature-scan"], "--temp-points=0"),
+        (["avg"], "--points=1")])
+    def test_point_count_below_two_rejected(self, tmp_path, capsys, argv,
+                                            flag):
+        # 0 points wrote a header-only CSV with exit 0; -5 printed numpy's
+        # own message
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, *argv, flag]) == 1
+        assert capsys.readouterr().err == \
+            f"nvsim: error: {flag.split('=')[0]} must be >= 2\n"
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("value", ["0", "nan"])
+    def test_bad_gap_threshold_rejected(self, tmp_path, capsys, value):
+        # 0 exited 1 after writing sweep.csv, without a manifest; NaN
+        # reported no crossings with exit 0
+        cfg, out = make_config(tmp_path, "strain_points = 41\n")
+        assert run(["--config", cfg, "sweep", "--gap-threshold", value]) == 1
+        assert "gap_threshold must be positive" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_negative_tau_rejected(self, tmp_path, capsys):
+        # printed a mirror image of the positive trace with exit 0
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "rabi", "--tau-max=-400"]) == 1
+        assert "MW durations must be >= 0" in capsys.readouterr().err
+        assert not (out / "rabi.csv").exists()
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys,
+                                          monkeypatch):
+        # what numpy raises for `excitation --detuning-points 1e11`, without
+        # asking for the 745 GiB
+        def fail(lo, hi, points):
+            raise MemoryError("Unable to allocate 745. GiB for an array "
+                              "with shape (100000000000,) and data type "
+                              "float64")
+
+        monkeypatch.setattr(cli.np, "linspace", fail)
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "excitation", "--detuning-points",
+                    "100000000000"]) == 1
+        assert capsys.readouterr().err == (
+            "nvsim: error: out of memory: Unable to allocate 745. GiB for an "
+            "array with shape (100000000000,) and data type float64\n")
+        assert not list(out.glob("*.csv"))
 
     def test_singular_exchange_resolvent_is_numerical(self, tmp_path, capsys,
                                                       monkeypatch):
@@ -500,6 +572,69 @@ class TestImportCost:
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert (out / "manifest.txt").exists()
+
+
+class TestProcessEntry:
+    """`main()`, the process entry, freezes the GC before the interpreter
+    exits; `run()`, which tests and library callers use, leaves it alone."""
+
+    def test_run_leaves_gc_unfrozen(self, tmp_path, capsys):
+        cfg, _ = make_config(tmp_path)
+        before = gc.get_freeze_count()
+        assert run(["--config", cfg, "levels"]) == 0
+        assert run(["--config", cfg, "rabi", "--tau-points", "0"]) == 1
+        assert gc.get_freeze_count() == before
+
+    def test_main_freezes_before_exit(self, tmp_path, capsys, monkeypatch):
+        cfg, _ = make_config(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["nvsim", "--config", cfg, "levels"])
+        assert gc.get_freeze_count() == 0
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                cli.main()
+            assert exit_.value.code == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    @pytest.mark.parametrize("argv, extra, code, err", [
+        (["levels"], "", 0, ""),
+        (["rabi", "--tau-points", "0"], "", 1,
+         "nvsim: error: --tau-points must be >= 2\n"),
+        (["excitation", "--detuning-points", "21"], "mw_mix_rate = 1e308\n",
+         2, "nvsim: numerical failure: at detuning -10.0 GHz: generator not "
+            "finite\n")])
+    def test_process_matches_in_process_run(self, tmp_path, capsys,
+                                            monkeypatch, argv, extra, code,
+                                            err):
+        # a relative output_dir keeps the manifests of both runs equal
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"output_dir = out\n{extra}", encoding="utf-8")
+        argv = ["--config", str(cfg), *argv]
+        proc_dir, run_dir = tmp_path / "proc", tmp_path / "run"
+        proc_dir.mkdir()
+        run_dir.mkdir()
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(nvsim.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-m", "nvsim.cli", *argv],
+                             cwd=proc_dir, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+        monkeypatch.chdir(run_dir)
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        assert res.returncode == code
+        assert res.stderr == captured.err == err
+        assert res.stdout == captured.out
+        if code == 0:
+            assert res.stdout.endswith("wrote out/manifest.txt\n")
+
+        def files(d):
+            out = d / "out"
+            return {p.name: p.read_bytes() for p in out.iterdir()} \
+                if out.exists() else {}
+
+        assert files(proc_dir) == files(run_dir)
+        assert bool(files(proc_dir)) == (code == 0)
 
 
 class TestDeterminism:

@@ -288,3 +288,12 @@ class TestRabi:
         line = strong_lines()[0]
         with pytest.raises(ValueError):
             rabi_trace(PARAMS, STRAIN, RATES, 0.0, line, [0.0, 1.0])
+
+    @pytest.mark.parametrize("taus", [[0.0, -1.0], [-400.0, 0.0, 400.0],
+                                      [-1e-300]])
+    def test_rejects_negative_durations(self, taus):
+        # cos^2(omega tau / 2) is even in tau, so a negative duration gave
+        # the mirror image of the positive trace instead of an error
+        line = strong_lines()[0]
+        with pytest.raises(ValueError, match=">= 0"):
+            rabi_trace(PARAMS, STRAIN, RATES, 2.0 * np.pi / 100.0, line, taus)
