@@ -16,8 +16,7 @@ from .sweep import sweep
 _SOURCES = {
     "config": ("Config", "RunManifest", "load_config", "parse_config",
                "write_csv"),
-    "fitting": ("FitModel", "FitResult", "ObservedDefect", "assign_lines",
-                "fit"),
+    "fitting": ("FitResult", "ObservedDefect", "fit"),
     "linalg": ("EigenSystem", "hermitian_eigen"),
     "model": ("FineStructureParams", "StrainVector",
               "build_excited_hamiltonian", "ground_levels",

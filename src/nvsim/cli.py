@@ -3,8 +3,9 @@
 Every subcommand reads an optional flat config file (--config flag or
 NVSIM_CONFIG environment variable), writes one or more CSVs plus a run
 manifest into the configured output directory, and prints a short
-summary. Exit codes: 0 success, 1 usage/configuration error, 2
-numerical failure.
+summary once every file is written; a closed stdout ends that output
+quietly. Exit codes: 0 success, 1 usage/configuration error (an `odmr`
+strain with unresolved branches included), 2 numerical failure.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its subcommand uses.
@@ -21,6 +22,7 @@ finds it.
 import argparse
 import gc
 import os
+import re
 import sys
 
 import numpy as np
@@ -39,7 +41,15 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that raises instead of calling sys.exit."""
+    """argparse variant that raises instead of calling sys.exit. A token
+    that starts like a negative number is a value, as every token float()
+    parses does (argparse's own pattern takes -1e3, -5. or -inf for an
+    option); the flag's type check rejects the rest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)",
+                                                   re.IGNORECASE)
 
     def error(self, message):
         raise UsageError(message)
@@ -141,14 +151,21 @@ def _out(cfg, name):
     return os.path.join(d, name)
 
 
-def _finish(cfg, command, outputs, inputs=None):
+def _finish(cfg, command, outputs, summary, inputs=None):
+    """Write the manifest, then print the summary and the files written.
+    A closed stdout (`nvsim sweep | head -1`) ends the output quietly."""
     man = RunManifest(command=command, config=cfg,
                       inputs={p: sha256_file(p) for p in (inputs or [])},
                       outputs=[os.path.basename(p) for p in outputs])
     path = _out(cfg, "manifest.txt")
     man.write(path)
-    for p in list(outputs) + [path]:
-        print(f"wrote {p}")
+    try:
+        print("\n".join([summary] + [f"wrote {p}"
+                                     for p in list(outputs) + [path]]),
+              flush=True)
+    except BrokenPipeError:
+        # the rest goes to os.devnull, where the last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _cmd_levels(cfg, args, command):
@@ -157,11 +174,11 @@ def _cmd_levels(cfg, args, command):
     write_csv(path, ["label", "energy_ghz"],
               [(lab, e) for e, lab in levels])
     by_label = {lab: e for e, lab in levels}
-    print("zero-strain levels (GHz):")
-    for e, lab in levels:
-        print(f"  {lab:4s} {format_number(e)}")
-    print(f"A2 - A1 = {format_number(by_label['A2'] - by_label['A1'])} GHz")
-    _finish(cfg, command, [path])
+    summary = ["zero-strain levels (GHz):"]
+    summary += [f"  {lab:4s} {format_number(e)}" for e, lab in levels]
+    summary.append("A2 - A1 = "
+                   f"{format_number(by_label['A2'] - by_label['A1'])} GHz")
+    _finish(cfg, command, [path], "\n".join(summary))
 
 
 def _cmd_sweep(cfg, args, command):
@@ -177,9 +194,9 @@ def _cmd_sweep(cfg, args, command):
                       "min_gap_ghz", "avoided"],
               [(e.strain_at_min_gap, e.track_a + 1, e.track_b + 1,
                 e.min_gap, int(e.avoided)) for e in events])
-    print(f"swept {sr.grid.size} points, "
-          f"{sum(e.avoided for e in events)} avoided crossings")
-    _finish(cfg, command, [path, cpath])
+    _finish(cfg, command, [path, cpath],
+            f"swept {sr.grid.size} points, "
+            f"{sum(e.avoided for e in events)} avoided crossings")
 
 
 def _cmd_lines(cfg, args, command):
@@ -193,9 +210,9 @@ def _cmd_lines(cfg, args, command):
                 ln.strength, int(ln.spin_conserving), int(ln.weak))
                for ln in lines])
     strong = sum(1 for ln in lines if not ln.weak)
-    print(f"{len(lines)} lines at delta_perp = "
-          f"{format_number(strain.delta_perp)} GHz ({strong} strong)")
-    _finish(cfg, command, [path])
+    _finish(cfg, command, [path],
+            f"{len(lines)} lines at delta_perp = "
+            f"{format_number(strain.delta_perp)} GHz ({strong} strong)")
 
 
 def _cmd_excitation(cfg, args, command):
@@ -207,9 +224,9 @@ def _cmd_excitation(cfg, args, command):
                                grid, mw_on=args.mw)
     path = _out(cfg, "excitation.csv")
     write_csv(path, ["detuning_ghz", "pl_rate"], [tuple(r) for r in spec])
-    print(f"spectrum over [{args.detuning_min}, {args.detuning_max}] GHz, "
-          f"MW {'on' if args.mw else 'off'}")
-    _finish(cfg, command, [path])
+    _finish(cfg, command, [path],
+            f"spectrum over [{args.detuning_min}, {args.detuning_max}] GHz, "
+            f"MW {'on' if args.mw else 'off'}")
 
 
 def _pick_readout_line(lines, family):
@@ -233,9 +250,9 @@ def _cmd_rabi(cfg, args, command):
     rows = rabi_trace(params, strain, rp, args.omega_mw, line, taus)
     path = _out(cfg, "rabi.csv")
     write_csv(path, ["tau_ns", "counts"], rows)
-    print(f"rabi trace via {args.readout} line "
-          f"(excited level {line.excited_index})")
-    _finish(cfg, command, [path])
+    _finish(cfg, command, [path],
+            f"rabi trace via {args.readout} line "
+            f"(excited level {line.excited_index})")
 
 
 def _cmd_odmr(cfg, args, command):
@@ -251,8 +268,8 @@ def _cmd_odmr(cfg, args, command):
             tmap, params, dperp, temps, linewidth_0=cfg["linewidth"] * 5)
         path = _out(cfg, "odmr_contrast.csv")
         write_csv(path, ["temperature_k", "contrast"], rows)
-        print(f"contrast scan {args.temp_min}-{args.temp_max} K")
-        _finish(cfg, command, [path])
+        _finish(cfg, command, [path],
+                f"contrast scan {args.temp_min}-{args.temp_max} K")
         return
     fa, fb, _, _ = branch_esr_frequencies(params, dperp)
     model = ExchangeModel(freq_a=fa, freq_b=fb,
@@ -263,9 +280,9 @@ def _cmd_odmr(cfg, args, command):
     shape = exchange_lineshape(model, grid)
     path = _out(cfg, "odmr.csv")
     write_csv(path, ["freq_ghz", "intensity"], list(zip(grid, shape)))
-    print(f"lineshape at T = {args.temperature} K "
-          f"(hop rate {format_number(model.hop_rate)} GHz)")
-    _finish(cfg, command, [path])
+    _finish(cfg, command, [path],
+            f"lineshape at T = {args.temperature} K "
+            f"(hop rate {format_number(model.hop_rate)} GHz)")
 
 
 def _cmd_avg(cfg, args, command):
@@ -276,9 +293,9 @@ def _cmd_avg(cfg, args, command):
     path = _out(cfg, "avg.csv")
     write_csv(path, ["delta_perp_ghz", "avg_split_ghz"],
               list(zip(grid.tolist(), vals.tolist())))
-    print(f"averaged splitting in [{format_number(vals.min())}, "
-          f"{format_number(vals.max())}] GHz")
-    _finish(cfg, command, [path])
+    _finish(cfg, command, [path],
+            f"averaged splitting in [{format_number(vals.min())}, "
+            f"{format_number(vals.max())}] GHz")
 
 
 def _read_defects(path):
@@ -315,11 +332,9 @@ def _read_defects(path):
 
 
 def _cmd_fit(cfg, args, command):
-    from .fitting import FitError, FitModel, fit
+    from .fitting import FitError, fit
     data = _read_defects(args.input)
-    init = FitModel(params=cfg.fine_structure(),
-                    fit_lambda_perp=args.free_lambda_perp)
-    result = fit(data, init=init)
+    result = fit(data, cfg.fine_structure(), args.free_lambda_perp)
     report = [f"defects = {len(data)}"]
     for name in ("lambda_z", "d_es", "delta_cap", "lambda_perp"):
         report.append(f"{name}_ghz = "
@@ -339,8 +354,8 @@ def _cmd_fit(cfg, args, command):
     write_csv(spath, ["defect_id", "delta_perp_ghz", "offset_ghz"],
               [(d.id, result.strains[d.id], result.offsets[d.id])
                for d in data])
-    print("\n".join(report))
-    _finish(cfg, command, [rpath, spath], inputs=[args.input])
+    _finish(cfg, command, [rpath, spath], "\n".join(report),
+            inputs=[args.input])
     if not result.converged:
         if result.edge_ids:
             why = ("defects at the strain-grid edge: "

@@ -40,9 +40,13 @@ MU_START = 1e-3         # LM damping at the first step
 MU_MAX = 1e16           # LM damping at which the loop gives up
 SCALE_FLOOR = 1e-12     # LM damping scale floor, relative to the largest
 PERP_FLOOR = 1e-4       # GHz, least lambda_perp the fit steps to
+MAX_ITER = 400          # LM iterations before the fit gives up
+TOL = 1e-6              # LM cost test, relative decrease of a step
+BOUNDS = {"lambda_z": (1.0, 15.0), "d_es": (0.1, 5.0),
+          "delta_cap": (0.1, 5.0), "lambda_perp": (0.0, 1.0)}   # GHz
 
 # Order-preserving injections of m sorted lines into six, in descending
-# colex order: ties go to the later lines, as in `assign_lines`.
+# colex order: of two equally close, the one using later lines wins.
 _INJECTIONS = {m: np.array(sorted(combinations(range(N_LINES), m),
                                   key=lambda c: c[::-1], reverse=True))
                for m in range(1, N_LINES + 1)}
@@ -69,20 +73,6 @@ class ObservedDefect:
 
 
 @dataclass
-class FitModel:
-    params: FineStructureParams = field(default_factory=FineStructureParams)
-    fit_lambda_perp: bool = False
-    strains: dict = field(default_factory=dict)   # defect id -> delta_perp
-    offsets: dict = field(default_factory=dict)   # defect id -> GHz
-    bounds: dict = field(default_factory=lambda: {
-        "lambda_z": (1.0, 15.0),
-        "d_es": (0.1, 5.0),
-        "delta_cap": (0.1, 5.0),
-        "lambda_perp": (0.0, 1.0),
-    })
-
-
-@dataclass
 class FitResult:
     params: FineStructureParams
     strains: dict
@@ -94,42 +84,6 @@ class FitResult:
     edge_ids: tuple = ()    # defects whose best grid strain is STRAIN_MAX
     errors: dict = field(default_factory=dict)  # global -> 1 sigma, GHz
     stalled: bool = False   # no damped step lowered the cost
-
-
-def assign_lines(predicted, measured):
-    """Optimal order-preserving injection of the measured lines into the
-    predicted lines, minimizing total |pred - meas|; dynamic programming
-    over the two sorted sequences. Returns list of (meas_idx, pred_idx)
-    in sorted order."""
-    pred = np.sort(np.asarray(predicted, dtype=float))
-    meas = np.sort(np.asarray(measured, dtype=float))
-    m, n = meas.size, pred.size
-    if m > n:
-        raise FitError(f"more measured lines ({m}) than predicted ({n})")
-    if m == n:
-        # equal lengths force the identity on the sorted lists
-        return [(i, i) for i in range(n)]
-    cost = np.full((m + 1, n + 1), np.inf)
-    cost[0, :] = 0.0
-    choice = np.zeros((m + 1, n + 1), dtype=bool)
-    for i in range(1, m + 1):
-        for j in range(i, n + 1):
-            skip = cost[i, j - 1]
-            take = cost[i - 1, j - 1] + abs(pred[j - 1] - meas[i - 1])
-            if take <= skip:
-                cost[i, j] = take
-                choice[i, j] = True
-            else:
-                cost[i, j] = skip
-    pairs = []
-    i, j = m, n
-    while i > 0:
-        if choice[i, j]:
-            pairs.append((i - 1, j - 1))
-            i -= 1
-        j -= 1
-    pairs.reverse()
-    return pairs
 
 
 def predicted_lines(params, delta_perp):
@@ -169,21 +123,17 @@ def _take(sel, k):
     return sel[(*np.indices(k.shape, sparse=True), k)]
 
 
-def _match(pred, meas, offset=None):
+def _match(pred, meas):
     """Line matching, batched over the leading axes of sorted pred (..., 6)
-    and meas (..., m). Unless given, offset = mean(meas - first), first
-    being the injection closest in L1 after centring both on their means
-    (pred on that of all six lines). Returns residuals pred + offset - meas
-    of the injection closest in L1 at that offset, its row of
-    _INJECTIONS[m], and first's row (None if the offset is given)."""
+    and meas (..., m). The offset is mean(meas - first), first being the
+    injection closest in L1 after centring both on their means (pred on
+    that of all six lines). Returns residuals pred + offset - meas of the
+    injection closest in L1 at that offset, its row of _INJECTIONS[m], and
+    first's row."""
     sel = pred[..., _INJECTIONS[meas.shape[-1]]]
-    meas_mean = _mean(meas)
-    meas_c = meas - meas_mean[..., None]
-    if offset is None:
-        k_first = _closest(sel, _mean(pred), meas_c)
-        anchor = _mean(_take(sel, k_first))
-    else:
-        k_first, anchor = None, meas_mean - offset
+    meas_c = meas - _mean(meas)[..., None]
+    k_first = _closest(sel, _mean(pred), meas_c)
+    anchor = _mean(_take(sel, k_first))
     k = _closest(sel, anchor, meas_c)
     return (_take(sel, k) - anchor[..., None]) - meas_c, k, k_first
 
@@ -192,21 +142,6 @@ def _cost(pred, meas, sigmas):
     """Whitened squared residual of the matched lines."""
     diff = _match(pred, meas)[0]
     return (diff * diff).sum(axis=-1) / sigmas ** 2
-
-
-def residuals(fm, data):
-    """Whitened residual vector over all defects at the model's current
-    per-defect strains and offsets."""
-    out = []
-    for defect in data:
-        try:
-            pred = predicted_lines(fm.params, fm.strains[defect.id])
-        except KeyError as err:
-            raise FitError(f"defect {defect.id}: {err}") from err
-        diff = _match(pred, _measured(defect),
-                      fm.offsets.get(defect.id))[0]
-        out.extend(diff / defect.sigma)
-    return np.array(out)
 
 
 def _groups(data):
@@ -218,8 +153,7 @@ def _groups(data):
              np.array([data[i].sigma for i in idx])) for idx in idxs]
 
 
-def _refine_strains(params, grid, costs, meas, sigmas,
-                    iters=REFINE_ITERS):
+def _refine_strains(params, grid, costs, meas, sigmas):
     """Per-defect strain minimization: safeguarded successive parabolic
     interpolation, batched across defects (one stacked eigensolve per
     iteration). Returns the best strain evaluated (the grid minimum
@@ -233,7 +167,7 @@ def _refine_strains(params, grid, costs, meas, sigmas,
     xs = np.stack([grid[k - 1], grid[k], grid[k + 1]], axis=1)
     fs = np.stack([costs[idx, k - 1], costs[idx, k],
                    costs[idx, k + 1]], axis=1)
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         x0, x1, x2 = xs[:, 0], xs[:, 1], xs[:, 2]
         f0, f1, f2 = fs[:, 0], fs[:, 1], fs[:, 2]
         num = ((x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0))
@@ -375,26 +309,30 @@ def _stack(groups, lin):
     return r, jac
 
 
-def fit(data, init=None, max_iter=400, tol=1e-6):
+def fit(data, params=None, free_lambda_perp=False):
     """Fit shared fine-structure parameters plus per-defect strain and
-    offset, by variable projection: the cost of the globals is its
-    minimum over every defect's strain (a grid scan plus 1-D refinement,
-    a deterministic multi-start) and offset (closed form). A
-    Levenberg-Marquardt loop minimizes it on the exact reduced Jacobian
-    (see `_linearize`). It converges when the Gauss-Newton step, clipped
-    to the bounds, moves no global by more than XTOL relative to the
-    largest, or an accepted step lowers the cost by at most tol relative.
+    offset, started from params (default FineStructureParams()). The
+    globals fitted are lambda_z, d_es and delta_cap, plus lambda_perp if
+    free_lambda_perp; each stays within BOUNDS, and every other field
+    keeps its value in params. The fit is by variable projection: the
+    cost of the globals is its minimum over every defect's strain (a grid
+    scan plus 1-D refinement, a deterministic multi-start) and offset
+    (closed form). A Levenberg-Marquardt loop minimizes it on the exact
+    reduced Jacobian (see `_linearize`, run once per accepted point). It
+    converges when the Gauss-Newton step, clipped to the bounds, moves no
+    global by more than XTOL relative to the largest, or an accepted step
+    lowers the cost by at most TOL relative.
     It stops without when no damped step up to MU_MAX lowers the cost
-    (`stalled`) or after max_iter iterations. lambda_perp, when free, is
+    (`stalled`) or after MAX_ITER iterations. lambda_perp, when free, is
     kept at least PERP_FLOOR. A defect whose best grid point is
     STRAIN_MAX flags the fit not converged and is listed in `edge_ids`.
     1 sigma errors of the globals come from the final Jacobian,
     (J^T J)^-1 cost / (lines - free)."""
     if not data:
         raise FitError("no defects supplied")
-    fm = init if init is not None else FitModel()
+    start = FineStructureParams() if params is None else params
     names = ["lambda_z", "d_es", "delta_cap"]
-    if fm.fit_lambda_perp:
+    if free_lambda_perp:
         names.append("lambda_perp")
     n_lines = sum(len(d.lines) for d in data)
     n_free = len(names) + 2 * len(data)
@@ -403,29 +341,31 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
             f"under-determined: {n_lines} lines for {n_free} free "
             f"parameters ({len(names)} global + 2 per defect)")
 
-    lo = np.array([fm.bounds[n][0] for n in names])
-    hi = np.array([fm.bounds[n][1] for n in names])
-    if fm.fit_lambda_perp:
+    lo = np.array([BOUNDS[n][0] for n in names])
+    hi = np.array([BOUNDS[n][1] for n in names])
+    if free_lambda_perp:
         # the spectrum is even in lambda_perp: at 0 every slope in it and
         # the cost's gradient vanish, and no step would leave 0
         lo[-1] = max(lo[-1], PERP_FLOOR)
     groups = _groups(data)
 
     def evaluate(theta):
-        params = replace(fm.params, **dict(zip(names, theta)))
+        params = replace(start, **dict(zip(names, theta)))
         strains, costs, at_edge = _solve_strains(params, groups)
         return params, strains, at_edge, float(costs.sum())
 
-    theta = np.clip([getattr(fm.params, n) for n in names], lo, hi)
+    theta = np.clip([getattr(start, n) for n in names], lo, hi)
     with np.errstate(over="ignore", invalid="ignore"):
         params, strains, at_edge, cost = evaluate(theta)
     if not np.isfinite(cost):
         raise FitError(f"the cost at the starting parameters is not finite "
                        f"({cost:g}): line positions out of range")
+    # linearized once per accepted point, the last one reused below
+    lin = _linearize(params, names, strains, groups)
     mu, nit, converged, stalled = MU_START, 0, False, False
-    while not (converged or stalled) and nit < max_iter:
+    while not (converged or stalled) and nit < MAX_ITER:
         nit += 1
-        r, jac = _stack(groups, _linearize(params, names, strains, groups))
+        r, jac = _stack(groups, lin)
         # the undamped (Gauss-Newton) step tests convergence; a damped
         # one is short merely because mu is large
         gauss_newton = np.clip(
@@ -442,8 +382,9 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
             trial = np.clip(theta + step, lo, hi)
             state = evaluate(trial)
             if state[3] < cost:
-                converged = cost - state[3] <= tol * cost
+                converged = cost - state[3] <= TOL * cost
                 theta, (params, strains, at_edge, cost) = trial, state
+                lin = _linearize(params, names, strains, groups)
                 mu /= 10.0
                 break
             mu *= 10.0
@@ -451,7 +392,6 @@ def fit(data, init=None, max_iter=400, tol=1e-6):
                 stalled = True
                 break
 
-    lin = _linearize(params, names, strains, groups)
     _, jac = _stack(groups, lin)
     dof = n_lines - n_free
     errors = {}

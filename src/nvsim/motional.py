@@ -16,8 +16,8 @@ from .sweep import branch_spin_weights, strain_family, strain_hamiltonians
 KB_MEV_PER_K = 0.08617333  # Boltzmann constant, meV/K
 
 
-class BranchError(ArithmeticError):
-    pass
+class BranchError(ValueError):
+    """No within-branch ESR frequency at this strain: a domain error."""
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,16 @@ def branch_esr_frequencies(params, strain_perp):
     p_x, p_sz = branch_spin_weights(vectors)
     if np.any((p_x > 0.1) & (p_x < 0.9)):
         raise BranchError(
-            f"branches unresolved at delta_perp={strain_perp} GHz")
+            f"orbital branches unresolved at delta_perp={strain_perp} GHz: "
+            "too little strain to separate Ex from Ey")
     out = []
-    for in_branch in (p_x > 0.9, p_x < 0.1):
+    for name, in_branch in (("Ex", p_x > 0.9), ("Ey", p_x < 0.1)):
         sz = values[in_branch & (p_sz > 0.5)]
         ms1 = values[in_branch & (p_sz <= 0.5)]
         if sz.size != 1 or ms1.size != 2:
             raise BranchError(
-                f"spin characters unresolved at delta_perp={strain_perp}")
+                f"spin characters unresolved at delta_perp={strain_perp} "
+                f"GHz: a level anti-crossing in the {name} branch")
         out.append((float(np.mean(ms1) - sz[0]),
                     float(abs(ms1[1] - ms1[0]))))
     return out[0][0], out[1][0], out[0][1], out[1][1]
@@ -139,15 +141,14 @@ def _fast_limit_height(model):
 
 
 def esr_contrast_vs_temperature(tmap, params, strain_perp, temperatures,
-                                linewidth_0=0.1, weight_a=0.5):
-    """ESR contrast versus temperature: intensity at the averaged
-    frequency, normalized so the fast-exchange limit is 1."""
+                                linewidth_0=0.1):
+    """ESR contrast versus temperature at equal branch weights: intensity
+    at the averaged frequency, normalized so the fast-exchange limit is 1."""
     fa, fb, _, _ = branch_esr_frequencies(params, strain_perp)
     rows = []
     for t in temperatures:
         m = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=linewidth_0,
-                          hop_rate=float(tmap.hop_rate(t)),
-                          weight_a=weight_a)
+                          hop_rate=float(tmap.hop_rate(t)))
         height = exchange_lineshape(m, np.array([m.mean_frequency]))[0]
         rows.append((float(t), float(height / _fast_limit_height(m))))
     return rows

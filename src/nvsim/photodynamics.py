@@ -310,14 +310,14 @@ SETTLE_NS = 2000.0
 READOUT_NS = 1000.0
 
 
-def polarize(params, strain, rp, green_ns=GREEN_INIT_NS,
-             settle_ns=SETTLE_NS):
-    """Green initialization pulse followed by a dark interval letting the
-    excited and metastable populations relax back to the ground manifold."""
+def polarize(params, strain, rp):
+    """Green initialization pulse (GREEN_INIT_NS) followed by a dark
+    interval (SETTLE_NS) letting the excited and metastable populations
+    relax back to the ground manifold."""
     g_on = build_rate_matrix(params, strain, rp, green_on=True)
-    pop = propagate(uniform_ground(), g_on, green_ns)
+    pop = propagate(uniform_ground(), g_on, GREEN_INIT_NS)
     g_off = build_rate_matrix(params, strain, rp)
-    return propagate(pop, g_off, settle_ns)
+    return propagate(pop, g_off, SETTLE_NS)
 
 
 def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from nvsim.cli import run
-from nvsim.fitting import FitModel, fit, synthesize_dataset
+from nvsim.fitting import fit, synthesize_dataset
 from nvsim.linalg import hermitian_eigen
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
@@ -151,7 +151,7 @@ def test_c06_excitation_spectra():
 
 def test_c07_spin_polarization():
     strain = StrainVector(3.0, 0.0)
-    pop = polarize(DEFAULTS, strain, RATES, green_ns=3000.0)
+    pop = polarize(DEFAULTS, strain, RATES)
     polarized_ok = pop[0] >= 0.8
     blind = replace(RATES, k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
                     pump_res_max=0.0)
@@ -239,10 +239,9 @@ def test_c11_fit_round_trip():
     t0 = time.time()
     rng = np.random.default_rng(1)
     strains = np.sort(rng.uniform(0.5, 20.0, 27))
-    init = FitModel(params=replace(DEFAULTS, lambda_z=5.0, d_es=1.3,
-                                   delta_cap=1.4))
+    init = replace(DEFAULTS, lambda_z=5.0, d_es=1.3, delta_cap=1.4)
     data = synthesize_dataset(DEFAULTS, strains, noise=0.0, seed=2)
-    res = fit(data, init=init)
+    res = fit(data, init)
     clean_ok = (abs(res.params.lambda_z - 5.3) <= 1e-4
                 and abs(res.params.d_es - 1.42) <= 1e-4
                 and abs(res.params.delta_cap - 1.55) <= 1e-4)
@@ -250,7 +249,7 @@ def test_c11_fit_round_trip():
     for rep in range(20):
         noisy = synthesize_dataset(DEFAULTS, strains, noise=0.01,
                                    seed=100 + rep)
-        r = fit(noisy, init=init)
+        r = fit(noisy, init)
         noisy_ok = (noisy_ok
                     and abs(r.params.lambda_z - 5.3) <= 0.05
                     and abs(r.params.d_es - 1.42) <= 0.03

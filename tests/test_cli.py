@@ -228,8 +228,51 @@ class TestExitCodes:
         assert "line 2" in capsys.readouterr().err
 
     def test_numerical_failure(self, tmp_path, capsys):
+        cfg, _ = make_config(tmp_path, "mw_mix_rate = 1e308\n")
+        assert run(["--config", cfg, "excitation",
+                    "--detuning-points", "3"]) == 2
+        assert "nvsim: numerical failure:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--strain", "0"], "orbital branches unresolved"),
+        (["--strain", "0.1"], "orbital branches unresolved"),
+        (["--strain", "15.52"], "level anti-crossing in the Ey branch"),
+        (["--temperature-scan", "--strain", "15.52"],
+         "level anti-crossing in the Ey branch")])
+    def test_unresolved_branches_are_a_domain_error(self, tmp_path, capsys,
+                                                    argv, cause):
+        # within-branch ESR frequencies are not defined there; the
+        # numerics are fine
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "odmr", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nvsim: error: ") and cause in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1e3", "-1E2", "-5.", "-.5", "-7",
+                                       "-1_000"])
+    def test_negative_values_in_every_float_form(self, tmp_path, value):
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "excitation", "--detuning-min", value,
+                    "--detuning-max", "1e3", "--detuning-points", "3"]) == 0
+        first = (out / "excitation.csv").read_text().splitlines()[1]
+        assert float(first.split(",")[0]) == float(value)
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_negative_non_finite_value_reaches_the_check(self, tmp_path,
+                                                        capsys, value):
         cfg, _ = make_config(tmp_path)
-        assert run(["--config", cfg, "odmr", "--strain", "0.5"]) == 2
+        assert run(["--config", cfg, "excitation",
+                    "--detuning-min", value]) == 1
+        assert capsys.readouterr().err == ("nvsim: error: --detuning-min "
+                                           "and --detuning-max must be "
+                                           "finite\n")
+
+    def test_help_flag_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(["excitation", "-h"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: nvsim excitation")
 
     def test_lapack_failure_is_numerical(self, tmp_path, capsys,
                                          monkeypatch):
@@ -285,9 +328,7 @@ class TestExitCodes:
                                          monkeypatch):
         # from the truth the fit converges in one iteration, so it starts
         # off the truth
-        fit = fitting.fit
-        monkeypatch.setattr(fitting, "fit", lambda data, init: fit(
-            data, init=init, max_iter=1))
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
         init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
         cfg, out = make_config(tmp_path, init)
         assert run(["--config", cfg, "fit", write_fixture(tmp_path)]) == 2
@@ -635,6 +676,36 @@ class TestProcessEntry:
 
         assert files(proc_dir) == files(run_dir)
         assert bool(files(proc_dir)) == (code == 0)
+
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [["levels"], ["sweep"], ["fit"]])
+    def test_closed_stdout_ends_quietly(self, tmp_path, argv, unbuffered):
+        # the reader of stdout is gone before the command writes to it, as
+        # in `nvsim sweep | head -1`
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("output_dir = out\n", encoding="utf-8")
+        if argv == ["fit"]:
+            argv = ["fit", write_fixture(tmp_path)]
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=str(Path(nvsim.__file__).resolve().parents[1]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "nvsim.cli", "--config", str(cfg),
+                 *argv], cwd=tmp_path, env=env, stdout=write,
+                stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert res.returncode == 0
+        assert res.stderr == ""
+        out = tmp_path / "out"
+        listed = [line.split(" ", 1)[1] for line in
+                  (out / "manifest.txt").read_text().splitlines()
+                  if line.startswith("output ")]
+        assert listed and sorted(p.name for p in out.iterdir()) \
+            == sorted(listed + ["manifest.txt"])
 
 
 class TestDeterminism:

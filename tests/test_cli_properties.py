@@ -1,5 +1,7 @@
 """Seeded property test of the CLI: any argv drawn from a bounded strategy
-exits 0, 1 or 2, raises nothing and lets no numpy warning reach stderr."""
+exits 0, 1 or 2, raises nothing and lets no numpy warning reach stderr.
+A value parses the same after its flag (`--flag value`) as joined to it
+(`--flag=value`)."""
 
 import shutil
 import warnings
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nvsim.cli import run
+from nvsim.cli import UsageError, _build_parser, run
 from nvsim.fitting import synthesize_dataset
 from nvsim.model import FineStructureParams
 
@@ -18,8 +20,13 @@ MAX_POINTS = 50
 # edge values first: hypothesis shrinks towards the start of the list
 VALUES = st.one_of(
     st.sampled_from([0.0, -1.0, np.inf, -np.inf, np.nan, 1e6, -2e6, 1e308,
-                     -400.0, 1e-300]),
+                     -1e308, -400.0, 1e-300, -1e-5]),
     st.floats(-1e3, 1e3, allow_nan=False))
+# odmr's branches are unresolved below about 8.1 GHz, and the lower (Ey)
+# branch has a level anti-crossing at 15.519-15.5215 GHz
+ODMR_WINDOWS = st.one_of(st.sampled_from([0.0, 15.52]), st.floats(0.0, 0.5),
+                         st.floats(15.49, 15.53))
+ODMR_STRAINS = st.one_of(VALUES, ODMR_WINDOWS)
 COUNTS = st.integers(-3, MAX_POINTS)
 SWITCH = st.just(None)
 
@@ -33,7 +40,8 @@ FLAGS = {
     "rabi": {**STRAIN, "--readout": st.sampled_from(["sz", "sxy"]),
              "--omega-mw": VALUES, "--tau-max": VALUES,
              "--tau-points": COUNTS},
-    "odmr": {**STRAIN, "--temperature": VALUES, "--temperature-scan": SWITCH,
+    "odmr": {"--strain": ODMR_STRAINS, "--gpa": VALUES,
+             "--temperature": VALUES, "--temperature-scan": SWITCH,
              "--temp-min": VALUES, "--temp-max": VALUES,
              "--temp-points": COUNTS, "--freq-min": VALUES,
              "--freq-max": VALUES, "--freq-points": COUNTS},
@@ -48,16 +56,33 @@ GRID_CSV = {"excitation": "excitation.csv", "rabi": "rabi.csv",
 
 @st.composite
 def command_lines(draw, fixture):
+    """An argv, each value after its flag or joined to it, and the same
+    argv with every value joined."""
     command = draw(st.sampled_from(sorted(FLAGS)))
     argv = [command]
     if command == "fit":
         argv.append(draw(st.sampled_from([fixture, fixture + ".missing"])))
+    joined = list(argv)
     for flag, values in FLAGS[command].items():
         if not draw(st.booleans()):
             continue
         value = draw(values)
-        argv.append(flag if value is None else f"{flag}={value}")
-    return argv
+        if value is None:
+            argv.append(flag)
+            joined.append(flag)
+            continue
+        argv += [flag, str(value)] if draw(st.booleans()) \
+            else [f"{flag}={value}"]
+        joined.append(f"{flag}={value}")
+    return argv, joined
+
+
+def parsed(argv):
+    """The parsed namespace, or the usage error, as text (nan == nan)."""
+    try:
+        return repr(vars(_build_parser().parse_args(argv)))
+    except UsageError as err:
+        return f"error: {err}"
 
 
 @pytest.fixture(scope="module")
@@ -80,13 +105,17 @@ def test_every_command_line_exits_cleanly(workdir):
     @settings(derandomize=True, deadline=None, max_examples=150,
               database=None, suppress_health_check=[HealthCheck.too_slow])
     @given(command_lines(str(workdir / "lines.csv")))
-    def check(argv):
+    def check(argvs):
+        argv, joined = argvs
+        assert parsed(argv) == parsed(joined)
         shutil.rmtree(out, ignore_errors=True)
         with warnings.catch_warnings():
             # a warning numpy prints is noise a user cannot act on
             warnings.simplefilter("error")
             code = run(["--config", cfg, *argv])
         assert code in (0, 1, 2)
+        # an unresolved branch is a domain error, not a numerical one
+        assert not (argv[0] == "odmr" and code == 2)
         if code == 1:
             # a usage error is found before any output is written
             assert not out.exists() or not any(out.iterdir())
@@ -96,5 +125,29 @@ def test_every_command_line_exits_cleanly(workdir):
                 name = "odmr_contrast.csv"
             rows = (out / name).read_text().splitlines()[1:]
             assert len(rows) >= 2, "a grid of fewer than two points"
+
+    check()
+
+
+def test_odmr_strain_windows_are_domain_errors(workdir, capsys):
+    # ODMR_WINDOWS, met by every example here: exit 1 names the cause
+    cfg, out = str(workdir / "cfg.txt"), workdir / "out"
+
+    @settings(derandomize=True, deadline=None, max_examples=40,
+              database=None)
+    @given(strain=ODMR_WINDOWS, scan=st.booleans())
+    def check(strain, scan):
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        code = run(["--config", cfg, "odmr", "--strain", str(strain),
+                    *(["--temperature-scan"] * scan)])
+        err = capsys.readouterr().err
+        if strain <= 0.5:
+            assert code == 1 and "orbital branches unresolved" in err
+        else:
+            assert code == 0 or (
+                code == 1 and "level anti-crossing in the Ey branch" in err)
+        if code == 1:
+            assert not out.exists() or not any(out.iterdir())
 
     check()

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 
 from nvsim import fitting
 from nvsim.fitting import (_INJECTIONS, COARSE_STEP, STRAIN_MAX, FitError,
-                           FitModel, ObservedDefect, _cost,
-                           _gauss_newton_strains, _groups, _linearize,
-                           _match, _refine_strains, _solve_strains, _stack,
-                           _take, assign_lines, fit, predicted_lines, residuals,
-                           synthesize_dataset)
+                           ObservedDefect, _cost, _gauss_newton_strains,
+                           _groups, _linearize, _match, _refine_strains,
+                           _solve_strains, _stack, _take, fit,
+                           predicted_lines, synthesize_dataset)
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
 from nvsim.sweep import strain_family, strain_slopes
 
 TRUTH = FineStructureParams()
 # c11's starting point, 0.1-0.3 GHz off the truth
-START = FitModel(params=replace(TRUTH, lambda_z=5.0, d_es=1.3, delta_cap=1.4))
+START = replace(TRUTH, lambda_z=5.0, d_es=1.3, delta_cap=1.4)
 
 
 def brute_force_cost(pred, meas):
@@ -33,6 +32,43 @@ def brute_force_cost(pred, meas):
         best = min(best, sum(abs(pred[j] - m)
                              for j, m in zip(combo, meas)))
     return best
+
+
+def assign_lines(predicted, measured):
+    """Optimal order-preserving injection of the measured lines into the
+    predicted lines, minimizing total |pred - meas|; dynamic programming
+    over the two sorted sequences. Returns list of (meas_idx, pred_idx)
+    in sorted order. `TestMatch` checks `_match`'s closed-form injections
+    against it."""
+    pred = np.sort(np.asarray(predicted, dtype=float))
+    meas = np.sort(np.asarray(measured, dtype=float))
+    m, n = meas.size, pred.size
+    if m > n:
+        raise FitError(f"more measured lines ({m}) than predicted ({n})")
+    if m == n:
+        # equal lengths force the identity on the sorted lists
+        return [(i, i) for i in range(n)]
+    cost = np.full((m + 1, n + 1), np.inf)
+    cost[0, :] = 0.0
+    choice = np.zeros((m + 1, n + 1), dtype=bool)
+    for i in range(1, m + 1):
+        for j in range(i, n + 1):
+            skip = cost[i, j - 1]
+            take = cost[i - 1, j - 1] + abs(pred[j - 1] - meas[i - 1])
+            if take <= skip:
+                cost[i, j] = take
+                choice[i, j] = True
+            else:
+                cost[i, j] = skip
+    pairs = []
+    i, j = m, n
+    while i > 0:
+        if choice[i, j]:
+            pairs.append((i - 1, j - 1))
+            i -= 1
+        j -= 1
+    pairs.reverse()
+    return pairs
 
 
 class TestAssignLines:
@@ -65,14 +101,13 @@ class TestAssignLines:
             assign_lines([1.0, 2.0], [0.0, 1.0, 2.0])
 
 
-def reference_match(pred, meas, offset=None):
+def reference_match(pred, meas):
     """The fit's matching rule spelled out with `assign_lines`: centre,
     assign, take the offset as the mean difference of the pairs, then
     assign again at that offset."""
     pred, meas = np.sort(pred), np.sort(meas)
-    if offset is None:
-        pairs = assign_lines(pred, meas - (np.mean(meas) - np.mean(pred)))
-        offset = np.mean([meas[i] - pred[j] for i, j in pairs])
+    pairs = assign_lines(pred, meas - (np.mean(meas) - np.mean(pred)))
+    offset = np.mean([meas[i] - pred[j] for i, j in pairs])
     return assign_lines(pred + offset, meas), offset
 
 
@@ -91,23 +126,15 @@ class TestMatch:
             + rng.normal(0.0, 0.5, (n, m)) + rng.uniform(-5.0, 5.0, (n, 1))
         meas[::2] = rng.uniform(-12.0, 12.0, (n // 2 + n % 2, m))
         meas = np.sort(meas, axis=1)
-        given = rng.uniform(-5.0, 5.0, n)
         diff, k, k_first = _match(pred, meas)
         first = _take(pred[:, _INJECTIONS[m]], k_first)
         offset, inj = (meas - first).mean(axis=1), _INJECTIONS[m][k]
-        diff_at, k_at, _ = _match(pred, meas, given)
-        inj_at = _INJECTIONS[m][k_at]
         for r in range(n):
             pairs, off = reference_match(pred[r], meas[r])
             assert list(enumerate(inj[r].tolist())) == pairs
             assert offset[r] == pytest.approx(off, abs=1e-12)
             assert diff[r] == pytest.approx(
                 [pred[r, j] + off - meas[r, i] for i, j in pairs], abs=1e-12)
-            pairs_at, _ = reference_match(pred[r], meas[r], given[r])
-            assert list(enumerate(inj_at[r].tolist())) == pairs_at
-            assert diff_at[r] == pytest.approx(
-                [pred[r, j] + given[r] - meas[r, i] for i, j in pairs_at],
-                abs=1e-12)
 
     def test_broadcasts_over_strain_grid(self):
         rng = np.random.default_rng(5)
@@ -206,41 +233,6 @@ class TestObservedDefect:
             ObservedDefect(id="x", lines=(1.0, 2.0), sigma=sigma)
 
 
-class TestResiduals:
-    def make_model(self, strains, offsets):
-        fm = FitModel(params=TRUTH)
-        data = synthesize_dataset(TRUTH, strains, offsets=offsets)
-        for d, s, o in zip(data, strains, offsets):
-            fm.strains[d.id] = s
-            fm.offsets[d.id] = o
-        return fm, data
-
-    def test_round_trip_zero(self):
-        fm, data = self.make_model([2.0, 8.0, 15.0], [1.0, -3.0, 0.5])
-        assert np.max(np.abs(residuals(fm, data))) < 1e-9
-
-    def test_offset_gauge_invariance(self):
-        fm, data = self.make_model([2.0, 8.0], [1.0, -3.0])
-        r0 = residuals(fm, data)
-        shifted = [data[0],
-                   replace(data[1],
-                           lines=tuple(x + 2.5 for x in data[1].lines))]
-        fm.offsets[data[1].id] += 2.5
-        assert np.allclose(residuals(fm, shifted), r0, atol=1e-9)
-
-    def test_sensitive_to_lambda_z(self):
-        fm, data = self.make_model([5.0, 12.0], [0.0, 0.0])
-        fm.params = replace(TRUTH, lambda_z=5.4)
-        r = residuals(fm, data)
-        assert np.sqrt(np.mean(r ** 2)) > 1.0
-
-    def test_missing_strain_raises(self):
-        fm, data = self.make_model([2.0], [0.0])
-        fm.strains.clear()
-        with pytest.raises(FitError):
-            residuals(fm, data)
-
-
 class TestFit:
     INIT = START
 
@@ -256,7 +248,7 @@ class TestFit:
     def test_noiseless_recovery_small(self):
         data = synthesize_dataset(TRUTH, [1.5, 4.0, 9.0, 14.0, 18.0],
                                   seed=5)
-        res = fit(data, init=self.INIT)
+        res = fit(data, self.INIT)
         assert res.converged
         assert res.params.lambda_z == pytest.approx(5.3, abs=1e-4)
         assert res.params.d_es == pytest.approx(1.42, abs=1e-4)
@@ -265,11 +257,11 @@ class TestFit:
 
     def test_fit_gauge_invariance(self):
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
-        res_a = fit(data, init=self.INIT)
+        res_a = fit(data, self.INIT)
         shifted = [replace(data[0],
                            lines=tuple(x + 3.0 for x in data[0].lines))] \
             + list(data[1:])
-        res_b = fit(shifted, init=self.INIT)
+        res_b = fit(shifted, self.INIT)
         assert res_b.residual_rms == pytest.approx(res_a.residual_rms,
                                                    abs=1e-6)
         assert res_b.offsets[data[0].id] - res_a.offsets[data[0].id] == \
@@ -280,7 +272,7 @@ class TestFit:
         full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
                                   seed=7)
         data = [replace(d, lines=d.lines[1:5]) for d in full]
-        res = fit(data, init=self.INIT)
+        res = fit(data, self.INIT)
         assert res.params.lambda_z == pytest.approx(5.3, abs=1e-3)
         assert res.params.d_es == pytest.approx(1.42, abs=1e-3)
         assert res.residual_rms < 1e-5
@@ -294,7 +286,7 @@ class TestFit:
         data = [replace(d, lines=tuple(x for i, x in enumerate(d.lines)
                                        if i not in drop))
                 for d, drop in zip(full, drops)]
-        res = fit(data, init=self.INIT)
+        res = fit(data, self.INIT)
         assert res.converged
         assert res.params.lambda_z == pytest.approx(5.3, abs=1e-3)
         assert res.params.d_es == pytest.approx(1.42, abs=1e-3)
@@ -307,7 +299,7 @@ class TestFit:
     def test_strain_beyond_grid_not_converged(self):
         data = synthesize_dataset(TRUTH, [3.0, 8.0, 14.0, 40.0, 45.0],
                                   seed=9)
-        res = fit(data, init=self.INIT)
+        res = fit(data, self.INIT)
         assert not res.converged
         assert max(res.strains.values()) == pytest.approx(STRAIN_MAX,
                                                           abs=0.01)
@@ -315,7 +307,7 @@ class TestFit:
 
     def test_converged_fit_has_no_edge_ids(self):
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
-        assert fit(data, init=self.INIT).edge_ids == ()
+        assert fit(data, self.INIT).edge_ids == ()
 
     def test_too_many_lines_raises(self):
         data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)
@@ -352,7 +344,7 @@ class TestVariableProjection:
         strains = np.array([3.0, 7.0, 12.0, 17.0, 21.0]) \
             + rng.uniform(-0.5, 0.5, 5)
         full = synthesize_dataset(TRUTH, strains, seed=seed)
-        res = fit([replace(d, lines=d.lines[1:5]) for d in full], init=START)
+        res = fit([replace(d, lines=d.lines[1:5]) for d in full], START)
         assert res.converged
         for name in ("lambda_z", "d_es", "delta_cap"):
             assert getattr(res.params, name) == pytest.approx(
@@ -384,7 +376,7 @@ class TestVariableProjection:
         # globals against the mean 1 sigma error each fit reports
         strains = np.sort(np.random.default_rng(1).uniform(0.5, 20.0, 27))
         fits = [fit(synthesize_dataset(TRUTH, strains, noise=0.01,
-                                       seed=100 + rep), init=START)
+                                       seed=100 + rep), START)
                 for rep in range(40)]
         for name in ("lambda_z", "d_es", "delta_cap"):
             spread = np.std([getattr(f.params, name) for f in fits], ddof=1)
@@ -393,15 +385,14 @@ class TestVariableProjection:
 
     def test_errors_only_with_degrees_of_freedom(self):
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
-        assert set(fit(data, init=START).errors) == {
+        assert set(fit(data, START).errors) == {
             "lambda_z", "d_es", "delta_cap"}
-        free = replace(START, fit_lambda_perp=True)
-        assert set(fit(data, init=free).errors) == {
+        assert set(fit(data, START, free_lambda_perp=True).errors) == {
             "lambda_z", "d_es", "delta_cap", "lambda_perp"}
         # one defect missing an inner line: 5 lines for 5 free parameters
         lines = data[1].lines
         single = [replace(data[1], lines=lines[:2] + lines[3:])]
-        assert fit(single, init=START).errors == {}
+        assert fit(single, START).errors == {}
 
     def test_non_finite_starting_cost_raises(self):
         data = [ObservedDefect(id=f"nv{i}", lines=tuple(
@@ -415,9 +406,8 @@ class TestVariableProjection:
         # vanishes at 0: a fit started there must still step off it
         strains = np.sort(np.random.default_rng(1).uniform(0.5, 20.0, 27))
         data = synthesize_dataset(TRUTH, strains, noise=noise, seed=3)
-        init = replace(START, params=replace(START.params, lambda_perp=0.0),
-                       fit_lambda_perp=True)
-        res = fit(data, init=init)
+        res = fit(data, replace(START, lambda_perp=0.0),
+                  free_lambda_perp=True)
         assert res.converged
         assert set(res.errors) == {"lambda_z", "d_es", "delta_cap",
                                    "lambda_perp"}
@@ -429,10 +419,28 @@ class TestVariableProjection:
         strains = np.sort(np.random.default_rng(1).uniform(0.5, 20.0, 27))
         data = synthesize_dataset(replace(TRUTH, lambda_perp=0.0), strains,
                                   seed=3)
-        res = fit(data, init=replace(START, fit_lambda_perp=True))
+        res = fit(data, START, free_lambda_perp=True)
         assert res.converged
         assert res.params.lambda_perp == pytest.approx(0.0, abs=1e-3)
         assert res.params.lambda_z == pytest.approx(TRUTH.lambda_z, abs=1e-6)
+
+    @pytest.mark.parametrize("keep", [slice(0, 6), slice(1, 5)])
+    def test_each_accepted_point_linearized_once(self, monkeypatch, keep):
+        linearize, points = fitting._linearize, []
+
+        def recorded(params, names, strains, groups):
+            points.append(repr((params, strains.tolist())))
+            return linearize(params, names, strains, groups)
+
+        monkeypatch.setattr(fitting, "_linearize", recorded)
+        # noise-free, so the loop ends on the step test, after which the
+        # final point used to be linearized a second time
+        full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
+                                  seed=7)
+        res = fit([replace(d, lines=d.lines[keep]) for d in full], START)
+        assert res.converged and res.iterations >= 2
+        # the start, then one point per accepted step
+        assert len(set(points)) == len(points) == res.iterations
 
     def test_no_lower_cost_is_not_convergence(self, monkeypatch):
         # a cost that never falls below the start's: each damped step is
@@ -447,6 +455,6 @@ class TestVariableProjection:
 
         monkeypatch.setattr(fitting, "_solve_strains", flat)
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
-        res = fit(data, init=START)
+        res = fit(data, START)
         assert not res.converged and res.stalled
         assert res.iterations == 1 and len(start) > 10

@@ -152,6 +152,17 @@ class TestBranchFrequencies:
         with pytest.raises(BranchError):
             branch_esr_frequencies(PARAMS, 0.3)
 
+    @pytest.mark.parametrize("strain, cause", [
+        (0.3, "orbital branches unresolved"),
+        (15.52, "level anti-crossing in the Ey branch")])
+    def test_unresolved_is_a_domain_error(self, strain, cause):
+        # a ValueError, which the CLI reports as exit 1, not a numerical
+        # failure
+        with pytest.raises(BranchError, match=cause) as err:
+            branch_esr_frequencies(PARAMS, strain)
+        assert isinstance(err.value, ValueError)
+        assert not isinstance(err.value, ArithmeticError)
+
     def test_large_strain_split_closed_form(self):
         p = FineStructureParams(e_es_coeff=0.001)
         lo, hi = averaged_split_large_strain(p, 100.0)
