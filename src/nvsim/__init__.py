@@ -18,12 +18,12 @@ _SOURCES = {
                "write_csv"),
     "fitting": ("FitResult", "ObservedDefect", "fit"),
     "linalg": ("EigenSystem", "hermitian_eigen"),
-    "model": ("FineStructureParams", "StrainVector",
+    "model": ("FineStructureParams", "RateParams", "StrainVector",
               "build_excited_hamiltonian", "ground_levels",
               "zero_strain_levels"),
     "motional": ("ExchangeModel", "TemperatureMap", "branch_esr_frequencies",
                  "esr_contrast_vs_temperature", "exchange_lineshape"),
-    "photodynamics": ("RateParams", "TransitionLine", "build_rate_matrix",
+    "photodynamics": ("TransitionLine", "build_rate_matrix",
                       "excitation_spectrum", "polarize", "propagate",
                       "rabi_trace", "stationary_state", "transition_lines"),
     "sweep": ("CrossingEvent", "LevelCharacter", "SweepResult",

@@ -8,8 +8,7 @@ fall back to defaults. All energies are GHz, times ns, temperatures K.
 from dataclasses import dataclass, field, fields
 
 from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
-                    MAX_STRAIN_GHZ, FineStructureParams)
-from .photodynamics import RateParams
+                    MAX_STRAIN_GHZ, FineStructureParams, RateParams)
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -121,16 +120,23 @@ def format_number(x):
 
 def write_csv(path, header, rows):
     """Comma-separated output: header first, every number printed with 9
-    significant digits, lines terminated by a single line feed."""
+    significant digits (`format_number`), bools and strings as str(v),
+    lines terminated by a single line feed. Each row is printed by one
+    format string, built once per sequence of value types."""
     ncol = len(header)
     out = [",".join(header)]
+    formats = {}
     for i, row in enumerate(rows):
         if len(row) != ncol:
             raise ValueError(f"row {i} has {len(row)} fields, "
                              f"expected {ncol}")
-        out.append(",".join(
-            format_number(v) if isinstance(v, (int, float)) and
-            not isinstance(v, bool) else str(v) for v in row))
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%#.9g" if issubclass(t, (int, float))
+                and not issubclass(t, bool) else "%s" for t in types)
+        out.append(fmt % tuple(row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(out) + "\n")
 

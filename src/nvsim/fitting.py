@@ -14,10 +14,14 @@ slopes.
 
 One path serves any line count: a defect's m lines match the six predicted
 ones by one of C(6, m) <= 20 injections, in closed form batched per m.
-The strain of a defect with all six lines is refined by Gauss-Newton and
-secant steps on exact Hellmann-Feynman slopes; with fewer lines the
-matching can switch inside the bracket, the cost has kinks there, and a
-safeguarded parabolic search refines it instead.
+Every strain is first scanned on a coarse grid. The strain of a defect
+with all six lines is then refined by Gauss-Newton and secant steps on
+exact Hellmann-Feynman slopes, started at a trial point of the globals
+from variable projection's first-order prediction of the strain where
+that lies in the grid bracket; with fewer lines the matching can switch
+inside the bracket, the cost has kinks there, and a safeguarded
+parabolic search from the grid bracket refines it instead. Both stop
+once their steps fall to STRAIN_TOL, or at their step caps.
 """
 
 from dataclasses import dataclass, field, replace
@@ -32,8 +36,9 @@ from .sweep import (parameter_operators, strain_family, strain_hamiltonians,
 STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
 STRAIN_GRID = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
-REFINE_ITERS = 18       # parabolic steps, partial line lists
-GN_STEPS = 4            # Gauss-Newton then secant steps, full lines
+REFINE_ITERS = 18       # most parabolic steps, partial line lists
+GN_STEPS = 4            # most Gauss-Newton then secant steps, full lines
+STRAIN_TOL = 1e-9       # GHz, strain step at which both refiners stop
 N_LINES = 6             # predicted excited-state lines
 XTOL = 1e-10            # LM step test, relative to the largest global
 MU_START = 1e-3         # LM damping at the first step
@@ -111,15 +116,16 @@ def _closest(sel, shift, target):
     """Index (...) of the row of sel (..., n, m) - shift nearest target."""
     if sel.shape[-2] == 1:
         return np.zeros(sel.shape[:-2], dtype=np.intp)
-    return np.argmin(np.abs(sel - shift[..., None, None]
-                            - target[..., None, :]).sum(axis=-1), axis=-1)
+    dist = sel - shift[..., None, None] - target[..., None, :]
+    return np.abs(dist, out=dist).sum(axis=-1).argmin(axis=-1)
 
 
 def _take(sel, k):
     """Row k (...) of the candidates sel (..., n, m)."""
     if sel.shape[-2] == 1:
         return sel[..., 0, :]
-    sel = np.broadcast_to(sel, k.shape + sel.shape[-2:])
+    if sel.shape[:-2] != k.shape:
+        sel = np.broadcast_to(sel, k.shape + sel.shape[-2:])
     return sel[(*np.indices(k.shape, sparse=True), k)]
 
 
@@ -141,7 +147,8 @@ def _match(pred, meas):
 def _cost(pred, meas, sigmas):
     """Whitened squared residual of the matched lines."""
     diff = _match(pred, meas)[0]
-    return (diff * diff).sum(axis=-1) / sigmas ** 2
+    diff *= diff        # in place: on the grid scan it is a large array
+    return diff.sum(axis=-1) / sigmas ** 2
 
 
 def _groups(data):
@@ -154,70 +161,83 @@ def _groups(data):
 
 
 def _refine_strains(params, grid, costs, meas, sigmas):
-    """Per-defect strain minimization: safeguarded successive parabolic
-    interpolation, batched across defects (one stacked eigensolve per
-    iteration). Returns the best strain evaluated (the grid minimum
-    included) and its cost, the final bracket's middle on a tie: at a
-    grid-end minimum the clipped bracket's middle is not the best."""
-    nd = costs.shape[0]
-    idx = np.arange(nd)
+    """Per-defect strain minimization for partial line lists: safeguarded
+    successive parabolic interpolation from the bracket of grid points
+    around the coarse-grid minimum, batched across defects (one stacked
+    eigensolve per step). It stops once every defect's parabola has put
+    its vertex within STRAIN_TOL of the bracket's middle on two steps
+    running, the second left unevaluated, or after REFINE_ITERS steps.
+    Returns the best strain evaluated (the grid minimum included) and its
+    cost, the final bracket's middle on a tie: at a grid-end minimum the
+    clipped bracket's middle is not the best."""
+    idx = np.arange(costs.shape[0])
     k = np.argmin(costs, axis=1)
     best_x, best_f = grid[k], costs[idx, k]
     k = np.clip(k, 1, grid.size - 2)
-    xs = np.stack([grid[k - 1], grid[k], grid[k + 1]], axis=1)
-    fs = np.stack([costs[idx, k - 1], costs[idx, k],
-                   costs[idx, k + 1]], axis=1)
+    # (left end, middle, right end) of each bracket, each (strain, cost)
+    pts = np.stack([grid[[k - 1, k, k + 1]], costs[idx, [k - 1, k, k + 1]]],
+                   axis=1)
+    near_before = False
     for _ in range(REFINE_ITERS):
-        x0, x1, x2 = xs[:, 0], xs[:, 1], xs[:, 2]
-        f0, f1, f2 = fs[:, 0], fs[:, 1], fs[:, 2]
-        num = ((x1 - x0) ** 2 * (f1 - f2) - (x1 - x2) ** 2 * (f1 - f0))
-        den = ((x1 - x0) * (f1 - f2) - (x1 - x2) * (f1 - f0))
+        (x0, x1, x2), f1 = pts[:, 0], pts[1, 1]
+        # the vertex of the parabola through the bracket:
+        # x1 - (a^2 fa - b^2 fb) / 2 (a fa - b fb), with a = x1 - x0,
+        # b = x1 - x2, fa = f1 - f2 and fb = f1 - f0
+        dx = x1 - pts[::2, 0]           # a, b
+        df = f1 - pts[2::-2, 1]         # fa, fb
+        p, q = dx * df, dx * dx * df
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = x1 - 0.5 * num / den
-        # fall back to bisecting the wider flank when the parabola is
-        # degenerate or escapes the bracket
-        wide_left = (x1 - x0) >= (x2 - x1)
-        fallback = np.where(wide_left, 0.5 * (x0 + x1), 0.5 * (x1 + x2))
-        bad = (~np.isfinite(cand)) | (cand <= x0) | (cand >= x2) \
-            | (np.abs(cand - x1) < 1e-14)
-        cand = np.where(bad, fallback, cand)
+            vertex = x1 - 0.5 * (q[0] - q[1]) / (p[0] - p[1])
+        step = np.abs(vertex - x1)
+        near = (step <= STRAIN_TOL).all()
+        if near and near_before:
+            break
+        near_before = near
+        # bisect the wider flank instead when the parabola is degenerate
+        # or escapes the bracket
+        fallback = 0.5 * (x1 + np.where(dx[0] >= -dx[1], x0, x2))
+        cand = np.where((vertex > x0) & (vertex < x2) & (step >= 1e-14),
+                        vertex, fallback)
         fc = _cost(predicted_lines(params, cand), meas, sigmas)
         better = fc < best_f
         best_x = np.where(better, cand, best_x)
         best_f = np.where(better, fc, best_f)
-        # merge the new point, keeping a bracketing triple around the min
-        allx = np.concatenate([xs, cand[:, None]], axis=1)
-        allf = np.concatenate([fs, fc[:, None]], axis=1)
-        order = np.argsort(allx, axis=1)
-        allx = np.take_along_axis(allx, order, axis=1)
-        allf = np.take_along_axis(allf, order, axis=1)
-        kmin = np.clip(np.argmin(allf, axis=1), 1, 2)
-        cols = np.stack([kmin - 1, kmin, kmin + 1], axis=1)
-        xs = np.take_along_axis(allx, cols, axis=1)
-        fs = np.take_along_axis(allf, cols, axis=1)
-    middle = fs[:, 1] <= best_f
-    return (np.where(middle, xs[:, 1], best_x),
-            np.where(middle, fs[:, 1], best_f))
+        # merge the new point: of the four in order, keep the three around
+        # the first lowest
+        new, left = np.array([cand, fc]), cand < x1
+        four = np.array([pts[0], np.where(left, new, pts[1]),
+                         np.where(left, pts[1], new), pts[2]])
+        lowest = np.minimum(four[::2, 1], four[1::2, 1])
+        pts = np.where(lowest[0] <= lowest[1], four[:3], four[1:])
+    middle = pts[1, 1] <= best_f
+    return (np.where(middle, pts[1, 0], best_x),
+            np.where(middle, pts[1, 1], best_f))
 
 
-def _gauss_newton_strains(params, grid, costs, meas, sigmas):
+def _gauss_newton_strains(params, grid, costs, meas, sigmas, start=None):
     """Per-defect strain minimization for full line lists, batched across
-    defects, from the coarse-grid minimum and kept in the grid bracket
-    around it. The residual r is centred, which removes the offset, and
-    its strain derivative J is the centred Hellmann-Feynman slope, from
-    the same stacked eigensolve as the lines; so the gradient J.r of half
-    the squared residual is exact. The first step is Gauss-Newton, with
-    curvature J.J; later steps take the secant curvature of the exact
-    gradient between the last two points, which converges superlinearly
-    where large residuals slow Gauss-Newton, and fall back on J.J where
-    that is not positive. Returns the best strain evaluated (the grid
-    minimum included) and its cost."""
+    defects and kept in the bracket of grid points around the coarse-grid
+    minimum. It starts from the strains start where they lie inside that
+    bracket (the fit passes variable projection's first-order
+    prediction), from the grid minimum elsewhere. The residual r is
+    centred, which removes the offset, and its strain derivative J is the
+    centred Hellmann-Feynman slope, from the same stacked eigensolve as
+    the lines; so the gradient J.r of half the squared residual is exact.
+    The first step is Gauss-Newton, with curvature J.J; later steps take
+    the secant curvature of the exact gradient between the last two
+    points, which converges superlinearly where large residuals slow
+    Gauss-Newton, and fall back on J.J where that is not positive. It
+    stops, without evaluating it, at the first step that moves no strain
+    by more than STRAIN_TOL, or after GN_STEPS steps. Returns the best
+    strain evaluated (the grid minimum included) and its cost."""
     family = strain_family(params)
     k = np.argmin(costs, axis=1)
     kb = np.clip(k, 1, grid.size - 2)
     lo, hi = grid[kb - 1], grid[kb + 1]
     x = best_x = grid[k]
     best_cost = costs[np.arange(k.size), k]
+    if start is not None:
+        x = np.where((start >= lo) & (start <= hi), start, x)
     for step in range(GN_STEPS + 1):
         if step < GN_STEPS:
             values, slopes = strain_slopes(family, x)
@@ -229,7 +249,7 @@ def _gauss_newton_strains(params, grid, costs, meas, sigmas):
         best_x = np.where(better, x, best_x)
         best_cost = np.where(better, cost, best_cost)
         if step == GN_STEPS:
-            return best_x, best_cost
+            break
         jac = slopes - _mean(slopes)[:, None]
         grad, curv = (jac * r).sum(axis=1), (jac * jac).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -240,11 +260,15 @@ def _gauss_newton_strains(params, grid, costs, meas, sigmas):
         last_x, last_grad = x, grad
         # a non-finite step (a flat J) counts as no step
         x = np.clip(x - np.where(np.isfinite(dx), dx, 0.0), lo, hi)
+        if np.max(np.abs(x - last_x)) <= STRAIN_TOL:
+            break
+    return best_x, best_cost
 
 
-def _solve_strains(params, groups):
+def _solve_strains(params, groups, guess=None):
     """Every defect's best strain at params and its whitened cost, in data
-    order: a scan of STRAIN_GRID, then the refinement for its line count.
+    order: a scan of STRAIN_GRID, then the refinement for its line count;
+    full line lists start from the strains guess (data order) where given.
     Also flags the defects whose best grid strain is STRAIN_MAX."""
     n = sum(idx.size for idx, _, _ in groups)
     grid_pred = predicted_lines(params, STRAIN_GRID)
@@ -252,10 +276,13 @@ def _solve_strains(params, groups):
     at_edge = np.empty(n, dtype=bool)
     for idx, meas, sigmas in groups:
         grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
-        refine = (_gauss_newton_strains if meas.shape[1] == N_LINES
-                  else _refine_strains)
-        strains[idx], costs[idx] = refine(
-            params, STRAIN_GRID, grid_costs, meas, sigmas)
+        if meas.shape[1] == N_LINES:
+            strains[idx], costs[idx] = _gauss_newton_strains(
+                params, STRAIN_GRID, grid_costs, meas, sigmas,
+                None if guess is None else guess[idx])
+        else:
+            strains[idx], costs[idx] = _refine_strains(
+                params, STRAIN_GRID, grid_costs, meas, sigmas)
         at_edge[idx] = np.argmin(grid_costs, axis=1) == STRAIN_GRID.size - 1
     return strains, costs, at_edge
 
@@ -263,8 +290,8 @@ def _solve_strains(params, groups):
 def _linearize(params, names, strains, groups):
     """The matched residuals at the strains and their reduced Jacobian in
     the globals names, from one eigensolve per group of `_groups`. Per
-    group: `_match`'s residuals and rows, the offsets, and the whitened
-    Jacobian (n, m, p).
+    group: `_match`'s residuals and rows, the offsets, the whitened
+    Jacobian (n, m, p) and the strains' derivatives in the globals (n, p).
 
     A residual is sel_k - mean(first) - (meas - mean meas), so its
     derivative is that of the matched row k minus the mean derivative of
@@ -273,7 +300,9 @@ def _linearize(params, names, strains, groups):
     slopes, exact since the Hamiltonian is linear in every global.
     Variable projection (Kaufman): the strain direction is projected out
     of each defect's rows, J = J_theta - J_delta (J_delta . J_theta) /
-    (J_delta . J_delta), as the strain is re-minimized at every point."""
+    (J_delta . J_delta), as the strain is re-minimized at every point;
+    to the same (Gauss-Newton) order that strain moves by -coef per unit
+    of each global."""
     family = strain_family(params)
     ops = parameter_operators(tuple(names))
     out = []
@@ -289,24 +318,33 @@ def _linearize(params, names, strains, groups):
              - _mean(_take(sel, np.broadcast_to(k_first[:, None], fixed)))
              [..., None]) / sigmas[:, None, None]
         j_delta, j_theta = d[:, 0], d[:, 1:]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # an overflow (sigma far too small) is caught before any solve
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             coef = (j_theta @ j_delta[..., None]) \
                 / (j_delta * j_delta).sum(axis=1)[:, None, None]
         # a flat strain direction has nothing to project out
         coef = np.where(np.isfinite(coef), coef, 0.0)
         jac = j_theta - coef * j_delta[:, None, :]
-        out.append((diff, k, offset, jac.transpose(0, 2, 1)))
+        out.append((diff, k, offset, jac.transpose(0, 2, 1), -coef[..., 0]))
     return out
 
 
 def _stack(groups, lin):
     """Whitened residual vector r and Jacobian J (rows, p) of all groups."""
     r = np.concatenate([(diff / sigmas[:, None]).ravel()
-                        for (_, _, sigmas), (diff, _, _, _)
-                        in zip(groups, lin)])
+                        for (_, _, sigmas), (diff, *_) in zip(groups, lin)])
     jac = np.concatenate([j.reshape(-1, j.shape[-1])
-                          for _, _, _, j in lin])
+                          for _, _, _, j, _ in lin])
     return r, jac
+
+
+def _require_finite(sigma, *arrays):
+    """Keep LAPACK off an overflowed whitened system: a sigma far below
+    the line scale takes the residuals, the Jacobian or J^T J past the
+    float range. sigma is the smallest one, named in the error."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FitError("the whitened residuals or their Jacobian overflow: "
+                       f"sigma {sigma:g} GHz is too small")
 
 
 def fit(data, params=None, free_lambda_perp=False):
@@ -327,7 +365,9 @@ def fit(data, params=None, free_lambda_perp=False):
     kept at least PERP_FLOOR. A defect whose best grid point is
     STRAIN_MAX flags the fit not converged and is listed in `edge_ids`.
     1 sigma errors of the globals come from the final Jacobian,
-    (J^T J)^-1 cost / (lines - free)."""
+    (J^T J)^-1 cost / (lines - free). A cost not finite at the start, or
+    a sigma so small that the whitened system overflows, raises FitError
+    before LAPACK sees it."""
     if not data:
         raise FitError("no defects supplied")
     start = FineStructureParams() if params is None else params
@@ -348,24 +388,35 @@ def fit(data, params=None, free_lambda_perp=False):
         # the cost's gradient vanish, and no step would leave 0
         lo[-1] = max(lo[-1], PERP_FLOOR)
     groups = _groups(data)
+    sigma = min(d.sigma for d in data)
 
-    def evaluate(theta):
+    # a trial whose cost overflows is merely rejected
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def evaluate(theta, guess=None):
         params = replace(start, **dict(zip(names, theta)))
-        strains, costs, at_edge = _solve_strains(params, groups)
+        strains, costs, at_edge = _solve_strains(params, groups, guess)
         return params, strains, at_edge, float(costs.sum())
 
     theta = np.clip([getattr(start, n) for n in names], lo, hi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        params, strains, at_edge, cost = evaluate(theta)
+    params, strains, at_edge, cost = evaluate(theta)
     if not np.isfinite(cost):
+        # the same residuals unwhitened tell which input is to blame
+        unit = [(idx, meas, np.ones(idx.size)) for idx, meas, _ in groups]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = _solve_strains(params, unit)[1].sum()
+        why = (f"sigma {sigma:g} GHz is too small" if np.isfinite(raw)
+               else "line positions out of range")
         raise FitError(f"the cost at the starting parameters is not finite "
-                       f"({cost:g}): line positions out of range")
+                       f"({cost:g}): {why}")
     # linearized once per accepted point, the last one reused below
     lin = _linearize(params, names, strains, groups)
     mu, nit, converged, stalled = MU_START, 0, False, False
     while not (converged or stalled) and nit < MAX_ITER:
         nit += 1
         r, jac = _stack(groups, lin)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad, hess = jac.T @ r, jac.T @ jac
+        _require_finite(sigma, r, jac, grad, hess)
         # the undamped (Gauss-Newton) step tests convergence; a damped
         # one is short merely because mu is large
         gauss_newton = np.clip(
@@ -373,14 +424,18 @@ def fit(data, params=None, free_lambda_perp=False):
         if np.max(np.abs(gauss_newton)) <= XTOL * np.max(np.abs(theta)):
             converged = True
             break
-        grad, hess = jac.T @ r, jac.T @ jac
+        # each defect's strain at a trial point, to first order, starts
+        # its Gauss-Newton refinement
+        d_strain = np.empty((len(data), len(names)))
+        for (idx, _, _), (*_, d_group) in zip(groups, lin):
+            d_strain[idx] = d_group
         # the floor keeps a flat column from making the system singular
         scale = np.diag(hess)
         scale = np.maximum(scale, SCALE_FLOOR * scale.max())
         while True:
             step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
             trial = np.clip(theta + step, lo, hi)
-            state = evaluate(trial)
+            state = evaluate(trial, strains + d_strain @ (trial - theta))
             if state[3] < cost:
                 converged = cost - state[3] <= TOL * cost
                 theta, (params, strains, at_edge, cost) = trial, state
@@ -398,11 +453,14 @@ def fit(data, params=None, free_lambda_perp=False):
     # a global the lines do not depend on has no error
     cols = np.flatnonzero(np.any(jac != 0.0, axis=0))
     if dof > 0 and cols.size:
-        cov = np.linalg.inv(jac[:, cols].T @ jac[:, cols]) * (cost / dof)
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = jac[:, cols].T @ jac[:, cols]
+        _require_finite(sigma, jac, normal)
+        cov = np.linalg.inv(normal) * (cost / dof)
         errors = dict(zip([names[j] for j in cols],
                           np.sqrt(np.diag(cov)).tolist()))
     offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
-    for (idx, meas, _), (diff, k, offset, _) in zip(groups, lin):
+    for (idx, meas, _), (diff, k, offset, *_) in zip(groups, lin):
         offsets[idx] = offset
         sq[idx] = (diff * diff).sum(axis=1)
         pairs.update((data[i].id, list(enumerate(row.tolist())))

@@ -33,6 +33,39 @@ MAX_STRAIN_GHZ = 1.0e6
 DEFAULT_ATTEMPT_RATE = 3.2e3   # GHz (phonon-scale attempt frequency)
 DEFAULT_ACTIVATION_MEV = 60.0
 
+
+@dataclass(frozen=True)
+class RateParams:
+    """Decay, shelving and drive rates (1/ns) of the rate model in
+    `photodynamics`, defined here so that the config defaults do not load
+    that module. The magnitudes are artifact defaults, not measured
+    values; only the orderings k_isc_z << k_isc_xy and beta_z -> gSz are
+    physically mandated."""
+
+    gamma_rad: float = 1.0 / 12.0
+    k_isc_xy: float = 0.05
+    k_isc_z: float = 0.004
+    gamma_singlet: float = 1.0 / 300.0
+    beta_z: float = 0.9
+    pump_green: float = 0.02
+    pump_res_max: float = 0.02
+    linewidth: float = 0.02       # optical FWHM, GHz
+    mw_mix_rate: float = 0.01
+
+    def __post_init__(self):
+        rates = (self.gamma_rad, self.k_isc_xy, self.k_isc_z,
+                 self.gamma_singlet, self.pump_green, self.pump_res_max,
+                 self.linewidth, self.mw_mix_rate)
+        if not all(np.isfinite(v) for v in rates + (self.beta_z,)):
+            raise ValueError("rate parameters must be finite")
+        if any(r < 0 for r in rates):
+            raise ValueError("rates must be nonnegative")
+        if not 0.0 <= self.beta_z <= 1.0:
+            raise ValueError("beta_z must lie in [0, 1]")
+        if self.k_isc_z > self.k_isc_xy:
+            raise ValueError("k_isc_z must not exceed k_isc_xy")
+
+
 # Symmetry labels of the zero-strain eigenstates, lowest pair first.
 SYMMETRY_LABELS = ("E1", "E2", "E'x", "E'y", "A1", "A2")
 
@@ -83,17 +116,6 @@ class StrainVector:
         return float(np.hypot(self.delta_x, self.delta_y))
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    """Fixed 6x6 operator matrices in the product basis above."""
-
-    v_x: np.ndarray
-    v_y: np.ndarray
-    s_z2: np.ndarray
-    proj_a1: np.ndarray
-    proj_a2: np.ndarray
-
-
 def _spin_ops():
     """Spin-1 operators in the zero-field basis (Sx, Sy, Sz)."""
     sx = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]])
@@ -113,24 +135,16 @@ A1_STATE = (_ket(0) + _ket(4)) / np.sqrt(2.0)
 A2_STATE = (_ket(3) - _ket(1)) / np.sqrt(2.0)
 
 
-def build_operators():
-    """Return the full six-dimensional operator set (orbital parts are
-    tensored with the spin identity and vice versa)."""
-    sz = _spin_ops()[2]
-    vx_orb = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    vy_orb = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    i3 = np.eye(3, dtype=complex)
-    return OperatorSet(
-        v_x=np.kron(vx_orb, i3),
-        v_y=np.kron(vy_orb, i3),
-        s_z2=np.kron(i2, sz @ sz),
-        proj_a1=np.outer(A1_STATE, A1_STATE.conj()),
-        proj_a2=np.outer(A2_STATE, A2_STATE.conj()),
-    )
-
-
-_OPS = build_operators()
+# Fixed 6x6 operators in the product basis above: the orbital strain
+# couplings tensored with the spin identity, the squared spin tensored
+# with the orbital identity, and the A2 minus A1 projector.
+_V_X = np.kron(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+               np.eye(3, dtype=complex))
+_V_Y = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+               np.eye(3, dtype=complex))
+_S_Z2 = np.kron(np.eye(2, dtype=complex), _spin_ops()[2] @ _spin_ops()[2])
+_A2_MINUS_A1 = (np.outer(A2_STATE, A2_STATE.conj())
+                - np.outer(A1_STATE, A1_STATE.conj()))
 
 # Spin-orbit product operator: lz_orb (x) sz_spin, not the product of the
 # padded six-dimensional matrices.
@@ -168,14 +182,13 @@ def build_excited_hamiltonian(params, strain):
     (A1, A2) pair sits at the top of the zero-strain diagram and the E
     doublet at the bottom.
     """
-    ops = _OPS
     dperp = strain.delta_perp
     h = (params.zpl_offset + params.delta_z) * np.eye(6, dtype=complex)
     h -= params.lambda_z * _LZ_SZ
-    h += params.d_es * (ops.s_z2 - (2.0 / 3.0) * np.eye(6))
-    h += params.delta_cap * (ops.proj_a2 - ops.proj_a1)
+    h += params.d_es * (_S_Z2 - (2.0 / 3.0) * np.eye(6))
+    h += params.delta_cap * _A2_MINUS_A1
     h += params.lambda_perp * _SO_PERP
-    h += strain.delta_x * ops.v_x + strain.delta_y * ops.v_y
+    h += strain.delta_x * _V_X + strain.delta_y * _V_Y
     h += params.e_es_coeff * dperp * _SX2_MINUS_SY2
     return h
 

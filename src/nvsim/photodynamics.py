@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import hermitian_eigen
+from .model import RateParams  # noqa: F401, re-exported here
 from .model import build_excited_hamiltonian, ground_levels
 from .sweep import classify_level
 
@@ -32,36 +33,6 @@ class TransitionLine:
     strength: float               # in [0, 1]; sums to 1 per ground sublevel
     spin_conserving: bool
     weak: bool = False
-
-
-@dataclass(frozen=True)
-class RateParams:
-    """Decay, shelving and drive rates (1/ns). The magnitudes are
-    artifact defaults, not measured values; only the orderings
-    k_isc_z << k_isc_xy and beta_z -> gSz are physically mandated."""
-
-    gamma_rad: float = 1.0 / 12.0
-    k_isc_xy: float = 0.05
-    k_isc_z: float = 0.004
-    gamma_singlet: float = 1.0 / 300.0
-    beta_z: float = 0.9
-    pump_green: float = 0.02
-    pump_res_max: float = 0.02
-    linewidth: float = 0.02       # optical FWHM, GHz
-    mw_mix_rate: float = 0.01
-
-    def __post_init__(self):
-        rates = (self.gamma_rad, self.k_isc_xy, self.k_isc_z,
-                 self.gamma_singlet, self.pump_green, self.pump_res_max,
-                 self.linewidth, self.mw_mix_rate)
-        if not all(np.isfinite(v) for v in rates + (self.beta_z,)):
-            raise ValueError("rate parameters must be finite")
-        if any(r < 0 for r in rates):
-            raise ValueError("rates must be nonnegative")
-        if not 0.0 <= self.beta_z <= 1.0:
-            raise ValueError("beta_z must lie in [0, 1]")
-        if self.k_isc_z > self.k_isc_xy:
-            raise ValueError("k_isc_z must not exceed k_isc_xy")
 
 
 class RateModelError(ArithmeticError):

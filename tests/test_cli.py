@@ -107,6 +107,23 @@ class TestWriteCsv:
         assert format_number(1.42) == "1.42000000"
         assert format_number(0.000123456789) == "0.000123456789"
 
+    def test_same_bytes_as_formatting_each_value(self, tmp_path):
+        # rows mixing every value type the commands write, the types
+        # changing from row to row within a column
+        rng = np.random.default_rng(4)
+        pool = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, 1e300, -7,
+                2 ** 60, True, False, "nv01", "gSz"]
+        pool += rng.normal(0.0, 1.0, 20).tolist()
+        pool += list(np.float64(x) for x in rng.normal(0.0, 1e5, 20))
+        rows = [tuple(pool[j] for j in rng.integers(0, len(pool), 5))
+                for _ in range(200)]
+        path = tmp_path / "x.csv"
+        write_csv(str(path), list("abcde"), rows)
+        expect = ["a,b,c,d,e"] + [",".join(
+            str(v) if isinstance(v, (bool, str)) else format_number(v)
+            for v in row) for row in rows]
+        assert path.read_text() == "\n".join(expect) + "\n"
+
 
 class TestManifest:
     def test_render_contains_command_and_outputs(self):
@@ -343,8 +360,8 @@ class TestExitCodes:
         solve = fitting._solve_strains
         start = []
 
-        def flat(params, groups):
-            strains, costs, at_edge = solve(params, groups)
+        def flat(params, groups, guess=None):
+            strains, costs, at_edge = solve(params, groups, guess)
             start.append(costs)
             return strains, start[0], at_edge
 
@@ -565,11 +582,12 @@ class TestImportCost:
         assert (out / "manifest.txt").exists()
 
     def test_cli_import_loads_no_command_module(self):
-        # the fit, the lineshape, input hashing and numpy.ma load only
-        # where a command uses them
+        # the fit, the lineshape, the rate model, the Jacobi solver, input
+        # hashing and numpy.ma load only where a command uses them
         src = str(Path(nvsim.__file__).resolve().parents[1])
         code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
-                "'nvsim.motional', 'hashlib', 'numpy.ma') "
+                "'nvsim.motional', 'hashlib', 'numpy.ma', "
+                "'nvsim.photodynamics', 'nvsim.linalg') "
                 "if n in sys.modules])")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,

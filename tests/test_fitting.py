@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvsim import fitting
-from nvsim.fitting import (_INJECTIONS, COARSE_STEP, STRAIN_MAX, FitError,
-                           ObservedDefect, _cost, _gauss_newton_strains,
-                           _groups, _linearize, _match, _refine_strains,
-                           _solve_strains, _stack, _take, fit,
-                           predicted_lines, synthesize_dataset)
+from nvsim.fitting import (_INJECTIONS, COARSE_STEP, GN_STEPS, REFINE_ITERS,
+                           STRAIN_GRID, STRAIN_MAX, FitError, ObservedDefect,
+                           _cost, _gauss_newton_strains, _groups, _linearize,
+                           _match, _refine_strains, _solve_strains, _stack,
+                           _take, fit, predicted_lines, synthesize_dataset)
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
 from nvsim.sweep import strain_family, strain_slopes
@@ -218,6 +218,109 @@ class TestGaussNewtonStrains:
         assert cost[0] <= grid_costs.min()
 
 
+def shifted(shift):
+    """The truth with lambda_z, d_es and delta_cap moved by shift GHz."""
+    return replace(TRUTH, lambda_z=TRUTH.lambda_z + shift,
+                   d_es=TRUTH.d_es + shift,
+                   delta_cap=TRUTH.delta_cap + shift)
+
+
+def stop_ensemble(kind):
+    """A noisy full-line ensemble, or a noise-free one of middle four lines
+    (the kind `nvsim fit` reads in the benchmark's partial workload)."""
+    strains = [1.2, 3.0, 7.3, 12.0, 17.5, 23.0]
+    if kind == "full":
+        return synthesize_dataset(TRUTH, strains, noise=0.01, seed=31)
+    full = synthesize_dataset(TRUTH, strains, seed=32)
+    return [replace(d, lines=d.lines[1:5]) for d in full]
+
+
+def count_eigensolves(monkeypatch):
+    """Spy on the fit: the list it returns gets, per `_solve_strains`
+    call, the number of stacked eigensolves that call ran."""
+    per_solve, n = [], [0]
+    for name in ("predicted_lines", "strain_slopes"):
+        def counted(*args, _orig=getattr(fitting, name)):
+            n[0] += 1
+            return _orig(*args)
+        monkeypatch.setattr(fitting, name, counted)
+    solve = fitting._solve_strains
+
+    def recorded(*args):
+        before = n[0]
+        out = solve(*args)
+        per_solve.append(n[0] - before)
+        return out
+
+    monkeypatch.setattr(fitting, "_solve_strains", recorded)
+    return per_solve
+
+
+class TestStoppedSearches:
+    """Both strain refiners stop once a step falls to STRAIN_TOL, and
+    Gauss-Newton may start from a given strain in the grid bracket."""
+
+    @pytest.mark.parametrize("kind", ["full", "partial"])
+    @pytest.mark.parametrize("shift", [0.0, 0.4, -0.4])
+    def test_ends_at_a_minimum_below_the_grid(self, kind, shift):
+        params = shifted(shift)
+        groups = _groups(stop_ensemble(kind))
+        strains, costs, _ = _solve_strains(params, groups)
+        (_, meas, sigmas), = groups
+        grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
+                           meas[:, None, :], sigmas[:, None])
+        assert np.all(costs <= grid_costs.min(axis=1))
+        # 21 points 1e-7 GHz apart, the refined strain in the middle
+        scan = strains[:, None] + np.arange(-10, 11) * 1e-7
+        scan_costs = _cost(predicted_lines(params, scan), meas[:, None, :],
+                           sigmas[:, None])
+        assert np.all(scan_costs.min(axis=1)
+                      >= scan_costs[:, 10] * (1 - 1e-12))
+
+    @pytest.mark.parametrize("kind", ["full", "partial"])
+    def test_zero_tolerance_runs_to_the_caps(self, kind, monkeypatch):
+        data = stop_ensemble(kind)
+        per_solve = count_eigensolves(monkeypatch)
+        stopped = fit(data, START)
+        n_stopped = list(per_solve)
+        per_solve.clear()
+        monkeypatch.setattr(fitting, "STRAIN_TOL", 0.0)
+        capped = fit(data, START)
+        # the grid scan, then every step up to the cap (Gauss-Newton's
+        # last point is evaluated without slopes)
+        cap = 1 + (GN_STEPS + 1 if kind == "full" else REFINE_ITERS)
+        assert per_solve == [cap] * len(per_solve)
+        assert max(n_stopped) <= cap and sum(n_stopped) < sum(per_solve)
+        assert stopped.converged and capped.converged
+        for name in ("lambda_z", "d_es", "delta_cap"):
+            assert getattr(stopped.params, name) == pytest.approx(
+                getattr(capped.params, name), abs=1e-9)
+
+    @pytest.mark.parametrize("offset", [1e-3, -0.1, 0.3])
+    def test_gauss_newton_starts_inside_the_bracket(self, offset,
+                                                    monkeypatch):
+        params = shifted(0.4)
+        (_, meas, sigmas), = _groups(stop_ensemble("full"))
+        grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
+                           meas[:, None, :], sigmas[:, None])
+        x_grid, cost_grid = _gauss_newton_strains(
+            params, STRAIN_GRID, grid_costs, meas, sigmas)
+        start = x_grid + offset
+        first = []
+        slopes = fitting.strain_slopes
+        monkeypatch.setattr(fitting, "strain_slopes", lambda family, x: (
+            first.append(np.copy(x)), slopes(family, x))[1])
+        x, cost = _gauss_newton_strains(params, STRAIN_GRID, grid_costs,
+                                        meas, sigmas, start)
+        # the bracket is the grid points either side of the grid minimum
+        k = np.argmin(grid_costs, axis=1)
+        inside = np.abs(start - STRAIN_GRID[k]) <= COARSE_STEP
+        assert np.array_equal(first[0], np.where(inside, start,
+                                                 STRAIN_GRID[k]))
+        assert np.all(cost <= grid_costs.min(axis=1))
+        assert x == pytest.approx(x_grid, abs=1e-7)
+
+
 class TestObservedDefect:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -394,6 +497,17 @@ class TestVariableProjection:
         single = [replace(data[1], lines=lines[:2] + lines[3:])]
         assert fit(single, START).errors == {}
 
+    @pytest.mark.parametrize("sigma", [1e-154, 1e-160, 1e-310])
+    def test_tiny_sigma_named_before_lapack_runs(self, sigma, recwarn):
+        # 1e-154 overflows J^T J at the start, smaller ones the cost
+        data = [ObservedDefect(d.id, d.lines, sigma=sigma)
+                for d in synthesize_dataset(TRUTH, [3, 8, 13, 18],
+                                            noise=0.01, seed=1)]
+        with pytest.raises(FitError, match=f"sigma {sigma:g} GHz is too "
+                                           "small"):
+            fit(data, START)
+        assert not recwarn.list
+
     def test_non_finite_starting_cost_raises(self):
         data = [ObservedDefect(id=f"nv{i}", lines=tuple(
             1e300 * (1 + 1e-15 * np.arange(6)))) for i in range(2)]
@@ -448,8 +562,8 @@ class TestVariableProjection:
         solve = fitting._solve_strains
         start = []
 
-        def flat(params, groups):
-            strains, costs, at_edge = solve(params, groups)
+        def flat(params, groups, guess=None):
+            strains, costs, at_edge = solve(params, groups, guess)
             start.append(costs)
             return strains, start[0], at_edge
 
