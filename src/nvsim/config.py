@@ -64,7 +64,11 @@ class Config:
         if not (abs(lo) <= MAX_STRAIN_GHZ and abs(hi) <= MAX_STRAIN_GHZ):
             raise ConfigError("strain_min and strain_max must be finite "
                               f"and within +-{MAX_STRAIN_GHZ:g} GHz")
-        return np.linspace(lo, hi, n)
+        grid = np.linspace(lo, hi, n)
+        if not np.all(np.diff(grid) > 0):
+            raise ConfigError("strain_max must exceed strain_min by enough "
+                              "for strain_points distinct points")
+        return grid
 
     def dump(self):
         """Key-sorted text snapshot; reloading it reproduces the config."""

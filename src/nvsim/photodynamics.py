@@ -265,14 +265,15 @@ def excitation_spectrum(params, strain, rp, detunings, mw_on=True):
     return np.column_stack([detunings, pl])
 
 
-def _mw_rotation(pop, angle):
+def _mw_rotation(pop, angles):
     """Coherent population rotation between gSz and gSx (the driven
-    member of the ground doublet); cos^2 transfer, populations only."""
-    out = pop.copy()
-    c2 = np.cos(angle / 2.0) ** 2
+    member of the ground doublet) by each of angles; cos^2 transfer,
+    populations only. One population row per angle, (n, N_LEVELS)."""
+    out = np.tile(pop, (angles.size, 1))
+    c2 = np.cos(angles / 2.0) ** 2
     s2 = 1.0 - c2
-    out[IDX_GSZ] = c2 * pop[IDX_GSZ] + s2 * pop[IDX_GSX]
-    out[IDX_GSX] = s2 * pop[IDX_GSZ] + c2 * pop[IDX_GSX]
+    out[:, IDX_GSZ] = c2 * pop[IDX_GSZ] + s2 * pop[IDX_GSX]
+    out[:, IDX_GSX] = s2 * pop[IDX_GSZ] + c2 * pop[IDX_GSX]
     return out
 
 
@@ -315,10 +316,7 @@ def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
     aug[N_LEVELS, IDX_EXC] = rp.gamma_rad
     read_prop = expm(aug * READOUT_NS)
 
-    rows = []
-    for tau in mw_durations:
-        pop = _mw_rotation(init, omega_mw * tau)
-        state = np.append(pop, 0.0)
-        counts = (read_prop @ state)[N_LEVELS]
-        rows.append((float(tau), float(counts)))
-    return rows
+    # the integrator starts at 0, so only its row of the propagator acts
+    pops = _mw_rotation(init, omega_mw * mw_durations)
+    counts = pops @ read_prop[N_LEVELS, :N_LEVELS]
+    return list(zip(mw_durations.tolist(), counts.tolist()))

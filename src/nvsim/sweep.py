@@ -192,27 +192,35 @@ def classify_level(vec):
 
 
 def _greedy_match(ov):
-    """Assign current eigenvectors to tracks by descending overlap^2,
-    given ov[track, column].
-
-    Returns (permutation, best overlap^2 per track): perm[track] = column
-    index continuing that track.
-    """
-    n = ov.shape[0]
-    perm, taken, quality = [-1] * n, [False] * n, [0.0] * n
-    flat = ov.ravel().tolist()
-    for ij in np.argsort(ov, axis=None)[::-1].tolist():
-        i, j = divmod(ij, n)
-        if perm[i] < 0 and not taken[j]:
-            perm[i] = j
-            taken[j] = True
-            quality[i] = flat[ij]
-    return perm, quality
+    """Greedy matching on every step of a stack ov (m, n, n) of overlap^2,
+    rows the previous point's eigenvectors and columns the current one's.
+    In each of n rounds a step takes its largest remaining entry (the
+    first in row-major order on a tie) and strikes its row and column.
+    Returns cols, quality (m, n): the column and overlap^2 per row."""
+    m, n, _ = ov.shape
+    ov = ov.copy()
+    flat = ov.reshape(m, n * n)
+    steps = np.arange(m)
+    cols = np.empty((m, n), dtype=int)
+    quality = np.empty((m, n))
+    for _ in range(n):
+        ij = flat.argmax(axis=1)
+        i, j = np.divmod(ij, n)
+        cols[steps, i] = j
+        quality[steps, i] = flat[steps, ij]
+        # overlap^2 >= 0, so -1 is never taken again
+        ov[steps, i, :] = -1.0
+        ov[steps, :, j] = -1.0
+    return cols, quality
 
 
 def sweep(params, grid):
     """Diagonalize along an ascending strain grid and stitch the six
-    levels into continuous tracks by maximum eigenvector overlap."""
+    levels into continuous tracks by greedy overlap matching of every
+    step at once (`_greedy_match`); a step whose smallest matched
+    overlap^2 is below 0.5 is ambiguous. Track t lies in column perms[i][t]
+    = cols[i - 1][perms[i - 1][t]] at point i, composed by a prefix scan
+    of log2(points) rounds."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) \
             or np.any(np.diff(grid) <= 0):
@@ -222,27 +230,16 @@ def sweep(params, grid):
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), grid))
     # overlap^2 of each point's eigenvectors with the previous point's
-    steps = (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2
-    # On a step where every row's largest overlap^2 is above 0.5 (so the
-    # step is not ambiguous), in a column of its own and above every other
-    # entry, those maxima are the six largest entries and greedy matching
-    # takes exactly them: the row argmax. Reordering the rows (tracks)
-    # changes none of this, so it is decided for all steps at once.
-    top = np.sort(steps, axis=2)
-    best = steps.argmax(axis=2)
-    plain = ((top[:, :, -1] > 0.5).all(axis=1)
-             & (top[:, :, -1].min(axis=1) > top[:, :, -2].max(axis=1))
-             & (np.sort(best, axis=1) == np.arange(6)).all(axis=1))
-    perms = np.empty((grid.size, 6), dtype=int)
-    perms[0] = np.arange(6)
-    ambiguous = []
-    for idx in range(1, grid.size):
-        if plain[idx - 1]:
-            perms[idx] = best[idx - 1][perms[idx - 1]]
-            continue
-        perms[idx], quality = _greedy_match(steps[idx - 1][perms[idx - 1]])
-        if min(quality) < 0.5:
-            ambiguous.append(idx)
+    cols, quality = _greedy_match(
+        (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2)
+    ambiguous = (np.flatnonzero(quality.min(axis=1) < 0.5) + 1).tolist()
+    perms = np.concatenate([np.arange(6)[None], cols])
+    shift = 1
+    while shift < grid.size:
+        # perms[i] becomes perms[i][perms[i - shift]]
+        perms[shift:] = np.take_along_axis(perms[shift:], perms[:-shift],
+                                           axis=1)
+        shift *= 2
     energies = np.take_along_axis(values, perms, axis=1)
     tracked = np.take_along_axis(vectors, perms[:, None, :], axis=2)
     return SweepResult(grid=grid, energies=energies, vectors=tracked,

@@ -382,6 +382,19 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("extra", [
+        "strain_min = 5\nstrain_max = 5\n",
+        "strain_min = 20\nstrain_max = 0\n",
+        # too close for float64 to hold three distinct points
+        "strain_max = 5e-324\nstrain_points = 3\n"])
+    def test_strain_grid_not_ascending_rejected(self, tmp_path, capsys,
+                                                extra):
+        # a configuration error, not a numerical failure of the sweep
+        cfg, out = make_config(tmp_path, extra)
+        assert run(["--config", cfg, "sweep"]) == 1
+        assert "strain_max must exceed strain_min" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_max_strain_rejected(self, tmp_path, capsys, value):
         cfg, out = make_config(tmp_path)

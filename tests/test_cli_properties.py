@@ -1,6 +1,7 @@
-"""Seeded property test of the CLI: any argv drawn from a bounded strategy
-exits 0, 1 or 2, raises nothing and lets no numpy warning reach stderr.
-A value parses the same after its flag (`--flag value`) as joined to it
+"""Seeded property test of the CLI: any argv drawn from a bounded strategy,
+run with a drawn config file, exits 0, 1 or 2, raises nothing and lets no
+numpy warning, traceback or LAPACK message reach stderr. A value parses
+the same after its flag (`--flag value`) as joined to it
 (`--flag=value`)."""
 
 import shutil
@@ -29,6 +30,19 @@ ODMR_WINDOWS = st.one_of(st.sampled_from([0.0, 15.52]), st.floats(0.0, 0.5),
 ODMR_STRAINS = st.one_of(VALUES, ODMR_WINDOWS)
 COUNTS = st.integers(-3, MAX_POINTS)
 SWITCH = st.just(None)
+# config-file values: rates (1/ns), the linewidth (GHz) and the hop rate
+# and activation energy, up to 1e300, and 1e308, which overflows the line
+# profiles and the propagation
+RATE_VALUES = st.one_of(st.sampled_from([0.0, 1e300, 1e-300, 1e150, 1e308]),
+                        st.floats(0.0, 1e300))
+CONFIG_KEYS = {
+    **dict.fromkeys(("gamma_rad", "k_isc_xy", "k_isc_z", "gamma_singlet",
+                     "pump_green", "pump_res_max", "mw_mix_rate",
+                     "linewidth", "hop_attempt_rate", "hop_activation_mev"),
+                    RATE_VALUES),
+    "strain_min": VALUES, "strain_max": VALUES,
+    "strain_points": st.integers(2, MAX_POINTS),
+}
 
 STRAIN = {"--strain": VALUES, "--gpa": VALUES}
 FLAGS = {
@@ -77,6 +91,13 @@ def command_lines(draw, fixture):
     return argv, joined
 
 
+@st.composite
+def config_lines(draw):
+    """Config-file lines setting a drawn subset of CONFIG_KEYS."""
+    return [f"{key} = {draw(values)!r}" for key, values in CONFIG_KEYS.items()
+            if draw(st.booleans())]
+
+
 def parsed(argv):
     """The parsed namespace, or the usage error, as text (nan == nan)."""
     try:
@@ -99,23 +120,33 @@ def workdir(tmp_path_factory):
     return d
 
 
-def test_every_command_line_exits_cleanly(workdir):
-    cfg, out = str(workdir / "cfg.txt"), workdir / "out"
+def test_every_command_line_exits_cleanly(workdir, capfd):
+    cfg, out = workdir / "run.cfg", workdir / "out"
 
     @settings(derandomize=True, deadline=None, max_examples=150,
               database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(command_lines(str(workdir / "lines.csv")))
-    def check(argvs):
+    @given(command_lines(str(workdir / "lines.csv")), config_lines())
+    def check(argvs, lines):
         argv, joined = argvs
         assert parsed(argv) == parsed(joined)
         shutil.rmtree(out, ignore_errors=True)
+        cfg.write_text("\n".join([f"output_dir = {out}", *lines]) + "\n",
+                       encoding="utf-8")
+        capfd.readouterr()
         with warnings.catch_warnings():
             # a warning numpy prints is noise a user cannot act on
             warnings.simplefilter("error")
-            code = run(["--config", cfg, *argv])
+            code = run(["--config", str(cfg), *argv])
         assert code in (0, 1, 2)
-        # an unresolved branch is a domain error, not a numerical one
-        assert not (argv[0] == "odmr" and code == 2)
+        # fd-level capture: LAPACK writes to the process's own streams
+        printed = capfd.readouterr()
+        assert "Traceback" not in printed.err
+        assert "DLASCL" not in printed.out + printed.err
+        # an unresolved branch is a domain error, not a numerical one; a
+        # linewidth, hop rate or frequency whose square overflows the
+        # exchange resolvent is numerical (test_motional, test_cli)
+        if argv[0] == "odmr" and code == 2:
+            assert "exchange resolvent singular or overflowed" in printed.err
         if code == 1:
             # a usage error is found before any output is written
             assert not out.exists() or not any(out.iterdir())

@@ -181,16 +181,35 @@ class TestSweep:
         assert sr.ambiguous_points == []
 
 
+def scalar_greedy_match(ov):
+    """Assign current eigenvectors to tracks by descending overlap^2,
+    given ov[track, column], one step at a time.
+
+    Returns (permutation, best overlap^2 per track): perm[track] = column
+    index continuing that track.
+    """
+    n = ov.shape[0]
+    perm, taken, quality = [-1] * n, [False] * n, [0.0] * n
+    flat = ov.ravel().tolist()
+    for ij in np.argsort(ov, axis=None)[::-1].tolist():
+        i, j = divmod(ij, n)
+        if perm[i] < 0 and not taken[j]:
+            perm[i] = j
+            taken[j] = True
+            quality[i] = flat[ij]
+    return perm, quality
+
+
 def greedy_tracks(params, grid):
-    """sweep()'s tracking with greedy matching at every step: tracked
-    energies, tracked vectors and ambiguous points."""
+    """sweep()'s tracking with scalar greedy matching at every step, in
+    track order: tracked energies, tracked vectors and ambiguous points."""
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), grid))
     steps = (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2
     perms = [np.arange(6)]
     ambiguous = []
     for idx in range(1, grid.size):
-        perm, quality = _greedy_match(steps[idx - 1][perms[-1]])
+        perm, quality = scalar_greedy_match(steps[idx - 1][perms[-1]])
         perms.append(np.array(perm))
         if min(quality) < 0.5:
             ambiguous.append(idx)
@@ -200,9 +219,28 @@ def greedy_tracks(params, grid):
             ambiguous)
 
 
-class TestTrackingShortcut:
-    """sweep() takes the row argmax where greedy matching must give it;
-    the tracks are those of greedy matching at every step."""
+def random_tracking_model(rng):
+    """A model and a coarse grid through or from zero strain: lambda_perp
+    = 0 or Delta = 0 (where exact-zero overlaps tie) or e_es_coeff > 0 in
+    turn, on a uniform or a non-uniform grid."""
+    kind = rng.integers(4)
+    params = FineStructureParams(
+        lambda_z=rng.uniform(1.0, 10.0),
+        lambda_perp=0.0 if kind == 1 else rng.uniform(0.0, 1.0),
+        d_es=rng.uniform(0.3, 3.0),
+        delta_cap=0.0 if kind == 2 else rng.uniform(0.1, 3.0),
+        e_es_coeff=rng.uniform(0.0, 0.2) if kind == 3 else 0.0)
+    lo = rng.choice([0.0, rng.uniform(-20.0, 0.0)])
+    hi = rng.uniform(2.0, 30.0)
+    n = int(rng.integers(3, 16))
+    grid = (np.linspace(lo, hi, n) if rng.random() < 0.5
+            else np.unique(np.r_[lo, rng.uniform(lo, hi, n - 1)]))
+    return params, grid
+
+
+class TestTracking:
+    """sweep() matches every step at once; the tracks are those of scalar
+    greedy matching at every step."""
 
     @pytest.mark.parametrize("grid, ambiguous", [
         (np.linspace(0.0, 20.0, 801), []),       # the CLI's default grid
@@ -219,22 +257,54 @@ class TestTrackingShortcut:
 
     def test_equals_greedy_matching_on_random_models(self):
         rng = np.random.default_rng(3)
+        models = [random_tracking_model(rng) for _ in range(600)]
+        models.append((replace(DEFAULTS, delta_cap=0.0),
+                       np.linspace(-20.0, 20.0, 2001)))
         ambiguous = 0
-        for _ in range(60):
-            params = FineStructureParams(
-                lambda_z=rng.uniform(1.0, 10.0),
-                lambda_perp=rng.uniform(0.0, 1.0),
-                d_es=rng.uniform(0.3, 3.0),
-                delta_cap=rng.uniform(0.1, 3.0))
-            grid = np.linspace(0.0, rng.uniform(2.0, 30.0),
-                               int(rng.integers(5, 60)))
+        for params, grid in models:
             sr = sweep(params, grid)
             energies, vectors, points = greedy_tracks(params, grid)
             assert np.array_equal(sr.energies, energies)
             assert np.array_equal(sr.vectors, vectors)
             assert sr.ambiguous_points == points
             ambiguous += len(points)
-        assert ambiguous > 0
+        # greedy's hard steps ran
+        assert ambiguous >= 50
+
+    def test_matcher_breaks_ties_in_row_major_order(self):
+        ov = np.zeros((4, 6, 6))
+        # step 0: all tied, so the diagonal, in row order
+        # step 1: rows 0 and 1 tie on column 1, and row 2 on columns 3
+        # and 4; entry (0, 1) comes first, then (2, 3)
+        ov[1, 0, 1] = ov[1, 1, 1] = 0.6
+        ov[1, 2, 3] = ov[1, 2, 4] = 0.6
+        ov[1, 1, 0] = 0.3
+        # step 2: a unit entry, then a 2 x 2 block of tied halves, then
+        # zeros taken in row-major order
+        ov[2, 5, 0] = 1.0
+        ov[2, 0:2, 4:6] = 0.5
+        # step 3: row 3 ties on columns 0 and 3, but entry (1, 0) comes
+        # first and takes column 0
+        ov[3] = np.eye(6)[[1, 0, 2, 3, 5, 4]]
+        ov[3, 3, 0] = 1.0
+        before = ov.copy()
+        cols, quality = _greedy_match(ov)
+        assert np.array_equal(ov, before)
+        assert cols.tolist() == [
+            [0, 1, 2, 3, 4, 5],
+            [1, 0, 3, 2, 4, 5],
+            [4, 5, 1, 2, 3, 0],
+            [1, 0, 2, 3, 5, 4]]
+        assert quality.tolist() == [
+            [0.0] * 6,
+            [0.6, 0.3, 0.6, 0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0, 0.0, 1.0],
+            [1.0] * 6]
+        # each step is matched on its own
+        for s in range(4):
+            one = _greedy_match(ov[s:s + 1])
+            assert np.array_equal(one[0][0], cols[s])
+            assert np.array_equal(one[1][0], quality[s])
 
 
 class TestCharacters:
