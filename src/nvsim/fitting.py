@@ -7,8 +7,9 @@ eigenvalues at the defect's (unknown) transverse strain, shifted by a
 free per-defect offset. Global parameters (lambda_z, d_es, delta_cap and
 optionally lambda_perp) are shared across defects. They are found by
 variable projection (Golub and Pereyra 2003): a Levenberg-Marquardt loop
-(More 1978) over the globals alone, on the cost minimized over every
-defect's strain and offset, with an exact Jacobian. The Hamiltonian is
+(More 1978) over the globals alone, on the cost (the unweighted sum of
+squared line residuals, GHz^2) minimized over every defect's strain and
+offset, with an exact Jacobian. The Hamiltonian is
 linear in every global, so one eigensolve gives all Hellmann-Feynman
 slopes.
 
@@ -65,16 +66,12 @@ class FitError(ArithmeticError):
 class ObservedDefect:
     id: str
     lines: tuple            # detunings, GHz
-    sigma: float = 0.01     # GHz
 
     def __post_init__(self):
         if len(self.lines) < 2:
             raise ValueError(f"defect {self.id}: need at least 2 lines")
         if not all(np.isfinite(x) for x in self.lines):
             raise ValueError(f"defect {self.id}: non-finite line position")
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"defect {self.id}: sigma must be positive "
-                             "and finite")
 
 
 @dataclass
@@ -144,23 +141,22 @@ def _match(pred, meas):
     return (_take(sel, k) - anchor[..., None]) - meas_c, k, k_first
 
 
-def _cost(pred, meas, sigmas):
-    """Whitened squared residual of the matched lines."""
+def _cost(pred, meas):
+    """Squared residual of the matched lines, GHz^2."""
     diff = _match(pred, meas)[0]
     diff *= diff        # in place: on the grid scan it is a large array
-    return diff.sum(axis=-1) / sigmas ** 2
+    return diff.sum(axis=-1)
 
 
 def _groups(data):
-    """(positions in data, sorted lines (n, m), sigmas (n,)) per count m."""
+    """(positions in data, sorted lines (n, m)) per line count m."""
     counts = np.array([len(d.lines) for d in data])
     # not np.unique, which imports numpy.ma
     idxs = [np.flatnonzero(counts == m) for m in sorted(set(counts.tolist()))]
-    return [(idx, np.array([_measured(data[i]) for i in idx]),
-             np.array([data[i].sigma for i in idx])) for idx in idxs]
+    return [(idx, np.array([_measured(data[i]) for i in idx])) for idx in idxs]
 
 
-def _refine_strains(params, grid, costs, meas, sigmas):
+def _refine_strains(params, grid, costs, meas):
     """Per-defect strain minimization for partial line lists: safeguarded
     successive parabolic interpolation from the bracket of grid points
     around the coarse-grid minimum, batched across defects (one stacked
@@ -198,7 +194,7 @@ def _refine_strains(params, grid, costs, meas, sigmas):
         fallback = 0.5 * (x1 + np.where(dx[0] >= -dx[1], x0, x2))
         cand = np.where((vertex > x0) & (vertex < x2) & (step >= 1e-14),
                         vertex, fallback)
-        fc = _cost(predicted_lines(params, cand), meas, sigmas)
+        fc = _cost(predicted_lines(params, cand), meas)
         better = fc < best_f
         best_x = np.where(better, cand, best_x)
         best_f = np.where(better, fc, best_f)
@@ -214,7 +210,7 @@ def _refine_strains(params, grid, costs, meas, sigmas):
             np.where(middle, pts[1, 1], best_f))
 
 
-def _gauss_newton_strains(params, grid, costs, meas, sigmas, start=None):
+def _gauss_newton_strains(params, grid, costs, meas, start=None):
     """Per-defect strain minimization for full line lists, batched across
     defects and kept in the bracket of grid points around the coarse-grid
     minimum. It starts from the strains start where they lie inside that
@@ -244,7 +240,7 @@ def _gauss_newton_strains(params, grid, costs, meas, sigmas, start=None):
         else:
             values = predicted_lines(params, x)
         r = _match(values, meas)[0]
-        cost = (r * r).sum(axis=1) / sigmas ** 2
+        cost = (r * r).sum(axis=1)
         better = cost < best_cost
         best_x = np.where(better, x, best_x)
         best_cost = np.where(better, cost, best_cost)
@@ -266,23 +262,23 @@ def _gauss_newton_strains(params, grid, costs, meas, sigmas, start=None):
 
 
 def _solve_strains(params, groups, guess=None):
-    """Every defect's best strain at params and its whitened cost, in data
+    """Every defect's best strain at params and its cost, in data
     order: a scan of STRAIN_GRID, then the refinement for its line count;
     full line lists start from the strains guess (data order) where given.
     Also flags the defects whose best grid strain is STRAIN_MAX."""
-    n = sum(idx.size for idx, _, _ in groups)
+    n = sum(idx.size for idx, _ in groups)
     grid_pred = predicted_lines(params, STRAIN_GRID)
     strains, costs = np.empty(n), np.empty(n)
     at_edge = np.empty(n, dtype=bool)
-    for idx, meas, sigmas in groups:
-        grid_costs = _cost(grid_pred, meas[:, None, :], sigmas[:, None])
+    for idx, meas in groups:
+        grid_costs = _cost(grid_pred, meas[:, None, :])
         if meas.shape[1] == N_LINES:
             strains[idx], costs[idx] = _gauss_newton_strains(
-                params, STRAIN_GRID, grid_costs, meas, sigmas,
+                params, STRAIN_GRID, grid_costs, meas,
                 None if guess is None else guess[idx])
         else:
             strains[idx], costs[idx] = _refine_strains(
-                params, STRAIN_GRID, grid_costs, meas, sigmas)
+                params, STRAIN_GRID, grid_costs, meas)
         at_edge[idx] = np.argmin(grid_costs, axis=1) == STRAIN_GRID.size - 1
     return strains, costs, at_edge
 
@@ -290,8 +286,8 @@ def _solve_strains(params, groups, guess=None):
 def _linearize(params, names, strains, groups):
     """The matched residuals at the strains and their reduced Jacobian in
     the globals names, from one eigensolve per group of `_groups`. Per
-    group: `_match`'s residuals and rows, the offsets, the whitened
-    Jacobian (n, m, p) and the strains' derivatives in the globals (n, p).
+    group: `_match`'s residuals and rows, the offsets, the Jacobian
+    (n, m, p) and the strains' derivatives in the globals (n, p).
 
     A residual is sel_k - mean(first) - (meas - mean meas), so its
     derivative is that of the matched row k minus the mean derivative of
@@ -306,7 +302,7 @@ def _linearize(params, names, strains, groups):
     family = strain_family(params)
     ops = parameter_operators(tuple(names))
     out = []
-    for idx, meas, sigmas in groups:
+    for idx, meas in groups:
         values, d_delta, d_theta = strain_slopes(family, strains[idx], ops)
         diff, k, k_first = _match(values, meas)
         rows = _INJECTIONS[meas.shape[1]]
@@ -316,10 +312,9 @@ def _linearize(params, names, strains, groups):
         fixed = sel.shape[:2]
         d = (_take(sel, np.broadcast_to(k[:, None], fixed))
              - _mean(_take(sel, np.broadcast_to(k_first[:, None], fixed)))
-             [..., None]) / sigmas[:, None, None]
+             [..., None])
         j_delta, j_theta = d[:, 0], d[:, 1:]
-        # an overflow (sigma far too small) is caught before any solve
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
             coef = (j_theta @ j_delta[..., None]) \
                 / (j_delta * j_delta).sum(axis=1)[:, None, None]
         # a flat strain direction has nothing to project out
@@ -329,45 +324,35 @@ def _linearize(params, names, strains, groups):
     return out
 
 
-def _stack(groups, lin):
-    """Whitened residual vector r and Jacobian J (rows, p) of all groups."""
-    r = np.concatenate([(diff / sigmas[:, None]).ravel()
-                        for (_, _, sigmas), (diff, *_) in zip(groups, lin)])
+def _stack(lin):
+    """Residual vector r and Jacobian J (rows, p) of all groups."""
+    r = np.concatenate([diff.ravel() for diff, *_ in lin])
     jac = np.concatenate([j.reshape(-1, j.shape[-1])
                           for _, _, _, j, _ in lin])
     return r, jac
 
 
-def _require_finite(sigma, *arrays):
-    """Keep LAPACK off an overflowed whitened system: a sigma far below
-    the line scale takes the residuals, the Jacobian or J^T J past the
-    float range. sigma is the smallest one, named in the error."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise FitError("the whitened residuals or their Jacobian overflow: "
-                       f"sigma {sigma:g} GHz is too small")
-
-
 def fit(data, params=None, free_lambda_perp=False):
     """Fit shared fine-structure parameters plus per-defect strain and
-    offset, started from params (default FineStructureParams()). The
-    globals fitted are lambda_z, d_es and delta_cap, plus lambda_perp if
-    free_lambda_perp; each stays within BOUNDS, and every other field
-    keeps its value in params. The fit is by variable projection: the
-    cost of the globals is its minimum over every defect's strain (a grid
-    scan plus 1-D refinement, a deterministic multi-start) and offset
-    (closed form). A Levenberg-Marquardt loop minimizes it on the exact
-    reduced Jacobian (see `_linearize`, run once per accepted point). It
-    converges when the Gauss-Newton step, clipped to the bounds, moves no
-    global by more than XTOL relative to the largest, or an accepted step
-    lowers the cost by at most TOL relative.
-    It stops without when no damped step up to MU_MAX lowers the cost
-    (`stalled`) or after MAX_ITER iterations. lambda_perp, when free, is
-    kept at least PERP_FLOOR. A defect whose best grid point is
+    offset, started from params (default FineStructureParams()), by least
+    squares: the cost is the unweighted sum of squared matched residuals,
+    in GHz^2. The globals fitted are lambda_z, d_es and delta_cap, plus
+    lambda_perp if free_lambda_perp; each stays within BOUNDS, and every
+    other field keeps its value in params. The fit is by variable
+    projection: the cost of the globals is its minimum over every
+    defect's strain (a grid scan plus 1-D refinement, a deterministic
+    multi-start) and offset (closed form). A Levenberg-Marquardt loop
+    minimizes it on the exact reduced Jacobian (see `_linearize`, run
+    once per accepted point). It converges when the Gauss-Newton step,
+    clipped to the bounds, moves no global by more than XTOL relative to
+    the largest, or an accepted step lowers the cost by at most TOL
+    relative. It stops without when no damped step up to MU_MAX lowers
+    the cost (`stalled`) or after MAX_ITER iterations. lambda_perp, when
+    free, is kept at least PERP_FLOOR. A defect whose best grid point is
     STRAIN_MAX flags the fit not converged and is listed in `edge_ids`.
     1 sigma errors of the globals come from the final Jacobian,
-    (J^T J)^-1 cost / (lines - free). A cost not finite at the start, or
-    a sigma so small that the whitened system overflows, raises FitError
-    before LAPACK sees it."""
+    (J^T J)^-1 cost / (lines - free). A cost not finite at the start
+    raises FitError before LAPACK sees it."""
     if not data:
         raise FitError("no defects supplied")
     start = FineStructureParams() if params is None else params
@@ -388,7 +373,6 @@ def fit(data, params=None, free_lambda_perp=False):
         # the cost's gradient vanish, and no step would leave 0
         lo[-1] = max(lo[-1], PERP_FLOOR)
     groups = _groups(data)
-    sigma = min(d.sigma for d in data)
 
     # a trial whose cost overflows is merely rejected
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -400,23 +384,17 @@ def fit(data, params=None, free_lambda_perp=False):
     theta = np.clip([getattr(start, n) for n in names], lo, hi)
     params, strains, at_edge, cost = evaluate(theta)
     if not np.isfinite(cost):
-        # the same residuals unwhitened tell which input is to blame
-        unit = [(idx, meas, np.ones(idx.size)) for idx, meas, _ in groups]
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = _solve_strains(params, unit)[1].sum()
-        why = (f"sigma {sigma:g} GHz is too small" if np.isfinite(raw)
-               else "line positions out of range")
         raise FitError(f"the cost at the starting parameters is not finite "
-                       f"({cost:g}): {why}")
+                       f"({cost:g}): line positions out of range")
     # linearized once per accepted point, the last one reused below
     lin = _linearize(params, names, strains, groups)
     mu, nit, converged, stalled = MU_START, 0, False, False
     while not (converged or stalled) and nit < MAX_ITER:
         nit += 1
-        r, jac = _stack(groups, lin)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad, hess = jac.T @ r, jac.T @ jac
-        _require_finite(sigma, r, jac, grad, hess)
+        # r, J, J^T J are finite as the accepted cost is: Hellmann-Feynman
+        # slopes are O(1) and Kaufman's projection cannot grow a row
+        r, jac = _stack(lin)
+        grad, hess = jac.T @ r, jac.T @ jac
         # the undamped (Gauss-Newton) step tests convergence; a damped
         # one is short merely because mu is large
         gauss_newton = np.clip(
@@ -427,7 +405,7 @@ def fit(data, params=None, free_lambda_perp=False):
         # each defect's strain at a trial point, to first order, starts
         # its Gauss-Newton refinement
         d_strain = np.empty((len(data), len(names)))
-        for (idx, _, _), (*_, d_group) in zip(groups, lin):
+        for (idx, _), (*_, d_group) in zip(groups, lin):
             d_strain[idx] = d_group
         # the floor keeps a flat column from making the system singular
         scale = np.diag(hess)
@@ -447,20 +425,18 @@ def fit(data, params=None, free_lambda_perp=False):
                 stalled = True
                 break
 
-    _, jac = _stack(groups, lin)
+    _, jac = _stack(lin)
     dof = n_lines - n_free
     errors = {}
     # a global the lines do not depend on has no error
     cols = np.flatnonzero(np.any(jac != 0.0, axis=0))
     if dof > 0 and cols.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            normal = jac[:, cols].T @ jac[:, cols]
-        _require_finite(sigma, jac, normal)
+        normal = jac[:, cols].T @ jac[:, cols]
         cov = np.linalg.inv(normal) * (cost / dof)
         errors = dict(zip([names[j] for j in cols],
                           np.sqrt(np.diag(cov)).tolist()))
     offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
-    for (idx, meas, _), (diff, k, offset, *_) in zip(groups, lin):
+    for (idx, meas), (diff, k, offset, *_) in zip(groups, lin):
         offsets[idx] = offset
         sq[idx] = (diff * diff).sum(axis=1)
         pairs.update((data[i].id, list(enumerate(row.tolist())))
@@ -490,7 +466,6 @@ def synthesize_dataset(params, strains, offsets=None, noise=0.0, seed=0):
                               + np.asarray(offsets)[:, None]):
         if noise > 0:
             lines = lines + rng.normal(0.0, noise, size=lines.size)
-        defects.append(ObservedDefect(
-            id=f"nv{i+1:02d}", lines=tuple(np.sort(lines)),
-            sigma=max(noise, 0.01)))
+        defects.append(ObservedDefect(id=f"nv{i+1:02d}",
+                                      lines=tuple(np.sort(lines))))
     return defects

@@ -66,10 +66,6 @@ class RateParams:
             raise ValueError("k_isc_z must not exceed k_isc_xy")
 
 
-# Symmetry labels of the zero-strain eigenstates, lowest pair first.
-SYMMETRY_LABELS = ("E1", "E2", "E'x", "E'y", "A1", "A2")
-
-
 @dataclass(frozen=True)
 class FineStructureParams:
     """Zero-strain energies of the excited-state fine structure (GHz).
@@ -197,9 +193,6 @@ def ground_levels(params):
     """Ground-state triplet energies (gSz, gSx, gSy), traceless, with
     doublet - singlet gap equal to d_gs."""
     return (-2.0 * params.d_gs / 3.0, params.d_gs / 3.0, params.d_gs / 3.0)
-
-
-GROUND_LABELS = ("gSz", "gSx", "gSy")
 
 
 def zero_strain_levels(params):

@@ -15,7 +15,7 @@ import numpy as np
 from .linalg import hermitian_eigen
 from .model import RateParams  # noqa: F401, re-exported here
 from .model import build_excited_hamiltonian, ground_levels
-from .sweep import classify_level
+from .sweep import _characters
 
 N_LEVELS = 10
 IDX_GSZ, IDX_GSX, IDX_GSY = 0, 1, 2
@@ -49,8 +49,7 @@ class RateModelError(ArithmeticError):
 @lru_cache(maxsize=64)
 def _excited_structure(params, strain):
     es = hermitian_eigen(build_excited_hamiltonian(params, strain))
-    chars = [classify_level(es.vectors[:, k]) for k in range(6)]
-    return es.values, chars
+    return es.values, _characters(es.vectors[None])[0]
 
 
 def transition_lines(params, strain):
@@ -231,18 +230,21 @@ def stationary_state(generator):
     for i in range(gens.shape[0]):
         sol[i], _, rank[i], _ = np.linalg.lstsq(a[i], b, rcond=None)
     residual = np.abs(np.einsum("nij,nj->ni", gens, sol)).max(axis=1)
-    reducible = rank < N_LEVELS
-    failed = reducible | (residual > 1e-8) | (sol.min(axis=1) < -1e-8)
+    deficient, unsolved = rank < N_LEVELS, residual > 1e-8
+    failed = deficient | unsolved | (sol.min(axis=1) < -1e-8)
     if failed.any():
         i = np.argmax(failed)
-        if reducible[i]:
-            raise RateModelError(
-                f"stationary state not unique (bordered generator rank "
-                f"{rank[i]} < {N_LEVELS}: the generator is reducible)",
-                _member(i, shape))
-        raise RateModelError(
-            f"stationary state not found (residual {residual[i]:.3e})",
-            _member(i, shape))
+        if deficient[i]:
+            why = (f"not unique (bordered generator rank-deficient, rank "
+                   f"{rank[i]} < {N_LEVELS}: the generator is reducible, "
+                   "or its rates span too wide a range)")
+        elif unsolved[i]:
+            why = f"not found (residual {residual[i]:.3e})"
+        else:
+            level = np.argmin(sol[i])
+            why = (f"not found (level {level} has negative population "
+                   f"{sol[i, level]:.3e})")
+        raise RateModelError("stationary state " + why, _member(i, shape))
     pos = np.clip(sol, 0.0, None)
     return (pos / pos.sum(axis=1, keepdims=True)).reshape(
         shape + (N_LEVELS,))

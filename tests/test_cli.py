@@ -321,6 +321,19 @@ class TestExitCodes:
         assert not [w for w in recwarn if w.category is RuntimeWarning]
         assert not (out / "excitation.csv").exists()
 
+    def test_rank_deficiency_is_not_called_reducible(self, tmp_path,
+                                                     capsys):
+        # every transition is present, but the rates span about 1e302,
+        # so the bordered generator's numerical rank falls
+        cfg, out = make_config(tmp_path, "gamma_rad = 1e300\n")
+        assert run(["--config", cfg, "excitation",
+                    "--detuning-points", "11"]) == 2
+        err = capsys.readouterr().err
+        assert "stationary state not unique" in err
+        assert "rank-deficient" in err
+        assert "reducible, or its rates span too wide a range" in err
+        assert not (out / "excitation.csv").exists()
+
     def test_fit_strain_beyond_grid(self, tmp_path, capsys):
         init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
         cfg, out = make_config(tmp_path, init)

@@ -186,19 +186,17 @@ class TestGaussNewtonStrains:
                          d_es=TRUTH.d_es + shift,
                          delta_cap=TRUTH.delta_cap + shift)
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
-        (_, meas, sigmas), = _groups(data)
-        grid_costs = _cost(predicted_lines(params, grid), meas[:, None, :],
-                           sigmas[:, None])
+        (_, meas), = _groups(data)
+        grid_costs = _cost(predicted_lines(params, grid), meas[:, None, :])
         x_gn, cost_gn = _gauss_newton_strains(params, grid, grid_costs,
-                                              meas, sigmas)
-        cost_par = _refine_strains(params, grid, grid_costs, meas,
-                                   sigmas)[1]
-        assert np.all(cost_gn <= cost_par * (1 + 1e-9) + 1e-12)
+                                              meas)
+        cost_par = _refine_strains(params, grid, grid_costs, meas)[1]
+        assert np.all(cost_gn <= cost_par * (1 + 1e-9) + 1e-16)
         assert np.all(cost_gn <= grid_costs.min(axis=1))
         # the reported cost is the cost at the reported strain
         assert cost_gn == pytest.approx(
-            _cost(predicted_lines(params, x_gn), meas, sigmas),
-            rel=1e-9, abs=1e-12)
+            _cost(predicted_lines(params, x_gn), meas),
+            rel=1e-9, abs=1e-16)
 
 
     @pytest.mark.parametrize("drop", [(0, 5), (5,)])
@@ -208,12 +206,11 @@ class TestGaussNewtonStrains:
         full = synthesize_dataset(TRUTH, [40.0], seed=9)
         data = [replace(d, lines=tuple(x for i, x in enumerate(d.lines)
                                        if i not in drop)) for d in full]
-        (_, meas, sigmas), = _groups(data)
+        (_, meas), = _groups(data)
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
-        grid_costs = _cost(predicted_lines(TRUTH, grid), meas[:, None, :],
-                           sigmas[:, None])
+        grid_costs = _cost(predicted_lines(TRUTH, grid), meas[:, None, :])
         assert np.argmin(grid_costs) == grid.size - 1
-        x, cost = _refine_strains(TRUTH, grid, grid_costs, meas, sigmas)
+        x, cost = _refine_strains(TRUTH, grid, grid_costs, meas)
         assert x[0] == STRAIN_MAX
         assert cost[0] <= grid_costs.min()
 
@@ -266,14 +263,13 @@ class TestStoppedSearches:
         params = shifted(shift)
         groups = _groups(stop_ensemble(kind))
         strains, costs, _ = _solve_strains(params, groups)
-        (_, meas, sigmas), = groups
+        (_, meas), = groups
         grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
-                           meas[:, None, :], sigmas[:, None])
+                           meas[:, None, :])
         assert np.all(costs <= grid_costs.min(axis=1))
         # 21 points 1e-7 GHz apart, the refined strain in the middle
         scan = strains[:, None] + np.arange(-10, 11) * 1e-7
-        scan_costs = _cost(predicted_lines(params, scan), meas[:, None, :],
-                           sigmas[:, None])
+        scan_costs = _cost(predicted_lines(params, scan), meas[:, None, :])
         assert np.all(scan_costs.min(axis=1)
                       >= scan_costs[:, 10] * (1 - 1e-12))
 
@@ -300,18 +296,18 @@ class TestStoppedSearches:
     def test_gauss_newton_starts_inside_the_bracket(self, offset,
                                                     monkeypatch):
         params = shifted(0.4)
-        (_, meas, sigmas), = _groups(stop_ensemble("full"))
+        (_, meas), = _groups(stop_ensemble("full"))
         grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
-                           meas[:, None, :], sigmas[:, None])
+                           meas[:, None, :])
         x_grid, cost_grid = _gauss_newton_strains(
-            params, STRAIN_GRID, grid_costs, meas, sigmas)
+            params, STRAIN_GRID, grid_costs, meas)
         start = x_grid + offset
         first = []
         slopes = fitting.strain_slopes
         monkeypatch.setattr(fitting, "strain_slopes", lambda family, x: (
             first.append(np.copy(x)), slopes(family, x))[1])
         x, cost = _gauss_newton_strains(params, STRAIN_GRID, grid_costs,
-                                        meas, sigmas, start)
+                                        meas, start)
         # the bracket is the grid points either side of the grid minimum
         k = np.argmin(grid_costs, axis=1)
         inside = np.abs(start - STRAIN_GRID[k]) <= COARSE_STEP
@@ -327,13 +323,6 @@ class TestObservedDefect:
             ObservedDefect(id="x", lines=(1.0,))
         with pytest.raises(ValueError):
             ObservedDefect(id="x", lines=(1.0, np.inf))
-        with pytest.raises(ValueError):
-            ObservedDefect(id="x", lines=(1.0, 2.0), sigma=0.0)
-
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
-    def test_rejects_non_finite_sigma(self, sigma):
-        with pytest.raises(ValueError, match="finite"):
-            ObservedDefect(id="x", lines=(1.0, 2.0), sigma=sigma)
 
 
 class TestFit:
@@ -468,7 +457,7 @@ class TestVariableProjection:
 
         params = replace(TRUTH, **dict(zip(names, theta)))
         strains = _solve_strains(params, groups)[0]
-        r, jac = _stack(groups, _linearize(params, names, strains, groups))
+        r, jac = _stack(_linearize(params, names, strains, groups))
         h = 1e-5
         for j, step in enumerate(h * np.eye(len(names))):
             central = (cost(theta + step) - cost(theta - step)) / (2 * h)
@@ -497,21 +486,20 @@ class TestVariableProjection:
         single = [replace(data[1], lines=lines[:2] + lines[3:])]
         assert fit(single, START).errors == {}
 
-    @pytest.mark.parametrize("sigma", [1e-154, 1e-160, 1e-310])
-    def test_tiny_sigma_named_before_lapack_runs(self, sigma, recwarn):
-        # 1e-154 overflows J^T J at the start, smaller ones the cost
-        data = [ObservedDefect(d.id, d.lines, sigma=sigma)
-                for d in synthesize_dataset(TRUTH, [3, 8, 13, 18],
-                                            noise=0.01, seed=1)]
-        with pytest.raises(FitError, match=f"sigma {sigma:g} GHz is too "
-                                           "small"):
-            fit(data, START)
+    def test_huge_lines_fit_without_a_warning(self, recwarn):
+        # c11's ensemble scaled by 1e150: the cost, about 1e300 GHz^2,
+        # is still finite, so the fit runs, and LAPACK sees no overflow
+        strains = np.sort(np.random.default_rng(1).uniform(0.5, 20.0, 27))
+        data = [ObservedDefect(d.id, tuple(1e150 * np.array(d.lines)))
+                for d in synthesize_dataset(TRUTH, strains, seed=2)]
+        assert isinstance(fit(data, START), fitting.FitResult)
         assert not recwarn.list
 
     def test_non_finite_starting_cost_raises(self):
         data = [ObservedDefect(id=f"nv{i}", lines=tuple(
             1e300 * (1 + 1e-15 * np.arange(6)))) for i in range(2)]
-        with pytest.raises(FitError, match="not finite"):
+        with pytest.raises(FitError, match="not finite.*line positions out "
+                                           "of range"):
             fit(data)
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])

@@ -94,6 +94,21 @@ class TestRateMatrix:
         with pytest.raises(RateModelError, match="not unique"):
             stationary_state(g)
 
+    def test_negative_population_is_named(self):
+        # a metastable singlet that hardly decays traps the population,
+        # and the ground levels are pumped only far off resonance: the
+        # chain is nearly reducible, and the least-squares null vector
+        # comes out with a ground population below -1e-8 at a residual
+        # near 1e-15
+        rates = replace(RATES, gamma_singlet=1e-301, k_isc_xy=5.0)
+        g = build_rate_matrix(PARAMS, StrainVector(27.0, 0.0), rates,
+                              laser_detuning=1.0)
+        with pytest.raises(RateModelError, match=r"not found \(level \d "
+                           r"has negative population -\d\.\d{3}e-\d\d\)"
+                           ) as err:
+            stationary_state(g)
+        assert "residual" not in str(err.value)
+
     def test_stationary_state_rejects_non_finite_generator(self):
         # LAPACK hangs on a bordered generator holding an inf
         g = build_rate_matrix(PARAMS, STRAIN, RATES, mw_on=True)
