@@ -188,7 +188,7 @@ def _cmd_sweep(cfg, args, command):
     path = _out(cfg, "sweep.csv")
     write_csv(path, ["delta_perp_ghz"] + [f"track{k+1}_ghz"
                                           for k in range(6)],
-              [(sr.grid[i], *sr.energies[i]) for i in range(sr.grid.size)])
+              np.column_stack([sr.grid, sr.energies]).tolist())
     cpath = _out(cfg, "crossings.csv")
     write_csv(cpath, ["delta_perp_ghz", "track_a", "track_b",
                       "min_gap_ghz", "avoided"],
@@ -223,7 +223,7 @@ def _cmd_excitation(cfg, args, command):
     spec = excitation_spectrum(cfg.fine_structure(), strain, cfg.rates(),
                                grid, mw_on=args.mw)
     path = _out(cfg, "excitation.csv")
-    write_csv(path, ["detuning_ghz", "pl_rate"], [tuple(r) for r in spec])
+    write_csv(path, ["detuning_ghz", "pl_rate"], spec.tolist())
     _finish(cfg, command, [path],
             f"spectrum over [{args.detuning_min}, {args.detuning_max}] GHz, "
             f"MW {'on' if args.mw else 'off'}")
@@ -279,7 +279,8 @@ def _cmd_odmr(cfg, args, command):
                  "--freq-min and --freq-max", "--freq-points")
     shape = exchange_lineshape(model, grid)
     path = _out(cfg, "odmr.csv")
-    write_csv(path, ["freq_ghz", "intensity"], list(zip(grid, shape)))
+    write_csv(path, ["freq_ghz", "intensity"],
+              list(zip(grid.tolist(), shape.tolist())))
     _finish(cfg, command, [path],
             f"lineshape at T = {args.temperature} K "
             f"(hop rate {format_number(model.hop_rate)} GHz)")

@@ -170,17 +170,16 @@ def _refine_strains(params, grid, costs, meas):
     k = np.argmin(costs, axis=1)
     best_x, best_f = grid[k], costs[idx, k]
     k = np.clip(k, 1, grid.size - 2)
-    # (left end, middle, right end) of each bracket, each (strain, cost)
-    pts = np.stack([grid[[k - 1, k, k + 1]], costs[idx, [k - 1, k, k + 1]]],
-                   axis=1)
+    # (left end, middle, right end) strains and costs of each bracket
+    xs, fs = grid[[k - 1, k, k + 1]], costs[idx, [k - 1, k, k + 1]]
     near_before = False
     for _ in range(REFINE_ITERS):
-        (x0, x1, x2), f1 = pts[:, 0], pts[1, 1]
+        x0, x1, x2 = xs
         # the vertex of the parabola through the bracket:
         # x1 - (a^2 fa - b^2 fb) / 2 (a fa - b fb), with a = x1 - x0,
         # b = x1 - x2, fa = f1 - f2 and fb = f1 - f0
-        dx = x1 - pts[::2, 0]           # a, b
-        df = f1 - pts[2::-2, 1]         # fa, fb
+        dx = x1 - xs[::2]               # a, b
+        df = fs[1] - fs[2::-2]          # fa, fb
         p, q = dx * df, dx * dx * df
         with np.errstate(divide="ignore", invalid="ignore"):
             vertex = x1 - 0.5 * (q[0] - q[1]) / (p[0] - p[1])
@@ -200,14 +199,15 @@ def _refine_strains(params, grid, costs, meas):
         best_f = np.where(better, fc, best_f)
         # merge the new point: of the four in order, keep the three around
         # the first lowest
-        new, left = np.array([cand, fc]), cand < x1
-        four = np.array([pts[0], np.where(left, new, pts[1]),
-                         np.where(left, pts[1], new), pts[2]])
-        lowest = np.minimum(four[::2, 1], four[1::2, 1])
-        pts = np.where(lowest[0] <= lowest[1], four[:3], four[1:])
-    middle = pts[1, 1] <= best_f
-    return (np.where(middle, pts[1, 0], best_x),
-            np.where(middle, pts[1, 1], best_f))
+        left = cand < x1
+        xs, fs = (np.array([v[0], np.where(left, new, v[1]),
+                            np.where(left, v[1], new), v[2]])
+                  for v, new in ((xs, cand), (fs, fc)))
+        lowest = np.minimum(fs[::2], fs[1::2])
+        xs, fs = (np.where(lowest[0] <= lowest[1], v[:3], v[1:])
+                  for v in (xs, fs))
+    middle = fs[1] <= best_f
+    return np.where(middle, xs[1], best_x), np.where(middle, fs[1], best_f)
 
 
 def _gauss_newton_strains(params, grid, costs, meas, start=None):

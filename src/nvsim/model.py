@@ -10,6 +10,10 @@ spin operators take the Cartesian angular-momentum form (S_k)_{ij} =
 
 Energies are in GHz throughout; 1 GPa of external stress corresponds to
 roughly 10^3 GHz of orbital splitting (GPA_TO_GHZ).
+
+The Hamiltonian is linear in each parameter and in the strain, and each
+term is stated once: PARAMETER_TERMS (parameter -> operator), STRAIN_X,
+STRAIN_Y and SX2_MINUS_SY2. Derivatives of H are read off these.
 """
 
 from dataclasses import dataclass
@@ -112,12 +116,10 @@ class StrainVector:
         return float(np.hypot(self.delta_x, self.delta_y))
 
 
-def _spin_ops():
-    """Spin-1 operators in the zero-field basis (Sx, Sy, Sz)."""
-    sx = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]])
-    sy = np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]])
-    sz = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
-    return sx, sy, sz
+# Spin-1 operators in the zero-field basis (Sx, Sy, Sz)
+_SX = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]])
+_SY = np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]])
+_SZ = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]])
 
 
 def _ket(index):
@@ -131,22 +133,14 @@ A1_STATE = (_ket(0) + _ket(4)) / np.sqrt(2.0)
 A2_STATE = (_ket(3) - _ket(1)) / np.sqrt(2.0)
 
 
-# Fixed 6x6 operators in the product basis above: the orbital strain
-# couplings tensored with the spin identity, the squared spin tensored
-# with the orbital identity, and the A2 minus A1 projector.
-_V_X = np.kron(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-               np.eye(3, dtype=complex))
-_V_Y = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-               np.eye(3, dtype=complex))
-_S_Z2 = np.kron(np.eye(2, dtype=complex), _spin_ops()[2] @ _spin_ops()[2])
-_A2_MINUS_A1 = (np.outer(A2_STATE, A2_STATE.conj())
-                - np.outer(A1_STATE, A1_STATE.conj()))
-
-# Spin-orbit product operator: lz_orb (x) sz_spin, not the product of the
-# padded six-dimensional matrices.
-_LZ_SZ = np.kron(np.array([[0, -1j], [1j, 0]]), _spin_ops()[2])
-_SX2_MINUS_SY2 = np.kron(np.eye(2),
-                         np.diag([-1.0, 1.0, 0.0])).astype(complex)
+# The orbital strain couplings (_VX, _VY) and fixed 6x6 operators in the
+# product basis above: those couplings tensored with the spin identity,
+# and the e_es term's spin operator tensored with the orbital identity.
+_VX = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_VY = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+STRAIN_X = np.kron(_VX, np.eye(3, dtype=complex))
+STRAIN_Y = np.kron(_VY, np.eye(3, dtype=complex))
+SX2_MINUS_SY2 = np.kron(np.eye(2), np.diag([-1.0, 1.0, 0.0])).astype(complex)
 
 # Transverse spin-orbit operator. Both C3v-allowed couplings between the
 # ms=0 and ms=+-1 sectors are included so that each of the two
@@ -158,17 +152,20 @@ _SX2_MINUS_SY2 = np.kron(np.eye(2),
 TRANSVERSE_SO_SCALE = 0.15
 
 
-def _transverse_so_operator():
-    sx, sy, sz = _spin_ops()
-    vx = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    vy = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    vector = np.kron(vx, sx) + np.kron(vy, sy)
-    anticomm = (np.kron(vx, sx @ sz + sz @ sx)
-                - np.kron(vy, sy @ sz + sz @ sy))
-    return TRANSVERSE_SO_SCALE * (vector + anticomm)
-
-
-_SO_PERP = _transverse_so_operator()
+# The term table: each parameter H is linear in, with no constant term,
+# and the operator it multiplies, in summation order. The axial spin-orbit
+# operator is -lz_orb (x) sz_spin, not a product of 6x6 matrices.
+PARAMETER_TERMS = {
+    "lambda_z": -np.kron(np.array([[0, -1j], [1j, 0]]), _SZ),
+    "d_es": (np.kron(np.eye(2, dtype=complex), _SZ @ _SZ)
+             - (2.0 / 3.0) * np.eye(6)),
+    "delta_cap": (np.outer(A2_STATE, A2_STATE.conj())
+                  - np.outer(A1_STATE, A1_STATE.conj())),
+    "lambda_perp": TRANSVERSE_SO_SCALE * (
+        (np.kron(_VX, _SX) + np.kron(_VY, _SY))
+        + (np.kron(_VX, _SX @ _SZ + _SZ @ _SX)
+           - np.kron(_VY, _SY @ _SZ + _SZ @ _SY))),
+}
 
 
 def build_excited_hamiltonian(params, strain):
@@ -178,14 +175,11 @@ def build_excited_hamiltonian(params, strain):
     (A1, A2) pair sits at the top of the zero-strain diagram and the E
     doublet at the bottom.
     """
-    dperp = strain.delta_perp
     h = (params.zpl_offset + params.delta_z) * np.eye(6, dtype=complex)
-    h -= params.lambda_z * _LZ_SZ
-    h += params.d_es * (_S_Z2 - (2.0 / 3.0) * np.eye(6))
-    h += params.delta_cap * _A2_MINUS_A1
-    h += params.lambda_perp * _SO_PERP
-    h += strain.delta_x * _V_X + strain.delta_y * _V_Y
-    h += params.e_es_coeff * dperp * _SX2_MINUS_SY2
+    for name, op in PARAMETER_TERMS.items():
+        h += getattr(params, name) * op
+    h += strain.delta_x * STRAIN_X + strain.delta_y * STRAIN_Y
+    h += params.e_es_coeff * strain.delta_perp * SX2_MINUS_SY2
     return h
 
 

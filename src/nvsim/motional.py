@@ -152,13 +152,3 @@ def esr_contrast_vs_temperature(tmap, params, strain_perp, temperatures,
         height = exchange_lineshape(m, np.array([m.mean_frequency]))[0]
         rows.append((float(t), float(height / _fast_limit_height(m))))
     return rows
-
-
-def averaged_split_large_strain(params, strain_perp):
-    """Closed form for the two orbit-averaged ESR frequencies once the
-    strain-induced transverse spin-spin term is included: d_es -/+
-    e_es_coeff * delta_perp."""
-    if params.e_es_coeff < 0:
-        raise ValueError("e_es_coeff must be >= 0")
-    e_es = params.e_es_coeff * strain_perp
-    return (params.d_es - e_es, params.d_es + e_es)

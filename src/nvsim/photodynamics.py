@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import hermitian_eigen
 from .model import RateParams  # noqa: F401, re-exported here
 from .model import build_excited_hamiltonian, ground_levels
-from .sweep import _characters
 
 N_LEVELS = 10
 IDX_GSZ, IDX_GSX, IDX_GSY = 0, 1, 2
@@ -48,8 +47,12 @@ class RateModelError(ArithmeticError):
 
 @lru_cache(maxsize=64)
 def _excited_structure(params, strain):
+    """Excited eigenvalues (6,) and (Sz, Sx, Sy) populations (6, 3)."""
     es = hermitian_eigen(build_excited_hamiltonian(params, strain))
-    return es.values, _characters(es.vectors[None])[0]
+    w = np.abs(es.vectors) ** 2
+    spin_pop = (w[[2, 0, 1]] + w[[5, 3, 4]]).T
+    spin_pop.flags.writeable = False
+    return es.values, spin_pop
 
 
 def transition_lines(params, strain):
@@ -57,20 +60,20 @@ def transition_lines(params, strain):
     population of the excited eigenstate matching the ground sublevel
     (the optical dipole is spin-blind), halved so that the strengths per
     ground sublevel sum to one over the two orbital branches."""
-    values, chars = _excited_structure(params, strain)
-    g_energies = dict(zip(("gSz", "gSx", "gSy"), ground_levels(params)))
-    spin_of = {"gSz": "p_sz", "gSx": "p_sx", "gSy": "p_sy"}
+    values, spin_pop = _excited_structure(params, strain)
+    # the dominant spin's column; a tie goes to Sx, then Sy, then Sz
+    dominant = [(1, 2, 0)[i] for i in spin_pop[:, [1, 2, 0]].argmax(axis=1)]
     lines = []
-    for gname, ge in g_energies.items():
+    for gi, (gname, ge) in enumerate(zip(("gSz", "gSx", "gSy"),
+                                         ground_levels(params))):
         for k in range(6):
-            strength = getattr(chars[k], spin_of[gname]) / 2.0
+            strength = spin_pop[k, gi].item() / 2.0
             lines.append(TransitionLine(
                 ground_sublevel=gname,
                 excited_index=k + 1,
                 detuning=float(values[k] - ge),
-                strength=float(strength),
-                spin_conserving=("p_" + chars[k].dominant_spin)
-                == spin_of[gname],
+                strength=strength,
+                spin_conserving=dominant[k] == gi,
                 weak=strength < WEAK_LINE_FLOOR,
             ))
     return lines
@@ -96,8 +99,7 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
     Each entry of a stack gets the same sequence of operations as the
     single matrix at its detuning, so the two agree bit for bit.
     """
-    values, chars = _excited_structure(params, strain)
-    spin_pop = np.array([[c.p_sz, c.p_sx, c.p_sy] for c in chars])  # (6,3)
+    values, spin_pop = _excited_structure(params, strain)  # (6,), (6, 3)
     g_energies = np.array(ground_levels(params))  # gSz, gSx, gSy
     laser_detuning = np.asarray(laser_detuning, dtype=float)
     g = np.zeros(laser_detuning.shape + (N_LEVELS, N_LEVELS))

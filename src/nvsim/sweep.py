@@ -5,7 +5,8 @@ Every strain-dependent spectrum goes through one batched core: the
 Hamiltonian is affine in the strain (`strain_family`), so a whole grid is
 diagonalised by one stacked LAPACK call and its level characters are read
 off in one pass. Crossing refinement and the repump strain share one
-batched bisection.
+batched bisection. The strain slopes and `parameter_operators` are read
+off `model`'s term table, not rebuilt from Hamiltonians.
 
 The family is stored in the real gauge D^dagger H D, D = diag(1, i, 1, i,
 1, i), where every strain Hamiltonian is real symmetric, so LAPACK runs
@@ -22,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (MAX_STRAIN_GHZ, FineStructureParams, StrainVector,
+from .model import (MAX_STRAIN_GHZ, PARAMETER_TERMS, STRAIN_X,
+                    SX2_MINUS_SY2, FineStructureParams, StrainVector,
                     build_excited_hamiltonian, symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
@@ -31,7 +33,7 @@ SYMMETRY_OVERLAP_MIN = 0.9
 _GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
 
 # The parameters the Hamiltonian is linear in, with no constant term
-LINEAR_PARAMS = ("lambda_z", "d_es", "delta_cap", "lambda_perp")
+LINEAR_PARAMS = tuple(PARAMETER_TERMS)
 
 
 class SweepError(ArithmeticError):
@@ -81,16 +83,16 @@ class SweepResult:
 @lru_cache(maxsize=16)
 def strain_family(params):
     """(h0, hd, hd_neg): the Hamiltonian at transverse strain (delta, 0)
-    is h0 + delta * hd for delta >= 0 and h0 + delta * hd_neg below. The
-    slopes differ only through the e_es term, which follows |delta|; the
-    spectrum depends on the strain vector only through its norm, so
-    sweeps run along x. All three are real, in the gauge D^dagger H D.
-    Cached read-only: the fit asks for the same params once per strain
-    refinement step."""
-    h0 = build_excited_hamiltonian(params, StrainVector(0.0, 0.0))
-    hd = build_excited_hamiltonian(params, StrainVector(1.0, 0.0)) - h0
-    hd_neg = h0 - build_excited_hamiltonian(params, StrainVector(-1.0, 0.0))
-    return tuple(_gauged(m) for m in (h0, hd, hd_neg))
+    is h0 + delta * hd for delta >= 0 and h0 + delta * hd_neg below, with
+    the slopes STRAIN_X +- e_es_coeff * SX2_MINUS_SY2 read off the model's
+    terms: the e_es term follows |delta|. The spectrum depends on the
+    strain vector only through its norm, so sweeps run along x. All three
+    are real, in the gauge D^dagger H D. Cached read-only: the fit asks
+    for the same params once per strain refinement step."""
+    e_es = params.e_es_coeff * SX2_MINUS_SY2
+    return tuple(_gauged(m) for m in (
+        build_excited_hamiltonian(params, StrainVector(0.0, 0.0)),
+        STRAIN_X + e_es, STRAIN_X - e_es))
 
 
 def _gauged(m):
@@ -105,15 +107,13 @@ def _gauged(m):
 @lru_cache(maxsize=4)
 def parameter_operators(names):
     """dH/d(name) for each of the tuple names, stacked (p, 6, 6) and in
-    the gauge of `strain_family`. The Hamiltonian is linear in each of
-    LINEAR_PARAMS, so the derivative is that parameter's term at 1 GHz,
-    the same at every parameter value and strain."""
+    the gauge of `strain_family`: the operator each of LINEAR_PARAMS
+    multiplies in the model's term table, the same at every parameter
+    value and strain."""
     if not set(names) <= set(LINEAR_PARAMS):
         raise ValueError(f"the Hamiltonian is linear only in "
                          f"{', '.join(LINEAR_PARAMS)}")
-    zero = FineStructureParams(**dict.fromkeys(LINEAR_PARAMS, 0.0))
-    ops = np.stack([_gauged(build_excited_hamiltonian(
-        replace(zero, **{name: 1.0}), StrainVector())) for name in names])
+    ops = np.stack([_gauged(PARAMETER_TERMS[name]) for name in names])
     ops.flags.writeable = False
     return ops
 

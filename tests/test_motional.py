@@ -5,7 +5,6 @@ import pytest
 
 from nvsim.model import FineStructureParams
 from nvsim.motional import (BranchError, ExchangeModel, TemperatureMap,
-                            averaged_split_large_strain,
                             branch_esr_frequencies,
                             esr_contrast_vs_temperature,
                             exchange_lineshape)
@@ -162,12 +161,6 @@ class TestBranchFrequencies:
             branch_esr_frequencies(PARAMS, strain)
         assert isinstance(err.value, ValueError)
         assert not isinstance(err.value, ArithmeticError)
-
-    def test_large_strain_split_closed_form(self):
-        p = FineStructureParams(e_es_coeff=0.001)
-        lo, hi = averaged_split_large_strain(p, 100.0)
-        assert lo == pytest.approx(1.42 - 0.1)
-        assert hi == pytest.approx(1.42 + 0.1)
 
 
 class TestContrastCurve:

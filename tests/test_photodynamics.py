@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from nvsim import photodynamics
-from nvsim.model import FineStructureParams, StrainVector
+from nvsim.linalg import hermitian_eigen
+from nvsim.model import FineStructureParams, StrainVector, \
+    build_excited_hamiltonian
 from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
                                  RateModelError, RateParams,
                                  build_rate_matrix, excitation_spectrum,
                                  expm, lorentzian_peak, polarize, propagate,
                                  rabi_trace, stationary_state,
                                  transition_lines, uniform_ground)
+from nvsim.sweep import _characters
 
 PARAMS = FineStructureParams()
 RATES = RateParams()
@@ -39,6 +42,43 @@ class TestTransitionLines:
         conserving = [ln for ln in lines if ln.spin_conserving]
         assert len(conserving) == 6
         assert all(ln.strength > 0.25 for ln in conserving)
+
+    def test_spin_populations_are_the_level_characters(self):
+        # the rate model's (Sz, Sx, Sy) population array holds the
+        # LevelCharacter fields bit for bit, and a line conserves spin
+        # where its ground sublevel is the level's dominant spin
+        rng = np.random.default_rng(71)
+        spin_of = {"gSz": "sz", "gSx": "sx", "gSy": "sy"}
+        for _ in range(40):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 15.0),
+                lambda_perp=rng.uniform(0.0, 1.0),
+                d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
+                e_es_coeff=rng.uniform(-0.5, 0.5))
+            strain = StrainVector(*rng.uniform(-30.0, 30.0, 2))
+            _, spin_pop = photodynamics._excited_structure(params, strain)
+            chars = _characters(hermitian_eigen(build_excited_hamiltonian(
+                params, strain)).vectors[None])[0]
+            assert np.array_equal(spin_pop,
+                                  [[c.p_sz, c.p_sx, c.p_sy] for c in chars])
+            for ln in transition_lines(params, strain):
+                dominant = chars[ln.excited_index - 1].dominant_spin
+                assert ln.spin_conserving == (
+                    dominant == spin_of[ln.ground_sublevel])
+
+    def test_exact_sx_sy_tie_goes_to_sx(self):
+        # at lambda_perp = 0 and zero strain the E-pair and A1/A2 levels
+        # hold Sx and Sy equally to the last bit
+        params = FineStructureParams(lambda_perp=0.0)
+        _, spin_pop = photodynamics._excited_structure(params, StrainVector())
+        tied = np.flatnonzero((spin_pop[:, 1] == spin_pop[:, 2])
+                              & (spin_pop[:, 1] > 0.4))
+        assert tied.tolist() == [0, 1, 4, 5]
+        lines = transition_lines(params, StrainVector())
+        for gname, conserving in (("gSx", True), ("gSy", False)):
+            assert all(ln.spin_conserving == conserving for ln in lines
+                       if ln.ground_sublevel == gname
+                       and ln.excited_index - 1 in tied)
 
 
 class TestRateMatrix:

@@ -1,12 +1,14 @@
 """Tests for strain sweeps, crossing detection and averaged splitting."""
 
+import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nvsim.model import FineStructureParams, StrainVector, \
-    build_excited_hamiltonian, symmetry_states
+from nvsim.model import PARAMETER_TERMS, STRAIN_X, SX2_MINUS_SY2, \
+    FineStructureParams, StrainVector, build_excited_hamiltonian, \
+    symmetry_states
 from nvsim.linalg import hermitian_eigen
 from nvsim.sweep import (LINEAR_PARAMS, SweepError, _characters,
                          _greedy_match, averaged_splitting,
@@ -141,6 +143,32 @@ class TestRealGauge:
                 <= 1e-12
         with pytest.raises(ValueError, match="linear only"):
             parameter_operators(("e_es_coeff",))
+
+    def test_family_reads_the_model_operators(self, monkeypatch):
+        # the strain slopes are the gauged STRAIN_X +- e_es_coeff *
+        # SX2_MINUS_SY2 and the parameter derivatives the gauged term
+        # table, exactly; the family builds one Hamiltonian
+        gauge = np.array([1, 1j, 1, 1j, 1, 1j])
+
+        def gauged(m):
+            return (gauge.conj()[:, None] * m * gauge).real
+
+        assert LINEAR_PARAMS == tuple(PARAMETER_TERMS)
+        assert np.array_equal(parameter_operators(LINEAR_PARAMS),
+                              [gauged(op) for op in PARAMETER_TERMS.values()])
+        builds = []
+        monkeypatch.setattr(importlib.import_module("nvsim.sweep"),
+                            "build_excited_hamiltonian",
+                            lambda *a: builds.append(a)
+                            or build_excited_hamiltonian(*a))
+        rng = np.random.default_rng(64)
+        for params in [DEFAULTS] + [self.random_params(rng)
+                                    for _ in range(20)]:
+            _, hd, hd_neg = strain_family.__wrapped__(params)
+            e_es = params.e_es_coeff * SX2_MINUS_SY2
+            assert np.array_equal(hd, gauged(STRAIN_X + e_es))
+            assert np.array_equal(hd_neg, gauged(STRAIN_X - e_es))
+        assert len(builds) == 21
 
 
 class TestSweep:
