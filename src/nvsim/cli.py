@@ -358,9 +358,12 @@ def _cmd_fit(cfg, args, command):
     _finish(cfg, command, [rpath, spath], "\n".join(report),
             inputs=[args.input])
     if not result.converged:
-        if result.edge_ids:
-            why = ("defects at the strain-grid edge: "
-                   f"{', '.join(result.edge_ids)}")
+        flagged = [f"{what}: {', '.join(names)}" for what, names in (
+            ("defects at the strain-grid edge", result.edge_ids),
+            ("globals on an end of their fit bounds", result.bound_names))
+            if names]
+        if flagged:
+            why = "; ".join(flagged)
         elif result.stalled:
             why = ("no step the optimizer tried lowered the cost "
                    f"(iteration {result.iterations})")

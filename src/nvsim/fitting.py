@@ -84,6 +84,7 @@ class FitResult:
     converged: bool
     assignments: dict = field(default_factory=dict)
     edge_ids: tuple = ()    # defects whose best grid strain is STRAIN_MAX
+    bound_names: tuple = ()  # lambda_z, d_es, delta_cap on a BOUNDS end
     errors: dict = field(default_factory=dict)  # global -> 1 sigma, GHz
     stalled: bool = False   # no damped step lowered the cost
 
@@ -349,7 +350,9 @@ def fit(data, params=None, free_lambda_perp=False):
     relative. It stops without when no damped step up to MU_MAX lowers
     the cost (`stalled`) or after MAX_ITER iterations. lambda_perp, when
     free, is kept at least PERP_FLOOR. A defect whose best grid point is
-    STRAIN_MAX flags the fit not converged and is listed in `edge_ids`.
+    STRAIN_MAX flags the fit not converged and is listed in `edge_ids`;
+    so does a global other than lambda_perp that ends exactly on an end
+    of its BOUNDS, listed in `bound_names`.
     1 sigma errors of the globals come from the final Jacobian,
     (J^T J)^-1 cost / (lines - free). A cost not finite at the start
     raises FitError before LAPACK sees it."""
@@ -425,6 +428,8 @@ def fit(data, params=None, free_lambda_perp=False):
                 stalled = True
                 break
 
+    on_bound = tuple(n for n, t in zip(names, theta.tolist())
+                     if n != "lambda_perp" and t in BOUNDS[n])
     _, jac = _stack(lin)
     dof = n_lines - n_free
     errors = {}
@@ -447,10 +452,11 @@ def fit(data, params=None, free_lambda_perp=False):
         offsets={d.id: float(x) for d, x in zip(data, offsets)},
         residual_rms=float(np.sqrt(sq.sum() / n_lines)),
         iterations=nit,
-        converged=converged and not at_edge.any(),
+        converged=converged and not (at_edge.any() or on_bound),
         stalled=stalled,
         assignments=pairs,
         edge_ids=tuple(d.id for d, e in zip(data, at_edge) if e),
+        bound_names=on_bound,
         errors=errors,
     )
 

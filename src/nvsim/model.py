@@ -14,6 +14,10 @@ roughly 10^3 GHz of orbital splitting (GPA_TO_GHZ).
 The Hamiltonian is linear in each parameter and in the strain, and each
 term is stated once: PARAMETER_TERMS (parameter -> operator), STRAIN_X,
 STRAIN_Y and SX2_MINUS_SY2. Derivatives of H are read off these.
+
+A level's weights are read off its eigenvector by one table,
+LEVEL_WEIGHTS (weight -> basis indices): its upper (Ex) branch weight and
+its Sx, Sy, Sz populations, the spins in the tie order of dominant_spins.
 """
 
 from dataclasses import dataclass
@@ -101,8 +105,10 @@ class FineStructureParams:
 
 @dataclass(frozen=True)
 class StrainVector:
-    """Transverse strain components in GHz; only the norm enters the
-    spectrum (plus the e_es term, which also depends on the norm)."""
+    """Transverse strain components in GHz. Sweeps, the fit and every
+    CLI command put the strain along x. Off that axis the levels also
+    depend on its direction: by up to 0.03 GHz at the defaults, and by
+    1.9 GHz at 20 GHz with lambda_perp = 0 and e_es_coeff = 0.1."""
 
     delta_x: float = 0.0
     delta_y: float = 0.0
@@ -166,6 +172,24 @@ PARAMETER_TERMS = {
         + (np.kron(_VX, _SX @ _SZ + _SZ @ _SX)
            - np.kron(_VY, _SY @ _SZ + _SZ @ _SY))),
 }
+
+
+# The weight table: each weight of a level and the basis indices whose
+# |v_i|^2 it sums, in summation order; ties go to the earlier spin.
+LEVEL_WEIGHTS = {"p_branch_x": (0, 1, 2), "p_sx": (0, 3), "p_sy": (1, 4),
+                 "p_sz": (2, 5)}
+
+
+def level_weights(vectors):
+    """LEVEL_WEIGHTS (4, ..., k) of the eigenvector columns (..., 6, k)."""
+    w = np.abs(vectors) ** 2
+    return np.stack([sum(w[..., i, :] for i in idx)
+                     for idx in LEVEL_WEIGHTS.values()])
+
+
+def dominant_spins(weights):
+    """Row of the largest spin weight in weights (4, ...), first on a tie."""
+    return 1 + weights[1:].argmax(axis=0)
 
 
 def build_excited_hamiltonian(params, strain):

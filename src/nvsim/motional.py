@@ -10,8 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE
-from .sweep import branch_spin_weights, strain_family, strain_hamiltonians
+from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
+                    MAX_STRAIN_GHZ, level_weights)
+from .sweep import strain_family, strain_hamiltonians
 
 KB_MEV_PER_K = 0.08617333  # Boltzmann constant, meV/K
 
@@ -73,12 +74,13 @@ def branch_esr_frequencies(params, strain_perp):
     lower (b = Ey) orbital branches.
 
     Requires strain large enough that every level is cleanly assigned to
-    a branch (orbital weight > 0.9)."""
-    if not np.isfinite(strain_perp):
-        raise ValueError("strain components must be finite")
+    a branch (orbital weight > 0.9), and at most MAX_STRAIN_GHZ."""
+    if not abs(strain_perp) <= MAX_STRAIN_GHZ:   # NaN too
+        raise ValueError("strain must be finite and within "
+                         f"+-{MAX_STRAIN_GHZ:g} GHz")
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), strain_perp))
-    p_x, p_sz = branch_spin_weights(vectors)
+    p_x, _, _, p_sz = level_weights(vectors)
     if np.any((p_x > 0.1) & (p_x < 0.9)):
         raise BranchError(
             f"orbital branches unresolved at delta_perp={strain_perp} GHz: "

@@ -14,10 +14,13 @@ import numpy as np
 
 from .linalg import hermitian_eigen
 from .model import RateParams  # noqa: F401, re-exported here
-from .model import build_excited_hamiltonian, ground_levels
+from .model import (LEVEL_WEIGHTS, build_excited_hamiltonian,
+                    dominant_spins, ground_levels, level_weights)
 
 N_LEVELS = 10
 IDX_GSZ, IDX_GSX, IDX_GSY = 0, 1, 2
+# the row in `model.level_weights` of each ground sublevel's spin
+SZ, SX, SY = (list(LEVEL_WEIGHTS).index(p) for p in ("p_sz", "p_sx", "p_sy"))
 IDX_EXC = slice(3, 9)
 IDX_META = 9
 
@@ -47,12 +50,11 @@ class RateModelError(ArithmeticError):
 
 @lru_cache(maxsize=64)
 def _excited_structure(params, strain):
-    """Excited eigenvalues (6,) and (Sz, Sx, Sy) populations (6, 3)."""
+    """Excited eigenvalues (6,) and their `level_weights` (4, 6)."""
     es = hermitian_eigen(build_excited_hamiltonian(params, strain))
-    w = np.abs(es.vectors) ** 2
-    spin_pop = (w[[2, 0, 1]] + w[[5, 3, 4]]).T
-    spin_pop.flags.writeable = False
-    return es.values, spin_pop
+    weights = level_weights(es.vectors)
+    weights.flags.writeable = False
+    return es.values, weights
 
 
 def transition_lines(params, strain):
@@ -60,20 +62,19 @@ def transition_lines(params, strain):
     population of the excited eigenstate matching the ground sublevel
     (the optical dipole is spin-blind), halved so that the strengths per
     ground sublevel sum to one over the two orbital branches."""
-    values, spin_pop = _excited_structure(params, strain)
-    # the dominant spin's column; a tie goes to Sx, then Sy, then Sz
-    dominant = [(1, 2, 0)[i] for i in spin_pop[:, [1, 2, 0]].argmax(axis=1)]
+    values, weights = _excited_structure(params, strain)
+    dominant = dominant_spins(weights).tolist()
     lines = []
-    for gi, (gname, ge) in enumerate(zip(("gSz", "gSx", "gSy"),
-                                         ground_levels(params))):
+    for row, gname, ge in zip((SZ, SX, SY), ("gSz", "gSx", "gSy"),
+                              ground_levels(params)):
         for k in range(6):
-            strength = spin_pop[k, gi].item() / 2.0
+            strength = weights[row, k].item() / 2.0
             lines.append(TransitionLine(
                 ground_sublevel=gname,
                 excited_index=k + 1,
                 detuning=float(values[k] - ge),
                 strength=strength,
-                spin_conserving=dominant[k] == gi,
+                spin_conserving=dominant[k] == row,
                 weak=strength < WEAK_LINE_FLOOR,
             ))
     return lines
@@ -99,7 +100,7 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
     Each entry of a stack gets the same sequence of operations as the
     single matrix at its detuning, so the two agree bit for bit.
     """
-    values, spin_pop = _excited_structure(params, strain)  # (6,), (6, 3)
+    values, weights = _excited_structure(params, strain)  # (6,), (4, 6)
     g_energies = np.array(ground_levels(params))  # gSz, gSx, gSy
     laser_detuning = np.asarray(laser_detuning, dtype=float)
     g = np.zeros(laser_detuning.shape + (N_LEVELS, N_LEVELS))
@@ -110,8 +111,8 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
 
     for k in range(6):
         e = 3 + k
-        for gi in range(3):
-            share = spin_pop[k, gi]
+        for gi, row in enumerate((SZ, SX, SY)):
+            share = weights[row, k]
             # spontaneous decay, spin projection conserved
             move(e, gi, rp.gamma_rad * share)
             # resonant drive on the (gi -> e) line
@@ -128,8 +129,8 @@ def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
             if green_on:
                 move(gi, e, rp.pump_green * share)
         # spin-selective shelving into the metastable singlet
-        isc = (rp.k_isc_xy * (spin_pop[k, 1] + spin_pop[k, 2])
-               + rp.k_isc_z * spin_pop[k, 0])
+        isc = (rp.k_isc_xy * (weights[SX, k] + weights[SY, k])
+               + rp.k_isc_z * weights[SZ, k])
         move(e, IDX_META, isc)
 
     # metastable decay, preferentially into gSz

@@ -23,9 +23,10 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (MAX_STRAIN_GHZ, PARAMETER_TERMS, STRAIN_X,
-                    SX2_MINUS_SY2, FineStructureParams, StrainVector,
-                    build_excited_hamiltonian, symmetry_states)
+from .model import (LEVEL_WEIGHTS, MAX_STRAIN_GHZ, PARAMETER_TERMS,
+                    STRAIN_X, SX2_MINUS_SY2, FineStructureParams,
+                    StrainVector, build_excited_hamiltonian, dominant_spins,
+                    level_weights, symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
 
@@ -52,8 +53,8 @@ class LevelCharacter:
 
     @property
     def dominant_spin(self):
-        return max(("sx", "sy", "sz"),
-                   key=lambda s: getattr(self, "p_" + s))
+        weights = np.array([getattr(self, n) for n in LEVEL_WEIGHTS])
+        return list(LEVEL_WEIGHTS)[dominant_spins(weights)].removeprefix("p_")
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ def strain_family(params):
     """(h0, hd, hd_neg): the Hamiltonian at transverse strain (delta, 0)
     is h0 + delta * hd for delta >= 0 and h0 + delta * hd_neg below, with
     the slopes STRAIN_X +- e_es_coeff * SX2_MINUS_SY2 read off the model's
-    terms: the e_es term follows |delta|. The spectrum depends on the
-    strain vector only through its norm, so sweeps run along x. All three
+    terms: the e_es term follows |delta|. Sweeps run along x; off that
+    axis the levels also depend on the strain's direction. All three
     are real, in the gauge D^dagger H D. Cached read-only: the fit asks
     for the same params once per strain refinement step."""
     e_es = params.e_es_coeff * SX2_MINUS_SY2
@@ -151,29 +152,16 @@ def _finite_strains(deltas):
     return deltas
 
 
-def branch_spin_weights(vectors):
-    """Upper-branch (Ex) weight and ms=0 (Sz) weight of every eigenvector
-    column of vectors (..., 6, k), each (..., k)."""
-    w = np.abs(vectors) ** 2
-    return (w[..., 0, :] + w[..., 1, :] + w[..., 2, :],
-            w[..., 2, :] + w[..., 5, :])
-
-
 def _characters(vectors):
     """LevelCharacter of every eigenvector column of vectors (n, 6, k),
     as n lists of k. A symmetry tag is attached when the overlap with a
     zero-strain symmetry state reaches SYMMETRY_OVERLAP_MIN."""
     refs = symmetry_states()
     tags = list(refs) + [None]
-    w = np.abs(vectors) ** 2
-    p_x, p_sz = branch_spin_weights(vectors)
-    pops = np.stack([p_x, w[:, 0] + w[:, 3], w[:, 1] + w[:, 4], p_sz],
-                    axis=-1)
+    pops = np.moveaxis(level_weights(vectors), 0, -1)
     ref_rows = np.array(list(refs.values()), dtype=complex).reshape(-1, 6)
     hit = np.abs(ref_rows.conj() @ vectors) ** 2 >= SYMMETRY_OVERLAP_MIN
-    # a last row of hits stands for "no tag"
-    none = np.ones((hit.shape[0], 1, hit.shape[2]), dtype=bool)
-    first = np.concatenate([hit, none], axis=1).argmax(axis=1)
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), len(refs))
     return [[LevelCharacter(*p, tags[t]) for p, t in zip(prow, trow)]
             for prow, trow in zip(pops.tolist(), first.tolist())]
 
@@ -269,11 +257,10 @@ def detect_crossings(sr, gap_threshold):
     below `gap_threshold`, each bisected between its grid neighbours to a
     zero of the Hellmann-Feynman gap derivative <hi|Hd|hi> - <lo|Hd|lo>
     of the sorted ranks lo, hi the two tracks hold at the minimum.
-    `avoided` requires an exchange of dominant spin character between
-    the two tracks across the minimum."""
+    `avoided` requires an exchange of dominant spin (`dominant_spins`)
+    between the two tracks across the minimum."""
     if not gap_threshold > 0:   # NaN too
         raise ValueError("gap_threshold must be positive")
-    n = sr.grid.size
     family = strain_family(sr.params)
     pair_a, pair_b = np.triu_indices(6, 1)
     gap = np.abs(sr.energies[:, pair_a] - sr.energies[:, pair_b])
@@ -293,21 +280,16 @@ def detect_crossings(sr, gap_threshold):
     x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)
     values = np.linalg.eigvalsh(strain_hamiltonians(family, x))
     min_gap = values[cand, hi] - values[cand, lo]
-    # only the two points read per crossing are classified
-    chars = _characters(sr.vectors[np.concatenate(
-        [np.maximum(i - 3, 0), np.minimum(i + 3, n - 1)])])
-    events = []
-    for k, (ak, bk) in enumerate(zip(a.tolist(), b.tolist())):
-        before, after = chars[k], chars[k + i.size]
-        exchanged = (
-            before[ak].dominant_spin == after[bk].dominant_spin
-            and before[bk].dominant_spin == after[ak].dominant_spin
-            and before[ak].dominant_spin != before[bk].dominant_spin)
-        events.append(CrossingEvent(
-            strain_at_min_gap=float(x[k]), track_a=ak, track_b=bk,
-            min_gap=float(min_gap[k]), avoided=exchanged))
-    events.sort(key=lambda e: e.strain_at_min_gap)
-    return events
+    # each track's dominant spin three points before (0) and after (1)
+    spins = dominant_spins(level_weights(sr.vectors[
+        [np.maximum(i - 3, 0), np.minimum(i + 3, sr.grid.size - 1)]]))
+    (a0, a1), (b0, b1) = spins[:, cand, a], spins[:, cand, b]
+    exchanged = (a0 == b1) & (b0 == a1) & (a0 != b0)
+    events = (CrossingEvent(strain_at_min_gap=float(x[k]), track_a=ak,
+                            track_b=bk, min_gap=float(min_gap[k]),
+                            avoided=bool(exchanged[k]))
+              for k, (ak, bk) in enumerate(zip(a.tolist(), b.tolist())))
+    return sorted(events, key=lambda e: e.strain_at_min_gap)
 
 
 def averaged_splitting(params, dperp):
@@ -318,7 +300,7 @@ def averaged_splitting(params, dperp):
     deltas = _finite_strains(dperp)
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), deltas))
-    ms0 = branch_spin_weights(vectors)[1] > 0.5
+    ms0 = level_weights(vectors)[-1] > 0.5     # the ms=0 (Sz) weight
     mixed = np.flatnonzero(ms0.sum(axis=1) != 2)
     if mixed.size:
         # near an avoided crossing characters mix; fall back on the
@@ -327,8 +309,7 @@ def averaged_splitting(params, dperp):
         ref = strain_family(replace(params, lambda_perp=0.0))
         _, ref_vectors = np.linalg.eigh(
             strain_hamiltonians(ref, deltas[mixed]))
-        top2 = np.argsort(branch_spin_weights(ref_vectors)[1],
-                          axis=1)[:, -2:]
+        top2 = np.argsort(level_weights(ref_vectors)[-1], axis=1)[:, -2:]
         ms0[mixed] = False
         ms0[mixed[:, None], top2] = True
     n = deltas.size
@@ -342,7 +323,7 @@ def _upper_branch_sz_gaps(family, deltas):
     ms=+-1 level at every strain; NaN where the upper branch is not
     resolved into three levels with one ms=0 among them."""
     values, vectors = np.linalg.eigh(strain_hamiltonians(family, deltas))
-    p_x, p_sz = branch_spin_weights(vectors)
+    p_x, _, _, p_sz = level_weights(vectors)
     upper = p_x > 0.5
     sz = upper & (p_sz > 0.5)
     resolved = (upper.sum(axis=1) == 3) & (sz.sum(axis=1) == 1)

@@ -354,6 +354,27 @@ class TestExitCodes:
         assert "defects at the strain-grid edge: nv04, nv05;" in err
         assert "iteration limit" not in err
 
+    def test_fit_on_a_bound_exits_2_and_names_it(self, tmp_path, capsys):
+        # the highest three lines of each defect: the fit ends with d_es
+        # on the upper end of its bounds, a wrong result
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
+        rows = ["defect_id,line_ghz"]
+        for d in synthesize_dataset(FineStructureParams(),
+                                    [3.0, 7.0, 12.0, 17.0, 21.0], seed=0):
+            rows.extend(f"{d.id},{float(x)!r}" for x in d.lines[3:])
+        fixture = tmp_path / "highest.csv"
+        fixture.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert run(["--config", cfg, "fit", str(fixture)]) == 2
+        err = capsys.readouterr().err
+        assert "fit did not converge: globals on an end of their fit " \
+            "bounds: d_es; result flagged" in err
+        report = (out / "fit_report.txt").read_text()
+        assert "d_es_ghz = 5.00000000\n" in report
+        assert "converged = False" in report
+        assert (out / "fit_strains.csv").exists()
+        assert (out / "manifest.txt").exists()
+
     def test_fit_iteration_limit_message(self, tmp_path, capsys,
                                          monkeypatch):
         # from the truth the fit converges in one iteration, so it starts

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvsim import fitting
-from nvsim.fitting import (_INJECTIONS, COARSE_STEP, GN_STEPS, REFINE_ITERS,
-                           STRAIN_GRID, STRAIN_MAX, FitError, ObservedDefect,
+from nvsim.fitting import (_INJECTIONS, BOUNDS, COARSE_STEP, GN_STEPS,
+                           PERP_FLOOR, REFINE_ITERS, STRAIN_GRID, STRAIN_MAX,
+                           FitError, ObservedDefect,
                            _cost, _gauss_newton_strains, _groups, _linearize,
                            _match, _refine_strains, _solve_strains, _stack,
                            _take, fit, predicted_lines, synthesize_dataset)
@@ -401,6 +402,21 @@ class TestFit:
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
         assert fit(data, self.INIT).edge_ids == ()
 
+    @pytest.mark.parametrize("keep, on_bound", [
+        (slice(3, 6), ("d_es",)), (slice(0, 3), ("d_es", "delta_cap"))])
+    def test_fit_ending_on_a_bound_not_converged(self, keep, on_bound):
+        # one-sided partial line lists: the fit runs into a wrong minimum
+        # with these globals exactly on an end of their BOUNDS
+        full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
+                                  seed=0)
+        res = fit([replace(d, lines=d.lines[keep]) for d in full],
+                  self.INIT)
+        assert not res.converged and not res.stalled
+        assert res.edge_ids == ()
+        assert res.bound_names == on_bound
+        for name in on_bound:
+            assert getattr(res.params, name) in BOUNDS[name]
+
     def test_too_many_lines_raises(self):
         data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)
         data[0] = replace(data[0], lines=data[0].lines + (30.0,))
@@ -524,6 +540,9 @@ class TestVariableProjection:
         res = fit(data, START, free_lambda_perp=True)
         assert res.converged
         assert res.params.lambda_perp == pytest.approx(0.0, abs=1e-3)
+        # lambda_perp at its floor is not on a bound: 0 is physical
+        assert res.params.lambda_perp == PERP_FLOOR
+        assert res.bound_names == ()
         assert res.params.lambda_z == pytest.approx(TRUTH.lambda_z, abs=1e-6)
 
     @pytest.mark.parametrize("keep", [slice(0, 6), slice(1, 5)])

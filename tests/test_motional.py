@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nvsim.model import FineStructureParams
+from nvsim.model import MAX_STRAIN_GHZ, FineStructureParams
 from nvsim.motional import (BranchError, ExchangeModel, TemperatureMap,
                             branch_esr_frequencies,
                             esr_contrast_vs_temperature,
@@ -146,6 +146,18 @@ class TestBranchFrequencies:
         assert fb == pytest.approx(1.42, abs=0.1)
         assert sa == pytest.approx(1.55, abs=0.15)
         assert sb == pytest.approx(1.55, abs=0.15)
+
+    def test_strain_limit(self):
+        # the limit of every other strain input, MAX_STRAIN_GHZ
+        fa, fb, _, _ = branch_esr_frequencies(PARAMS, MAX_STRAIN_GHZ)
+        assert fa == pytest.approx(1.42, abs=0.1)
+        assert fb == pytest.approx(1.42, abs=0.1)
+        for strain in (2e6, -2e6, 1e300, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and within"):
+                branch_esr_frequencies(PARAMS, strain)
+        with pytest.raises(ValueError, match="finite and within"):
+            esr_contrast_vs_temperature(TemperatureMap(), PARAMS, 2e6,
+                                        [300.0])
 
     def test_unresolved_branches_raise(self):
         with pytest.raises(BranchError):

@@ -1,5 +1,6 @@
 """Tests for the lazily loaded public names of the nvsim package."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -60,3 +61,21 @@ class TestPublicNames:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False True"
+
+
+class TestModuleBoundaries:
+    def test_no_module_imports_another_modules_private_name(self):
+        # an underscore name is private to the module that defines it;
+        # the tests may reach in, the package's own modules do not
+        src = Path(nvsim.__file__).resolve().parent
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                inside = node.level > 0 or (node.module or "").startswith(
+                    "nvsim")
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names
+                          if inside and alias.name.startswith("_")]
+        assert found == []

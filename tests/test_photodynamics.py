@@ -44,9 +44,9 @@ class TestTransitionLines:
         assert all(ln.strength > 0.25 for ln in conserving)
 
     def test_spin_populations_are_the_level_characters(self):
-        # the rate model's (Sz, Sx, Sy) population array holds the
-        # LevelCharacter fields bit for bit, and a line conserves spin
-        # where its ground sublevel is the level's dominant spin
+        # the rate model's level weights hold the LevelCharacter fields
+        # bit for bit, and a line conserves spin where its ground
+        # sublevel is the level's dominant spin
         rng = np.random.default_rng(71)
         spin_of = {"gSz": "sz", "gSx": "sx", "gSy": "sy"}
         for _ in range(40):
@@ -56,23 +56,30 @@ class TestTransitionLines:
                 d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
                 e_es_coeff=rng.uniform(-0.5, 0.5))
             strain = StrainVector(*rng.uniform(-30.0, 30.0, 2))
-            _, spin_pop = photodynamics._excited_structure(params, strain)
+            _, weights = photodynamics._excited_structure(params, strain)
             chars = _characters(hermitian_eigen(build_excited_hamiltonian(
                 params, strain)).vectors[None])[0]
-            assert np.array_equal(spin_pop,
-                                  [[c.p_sz, c.p_sx, c.p_sy] for c in chars])
+            assert np.array_equal(weights.T, [
+                [c.p_branch_x, c.p_sx, c.p_sy, c.p_sz] for c in chars])
             for ln in transition_lines(params, strain):
                 dominant = chars[ln.excited_index - 1].dominant_spin
                 assert ln.spin_conserving == (
                     dominant == spin_of[ln.ground_sublevel])
 
+    def test_flags_are_python_bools(self):
+        # a numpy bool has another repr, which the lines table would show
+        for strain in (StrainVector(), STRAIN):
+            for ln in transition_lines(PARAMS, strain):
+                assert type(ln.spin_conserving) is bool
+                assert type(ln.weak) is bool
+
     def test_exact_sx_sy_tie_goes_to_sx(self):
         # at lambda_perp = 0 and zero strain the E-pair and A1/A2 levels
         # hold Sx and Sy equally to the last bit
         params = FineStructureParams(lambda_perp=0.0)
-        _, spin_pop = photodynamics._excited_structure(params, StrainVector())
-        tied = np.flatnonzero((spin_pop[:, 1] == spin_pop[:, 2])
-                              & (spin_pop[:, 1] > 0.4))
+        _, weights = photodynamics._excited_structure(params, StrainVector())
+        p_sx, p_sy = weights[1:3]
+        tied = np.flatnonzero((p_sx == p_sy) & (p_sx > 0.4))
         assert tied.tolist() == [0, 1, 4, 5]
         lines = transition_lines(params, StrainVector())
         for gname, conserving in (("gSx", True), ("gSy", False)):

@@ -2,15 +2,18 @@
 
 import importlib
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
-from nvsim.model import PARAMETER_TERMS, STRAIN_X, SX2_MINUS_SY2, \
-    FineStructureParams, StrainVector, build_excited_hamiltonian, \
+from nvsim.model import LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X, \
+    SX2_MINUS_SY2, FineStructureParams, StrainVector, \
+    build_excited_hamiltonian, dominant_spins, level_weights, \
     symmetry_states
 from nvsim.linalg import hermitian_eigen
-from nvsim.sweep import (LINEAR_PARAMS, SweepError, _characters,
+from nvsim.sweep import (LINEAR_PARAMS, LevelCharacter, SweepError,
+                         _characters,
                          _greedy_match, averaged_splitting,
                          classify_level, detect_crossings,
                          nv2_condition_strain, parameter_operators,
@@ -341,6 +344,44 @@ class TestCharacters:
         assert sr.characters == _characters(sr.vectors)
         assert sr.characters is sr.characters     # built once
 
+    def test_level_weights_are_the_character_fields(self):
+        # the table's sums, written out from the basis order Ex*Sx, Ex*Sy,
+        # Ex*Sz, Ey*Sx, Ey*Sy, Ey*Sz, against level_weights on a stack
+        # and classify_level per column, bit for bit
+        rng = np.random.default_rng(31)
+        for trial in range(20):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 15.0),
+                lambda_perp=0.0 if trial % 4 == 0 else rng.uniform(0.0, 1.0),
+                d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
+                e_es_coeff=rng.uniform(-0.5, 0.5))
+            strain = StrainVector(*rng.choice([0.0, rng.uniform(-30, 30)], 2))
+            vectors = hermitian_eigen(build_excited_hamiltonian(
+                params, strain)).vectors
+            w = np.abs(vectors) ** 2
+            oracle = [w[0] + w[1] + w[2], w[0] + w[3], w[1] + w[4],
+                      w[2] + w[5]]
+            weights = level_weights(np.stack([vectors, vectors[:, ::-1]]))
+            assert weights.shape == (len(LEVEL_WEIGHTS), 2, 6)
+            assert np.array_equal(weights[:, 0], oracle)
+            assert np.array_equal(weights[:, 1], weights[:, 0, ::-1])
+            for k in range(6):
+                c = classify_level(vectors[:, k])
+                assert weights[:, 0, k].tolist() == [
+                    c.p_branch_x, c.p_sx, c.p_sy, c.p_sz]
+                row = dominant_spins(weights[:, 0, k])
+                assert list(LEVEL_WEIGHTS)[row] == "p_" + c.dominant_spin
+
+    def test_dominant_spin_ties_go_to_sx_then_sy(self):
+        # columns: Sx = Sy, Sy = Sz, all three equal, Sz alone largest
+        weights = np.array([[0.0, 0.0, 0.0, 0.5],
+                            [0.4, 0.2, 0.3, 0.1],
+                            [0.4, 0.4, 0.3, 0.1],
+                            [0.2, 0.4, 0.3, 0.8]])
+        assert dominant_spins(weights).tolist() == [1, 2, 1, 3]
+        for column, spin in zip(weights.T, ("sx", "sy", "sx", "sz")):
+            assert LevelCharacter(*column).dominant_spin == spin
+
     def test_crossing_detection_builds_no_characters(self):
         sr = coarse_sweep(DEFAULTS, n=1201)
         events = detect_crossings(sr, 0.5)
@@ -357,6 +398,47 @@ class TestCrossings:
         assert strains[0] == pytest.approx(7.31, abs=0.05)
         assert strains[1] == pytest.approx(15.50, abs=0.05)
         assert all(e.min_gap > 0.01 for e in events)
+
+    def test_avoided_is_an_exchange_of_dominant_spins(self):
+        # oracle: LevelCharacter.dominant_spin of both tracks three grid
+        # points before and after each gap minimum, the minima listed per
+        # track pair and along the grid. The seed draws two minima whose
+        # tracks hold one dominant spin throughout, which is no exchange.
+        rng = np.random.default_rng(42)
+        seen = set()
+        for trial in range(30):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 10.0),
+                lambda_perp=0.0 if trial % 3 == 0 else rng.uniform(0.0, 1.0),
+                d_es=rng.uniform(0.3, 3.0), delta_cap=rng.uniform(0.1, 3.0),
+                e_es_coeff=rng.uniform(-0.2, 0.2))
+            sr = coarse_sweep(params, lo=0.0, n=301)
+            n, chars = sr.grid.size, sr.characters
+            expected = []
+            for a, b in combinations(range(6), 2):
+                gap = np.abs(sr.energies[:, a] - sr.energies[:, b])
+                for i in range(1, n - 1):
+                    if not (gap[i] <= gap[i - 1] and gap[i] < gap[i + 1]
+                            and gap[i] < 0.5):
+                        continue
+                    before = [c.dominant_spin for c in chars[max(i - 3, 0)]]
+                    after = [c.dominant_spin
+                             for c in chars[min(i + 3, n - 1)]]
+                    expected.append(((a, b), before[a] == after[b]
+                                     and before[b] == after[a]
+                                     and before[a] != before[b]))
+            events = sorted(detect_crossings(sr, 0.5), key=lambda e: (
+                e.track_a, e.track_b, e.strain_at_min_gap))
+            found = [((e.track_a, e.track_b), e.avoided) for e in events]
+            assert found == expected
+            assert all(type(e.avoided) is bool for e in events)
+            seen.update(avoided for _, avoided in found)
+        assert seen == {True, False}
+
+    def test_no_candidate_minima(self):
+        sr = coarse_sweep(DEFAULTS)
+        assert detect_crossings(sr, 0.5)
+        assert detect_crossings(sr, 1e-9) == []
 
     def test_crossings_close_when_decoupled(self):
         sr = coarse_sweep(DECOUPLED, n=1201)
