@@ -136,12 +136,14 @@ def _resolve_strain(args):
 
 def _grid(lo, hi, points, bounds, count):
     """`np.linspace(lo, hi, points)` after the checks numpy does not make:
-    it accepts 0 or 1 points and warns on an infinite bound. `bounds` and
-    `count` name the flags for the message."""
+    it takes 0 or 1 points, warns on an infinite bound and needs no lo <
+    hi. `bounds` and `count` name the flags for the message."""
     if points < 2:
         raise UsageError(f"{count} must be >= 2")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise UsageError(f"{bounds} must be finite")
+    if not lo < hi:
+        raise UsageError(f"{bounds} must give an ascending grid")
     return np.linspace(lo, hi, points)
 
 

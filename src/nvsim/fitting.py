@@ -16,13 +16,13 @@ slopes.
 One path serves any line count: a defect's m lines match the six predicted
 ones by one of C(6, m) <= 20 injections, in closed form batched per m.
 Every strain is first scanned on a coarse grid. The strain of a defect
-with all six lines is then refined by Gauss-Newton and secant steps on
-exact Hellmann-Feynman slopes, started at a trial point of the globals
-from variable projection's first-order prediction of the strain where
-that lies in the grid bracket; with fewer lines the matching can switch
-inside the bracket, the cost has kinks there, and a safeguarded
-parabolic search from the grid bracket refines it instead. Both stop
-once their steps fall to STRAIN_TOL, or at their step caps.
+with all six lines is then refined by Newton steps on exact line slopes
+and curvatures, started at a trial point of the globals from variable
+projection's first-order prediction of the strain where that lies in the
+grid bracket; with fewer lines the matching can switch inside the
+bracket, the cost has kinks there, and a safeguarded parabolic search
+from the grid bracket refines it instead. Both stop once their steps
+fall to STRAIN_TOL, or at their step caps.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +38,7 @@ STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
 STRAIN_GRID = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
 REFINE_ITERS = 18       # most parabolic steps, partial line lists
-GN_STEPS = 4            # most Gauss-Newton then secant steps, full lines
+NEWTON_STEPS = 4        # most Newton steps, full line lists
 STRAIN_TOL = 1e-9       # GHz, strain step at which both refiners stop
 N_LINES = 6             # predicted excited-state lines
 XTOL = 1e-10            # LM step test, relative to the largest global
@@ -211,55 +211,46 @@ def _refine_strains(params, grid, costs, meas):
     return np.where(middle, xs[1], best_x), np.where(middle, fs[1], best_f)
 
 
-def _gauss_newton_strains(params, grid, costs, meas, start=None):
+def _newton_strains(params, grid, costs, meas, start=None):
     """Per-defect strain minimization for full line lists, batched across
     defects and kept in the bracket of grid points around the coarse-grid
     minimum. It starts from the strains start where they lie inside that
     bracket (the fit passes variable projection's first-order
-    prediction), from the grid minimum elsewhere. The residual r is
-    centred, which removes the offset, and its strain derivative J is the
-    centred Hellmann-Feynman slope, from the same stacked eigensolve as
-    the lines; so the gradient J.r of half the squared residual is exact.
-    The first step is Gauss-Newton, with curvature J.J; later steps take
-    the secant curvature of the exact gradient between the last two
-    points, which converges superlinearly where large residuals slow
-    Gauss-Newton, and fall back on J.J where that is not positive. It
-    stops, without evaluating it, at the first step that moves no strain
-    by more than STRAIN_TOL, or after GN_STEPS steps. Returns the best
-    strain evaluated (the grid minimum included) and its cost."""
+    prediction), from the grid minimum elsewhere. Newton steps on half
+    the squared residual r, centred to remove the offset: one stacked
+    eigensolve gives the lines, their centred slopes J and curvatures
+    E'', so the gradient J.r and curvature J.J + r.E'' are exact; J.J
+    stands in where the latter is not positive. The first step that
+    moves no strain by more than STRAIN_TOL is taken unevaluated and
+    ends the search, so the strain is Newton's fixed point; after
+    NEWTON_STEPS steps it is the last point evaluated. Returns it with
+    the last cost evaluated, or the grid minimum where that is lower."""
     family = strain_family(params)
     k = np.argmin(costs, axis=1)
     kb = np.clip(k, 1, grid.size - 2)
     lo, hi = grid[kb - 1], grid[kb + 1]
-    x = best_x = grid[k]
-    best_cost = costs[np.arange(k.size), k]
+    x = grid[k]
     if start is not None:
         x = np.where((start >= lo) & (start <= hi), start, x)
-    for step in range(GN_STEPS + 1):
-        if step < GN_STEPS:
-            values, slopes = strain_slopes(family, x)
-        else:
-            values = predicted_lines(params, x)
+    for step in range(NEWTON_STEPS + 1):
+        values, slopes, curv = strain_slopes(family, x, curvatures=True)
         r = _match(values, meas)[0]
         cost = (r * r).sum(axis=1)
-        better = cost < best_cost
-        best_x = np.where(better, x, best_x)
-        best_cost = np.where(better, cost, best_cost)
-        if step == GN_STEPS:
+        if step == NEWTON_STEPS:
             break
         jac = slopes - _mean(slopes)[:, None]
-        grad, curv = (jac * r).sum(axis=1), (jac * jac).sum(axis=1)
+        grad, gauss_newton = (jac * r).sum(axis=1), (jac * jac).sum(axis=1)
+        newton = gauss_newton + (r * curv).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if step:
-                secant = (grad - last_grad) / (x - last_x)
-                curv = np.where(secant > 0, secant, curv)
-            dx = grad / curv
-        last_x, last_grad = x, grad
+            dx = grad / np.where(newton > 0, newton, gauss_newton)
         # a non-finite step (a flat J) counts as no step
+        last_x = x
         x = np.clip(x - np.where(np.isfinite(dx), dx, 0.0), lo, hi)
         if np.max(np.abs(x - last_x)) <= STRAIN_TOL:
             break
-    return best_x, best_cost
+    grid_cost = costs.min(axis=1)
+    kept = cost <= grid_cost
+    return np.where(kept, x, grid[k]), np.where(kept, cost, grid_cost)
 
 
 def _solve_strains(params, groups, guess=None):
@@ -274,7 +265,7 @@ def _solve_strains(params, groups, guess=None):
     for idx, meas in groups:
         grid_costs = _cost(grid_pred, meas[:, None, :])
         if meas.shape[1] == N_LINES:
-            strains[idx], costs[idx] = _gauss_newton_strains(
+            strains[idx], costs[idx] = _newton_strains(
                 params, STRAIN_GRID, grid_costs, meas,
                 None if guess is None else guess[idx])
         else:
@@ -406,7 +397,7 @@ def fit(data, params=None, free_lambda_perp=False):
             converged = True
             break
         # each defect's strain at a trial point, to first order, starts
-        # its Gauss-Newton refinement
+        # its Newton refinement
         d_strain = np.empty((len(data), len(names)))
         for (idx, _), (*_, d_group) in zip(groups, lin):
             d_strain[idx] = d_group

@@ -63,8 +63,8 @@ class TemperatureMap:
             raise ValueError("need r0 > 0 and ea >= 0")
 
     def hop_rate(self, temperature):
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < temperature < np.inf:     # NaN too
+            raise ValueError("temperature must be positive and finite")
         return self.r0 * np.exp(-self.ea / (KB_MEV_PER_K * temperature))
 
 

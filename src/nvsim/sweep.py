@@ -126,22 +126,29 @@ def strain_hamiltonians(family, deltas):
     return h0 + d * np.where(d < 0, hd_neg, hd)
 
 
-def strain_slopes(family, deltas, operators=None):
+def strain_slopes(family, deltas, operators=None, curvatures=False):
     """Eigenvalues (..., 6) at the strains (delta, 0) of deltas and their
     Hellmann-Feynman derivatives dE_k/d(delta) = v_k . Hd . v_k, with Hd
-    the family's slope on the strain's side of zero. Given operators
-    (p, 6, 6) in the family's gauge, such as `parameter_operators`, it
-    also returns v_k . O_j . v_k (..., p, 6), the derivatives along the
-    parameters they multiply, from the same eigensolve."""
+    the family's slope on the strain's side of zero; given operators
+    (p, 6, 6) in its gauge, such as `parameter_operators`, also
+    v_k . O_j . v_k (..., p, 6); with curvatures, last, the second
+    derivatives 2 sum_{j != k} (v_j . Hd . v_k)^2 / (E_k - E_j) (..., 6),
+    an exactly degenerate pair adding 0. All from the same eigensolve."""
     h0, hd, hd_neg = family
     d = np.asarray(deltas, dtype=float)[..., None, None]
     slope = np.where(d < 0, hd_neg, hd)
     values, vectors = np.linalg.eigh(h0 + d * slope)
-    slopes = np.sum(vectors * (slope @ vectors), axis=-2)
-    if operators is None:
-        return values, slopes
-    v = vectors[..., None, :, :]
-    return values, slopes, np.sum(v * (operators @ v), axis=-2)
+    moved = slope @ vectors
+    out = [values, np.sum(vectors * moved, axis=-2)]
+    if operators is not None:
+        v = vectors[..., None, :, :]
+        out.append(np.sum(v * (operators @ v), axis=-2))
+    if curvatures:
+        coupling = np.swapaxes(vectors, -1, -2) @ moved
+        gaps = values[..., :, None] - values[..., None, :]
+        out.append(2.0 * np.divide(coupling ** 2, gaps, where=gaps != 0,
+                                   out=np.zeros_like(gaps)).sum(axis=-1))
+    return tuple(out)
 
 
 def _finite_strains(deltas):

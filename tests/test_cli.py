@@ -531,6 +531,40 @@ class TestExitCodes:
             f"nvsim: error: {flag.split('=')[0]} must be >= 2\n"
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv, bounds", [
+        (["avg", "--max-strain", "0"], "--max-strain"),
+        (["avg", "--max-strain=-5"], "--max-strain"),
+        (["rabi", "--tau-max", "0"], "--tau-max"),
+        (["odmr", "--temperature-scan", "--temp-min", "6", "--temp-max",
+          "6"], "--temp-min and --temp-max"),
+        (["odmr", "--temperature-scan", "--temp-min", "300", "--temp-max",
+          "6"], "--temp-min and --temp-max"),
+        (["excitation", "--detuning-min", "1", "--detuning-max", "1"],
+         "--detuning-min and --detuning-max"),
+        (["odmr", "--freq-min", "2", "--freq-max", "1"],
+         "--freq-min and --freq-max")],
+        ids=["avg-empty", "avg-descending", "rabi-empty", "scan-empty",
+             "scan-descending", "excitation-empty", "odmr-descending"])
+    def test_grid_bounds_not_ascending_rejected(self, tmp_path, capsys, argv,
+                                                bounds):
+        # a zero-width or descending range wrote repeated or descending
+        # rows with exit 0 (avg, rabi, the temperature scan)
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, *argv]) == 1
+        assert capsys.readouterr().err == \
+            f"nvsim: error: {bounds} must give an ascending grid\n"
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_temperature_rejected(self, tmp_path, capsys, value):
+        # inf wrote odmr.csv at the attempt rate with exit 0; nan blamed
+        # the exchange-model parameters
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "odmr", "--temperature", value]) == 1
+        assert "temperature must be positive and finite" in \
+            capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("value", ["0", "nan"])
     def test_bad_gap_threshold_rejected(self, tmp_path, capsys, value):
         # 0 exited 1 after writing sweep.csv, without a manifest; NaN
@@ -544,7 +578,8 @@ class TestExitCodes:
         # printed a mirror image of the positive trace with exit 0
         cfg, out = make_config(tmp_path)
         assert run(["--config", cfg, "rabi", "--tau-max=-400"]) == 1
-        assert "MW durations must be >= 0" in capsys.readouterr().err
+        assert "--tau-max must give an ascending grid" in \
+            capsys.readouterr().err
         assert not (out / "rabi.csv").exists()
 
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys,

@@ -156,6 +156,9 @@ def test_every_command_line_exits_cleanly(workdir, capfd):
                 name = "odmr_contrast.csv"
             rows = (out / name).read_text().splitlines()[1:]
             assert len(rows) >= 2, "a grid of fewer than two points"
+            grid = [float(row.split(",")[0]) for row in rows]
+            assert all(a < b for a, b in zip(grid, grid[1:])), \
+                "a grid column that does not ascend"
 
     check()
 

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nvsim import fitting
-from nvsim.fitting import (_INJECTIONS, BOUNDS, COARSE_STEP, GN_STEPS,
+from nvsim.fitting import (_INJECTIONS, BOUNDS, COARSE_STEP, NEWTON_STEPS,
                            PERP_FLOOR, REFINE_ITERS, STRAIN_GRID, STRAIN_MAX,
                            FitError, ObservedDefect,
-                           _cost, _gauss_newton_strains, _groups, _linearize,
-                           _match, _refine_strains, _solve_strains, _stack,
-                           _take, fit, predicted_lines, synthesize_dataset)
+                           _cost, _groups, _linearize, _match,
+                           _newton_strains, _refine_strains, _solve_strains,
+                           _stack, _take, fit, predicted_lines,
+                           synthesize_dataset)
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
 from nvsim.sweep import strain_family, strain_slopes
@@ -159,8 +160,9 @@ class TestMatch:
 
 
 class TestGaussNewtonStrains:
-    """Full line lists refine their strains by Gauss-Newton on
-    Hellmann-Feynman slopes; partial ones keep the parabolic search."""
+    """Full line lists refine their strains by Newton steps on
+    Hellmann-Feynman slopes and exact curvatures; partial ones keep the
+    parabolic search."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(delta=st.floats(-30.0, 30.0),
@@ -177,6 +179,32 @@ class TestGaussNewtonStrains:
                    - predicted_lines(params, delta - h)) / (2 * h)
         assert np.all(np.abs(slopes - central) <= 1e-6 * np.abs(slopes))
 
+    # the draws of test_slopes_match_central_differences
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(delta=st.floats(-30.0, 30.0),
+           lambda_perp=st.floats(0.0, 1.0),
+           e_es=st.floats(-0.5, 0.5).filter(lambda e: abs(e) >= 1e-3))
+    def test_curvatures_match_central_differences_of_the_slopes(
+            self, delta, lambda_perp, e_es):
+        h = 1e-5
+        assume(abs(delta) > 10 * h)    # the e_es term kinks at zero strain
+        family = strain_family(replace(TRUTH, lambda_perp=lambda_perp,
+                                       e_es_coeff=e_es))
+        values, slopes, curv = strain_slopes(family, delta, curvatures=True)
+        assume(np.min(np.diff(values)) > 0.01)     # non-degenerate
+        assert np.array_equal(slopes, strain_slopes(family, delta)[1])
+        central = (strain_slopes(family, delta + h)[1]
+                   - strain_slopes(family, delta - h)[1]) / (2 * h)
+        # some levels are straight lines (E'' = 0 exactly)
+        assert np.all(np.abs(curv - central) <= 1e-6 * np.abs(curv) + 1e-8)
+
+    def test_curvature_of_an_exact_degeneracy_is_finite(self):
+        # at zero strain and lambda_perp = 0 the E pairs are degenerate
+        family = strain_family(replace(TRUTH, lambda_perp=0.0))
+        values, _, curv = strain_slopes(family, [0.0, 1.0], curvatures=True)
+        assert np.any(np.diff(values[0]) == 0.0)
+        assert curv.shape == (2, 6) and np.all(np.isfinite(curv))
+
     @pytest.mark.parametrize("shift", [0.0, 0.4, -0.4])
     def test_no_worse_than_the_parabolic_search(self, shift):
         # 0.3 GHz has a bracket touching zero strain, 29.8 GHz one at the
@@ -189,8 +217,7 @@ class TestGaussNewtonStrains:
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
         (_, meas), = _groups(data)
         grid_costs = _cost(predicted_lines(params, grid), meas[:, None, :])
-        x_gn, cost_gn = _gauss_newton_strains(params, grid, grid_costs,
-                                              meas)
+        x_gn, cost_gn = _newton_strains(params, grid, grid_costs, meas)
         cost_par = _refine_strains(params, grid, grid_costs, meas)[1]
         assert np.all(cost_gn <= cost_par * (1 + 1e-9) + 1e-16)
         assert np.all(cost_gn <= grid_costs.min(axis=1))
@@ -224,11 +251,15 @@ def shifted(shift):
 
 
 def stop_ensemble(kind):
-    """A noisy full-line ensemble, or a noise-free one of middle four lines
-    (the kind `nvsim fit` reads in the benchmark's partial workload)."""
+    """A noisy full-line ensemble, one at the two anticrossings (7.314 and
+    15.501 GHz), or a noise-free one of middle four lines (the kind
+    `nvsim fit` reads in the benchmark's partial workload)."""
     strains = [1.2, 3.0, 7.3, 12.0, 17.5, 23.0]
     if kind == "full":
         return synthesize_dataset(TRUTH, strains, noise=0.01, seed=31)
+    if kind == "crossing":
+        strains = np.add.outer([7.314, 15.501], [-0.01, 0.0, 0.01]).ravel()
+        return synthesize_dataset(TRUTH, strains, noise=0.01, seed=33)
     full = synthesize_dataset(TRUTH, strains, seed=32)
     return [replace(d, lines=d.lines[1:5]) for d in full]
 
@@ -238,9 +269,9 @@ def count_eigensolves(monkeypatch):
     call, the number of stacked eigensolves that call ran."""
     per_solve, n = [], [0]
     for name in ("predicted_lines", "strain_slopes"):
-        def counted(*args, _orig=getattr(fitting, name)):
+        def counted(*args, _orig=getattr(fitting, name), **kwargs):
             n[0] += 1
-            return _orig(*args)
+            return _orig(*args, **kwargs)
         monkeypatch.setattr(fitting, name, counted)
     solve = fitting._solve_strains
 
@@ -256,9 +287,9 @@ def count_eigensolves(monkeypatch):
 
 class TestStoppedSearches:
     """Both strain refiners stop once a step falls to STRAIN_TOL, and
-    Gauss-Newton may start from a given strain in the grid bracket."""
+    Newton's may start from a given strain in the grid bracket."""
 
-    @pytest.mark.parametrize("kind", ["full", "partial"])
+    @pytest.mark.parametrize("kind", ["full", "partial", "crossing"])
     @pytest.mark.parametrize("shift", [0.0, 0.4, -0.4])
     def test_ends_at_a_minimum_below_the_grid(self, kind, shift):
         params = shifted(shift)
@@ -283,15 +314,50 @@ class TestStoppedSearches:
         per_solve.clear()
         monkeypatch.setattr(fitting, "STRAIN_TOL", 0.0)
         capped = fit(data, START)
-        # the grid scan, then every step up to the cap (Gauss-Newton's
-        # last point is evaluated without slopes)
-        cap = 1 + (GN_STEPS + 1 if kind == "full" else REFINE_ITERS)
+        # the grid scan, then every step up to the cap and the point
+        # Newton's last step reaches
+        cap = 1 + (NEWTON_STEPS + 1 if kind == "full" else REFINE_ITERS)
         assert per_solve == [cap] * len(per_solve)
         assert max(n_stopped) <= cap and sum(n_stopped) < sum(per_solve)
         assert stopped.converged and capped.converged
         for name in ("lambda_z", "d_es", "delta_cap"):
             assert getattr(stopped.params, name) == pytest.approx(
                 getattr(capped.params, name), abs=1e-9)
+
+    def test_printed_strains_are_the_fixed_point(self, monkeypatch):
+        # fit_strains.csv prints 9 significant digits: a refiner that
+        # stops short of its fixed point leaves noise in the last ones
+        rng = np.random.default_rng(0)
+        data = synthesize_dataset(TRUTH, np.sort(rng.uniform(0.5, 25.0, 120)),
+                                  noise=0.01, seed=0)
+        stopped = fit(data, START)
+        monkeypatch.setattr(fitting, "STRAIN_TOL", 0.0)
+        monkeypatch.setattr(fitting, "NEWTON_STEPS", 30)
+        fixed = fit(data, START)
+        assert stopped.converged and fixed.converged
+        assert [f"{x:#.9g}" for x in stopped.strains.values()] == \
+            [f"{x:#.9g}" for x in fixed.strains.values()]
+
+    def test_takes_gauss_newton_curvature_where_newton_is_not_positive(
+            self):
+        # lines with lambda_perp = 1 GHz read at lambda_perp = 1 MHz: near
+        # the 7.314 GHz anticrossing r.E'' outweighs J.J, and Newton steps
+        # from there climb to a maximum
+        meas = predicted_lines(replace(TRUTH, lambda_perp=1.0), [7.314])
+        params = replace(TRUTH, lambda_perp=1e-3)
+        start = np.array([7.309])
+        values, slopes, curv = strain_slopes(strain_family(params), start,
+                                             curvatures=True)
+        r = _match(values, meas)[0]
+        jac = slopes - slopes.mean()
+        assert (jac * jac).sum() + (r * curv).sum() < 0
+        grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
+                           meas[:, None, :])
+        _, cost = _newton_strains(params, STRAIN_GRID, grid_costs, meas,
+                                  start)
+        scan = np.linspace(7.0, 7.5, 5001)      # the grid bracket
+        assert cost[0] <= _cost(predicted_lines(params, scan),
+                                meas).min() * (1 + 1e-9)
 
     @pytest.mark.parametrize("offset", [1e-3, -0.1, 0.3])
     def test_gauss_newton_starts_inside_the_bracket(self, offset,
@@ -300,15 +366,17 @@ class TestStoppedSearches:
         (_, meas), = _groups(stop_ensemble("full"))
         grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
                            meas[:, None, :])
-        x_grid, cost_grid = _gauss_newton_strains(
-            params, STRAIN_GRID, grid_costs, meas)
+        x_grid, cost_grid = _newton_strains(params, STRAIN_GRID,
+                                            grid_costs, meas)
         start = x_grid + offset
         first = []
         slopes = fitting.strain_slopes
-        monkeypatch.setattr(fitting, "strain_slopes", lambda family, x: (
-            first.append(np.copy(x)), slopes(family, x))[1])
-        x, cost = _gauss_newton_strains(params, STRAIN_GRID, grid_costs,
-                                        meas, start)
+        monkeypatch.setattr(fitting, "strain_slopes",
+                            lambda family, x, **kwargs: (
+                                first.append(np.copy(x)),
+                                slopes(family, x, **kwargs))[1])
+        x, cost = _newton_strains(params, STRAIN_GRID, grid_costs, meas,
+                                  start)
         # the bracket is the grid points either side of the grid minimum
         k = np.argmin(grid_costs, axis=1)
         inside = np.abs(start - STRAIN_GRID[k]) <= COARSE_STEP

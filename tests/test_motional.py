@@ -125,8 +125,9 @@ class TestTemperatureMap:
         assert np.all(np.diff(rates) > 0)
 
     def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            TemperatureMap().hop_rate(0.0)
+        for temperature in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                TemperatureMap().hop_rate(temperature)
 
     def test_validation(self):
         with pytest.raises(ValueError):
