@@ -263,19 +263,19 @@ def _cmd_odmr(cfg, args, command):
     params = cfg.fine_structure()
     dperp = _resolve_strain(args)
     tmap = cfg.temperature_map()
+    linewidth_0 = cfg["linewidth"] * 5     # ESR intrinsic linewidth, GHz
     if args.temperature_scan:
         temps = _grid(args.temp_min, args.temp_max, args.temp_points,
                       "--temp-min and --temp-max", "--temp-points")
         rows = esr_contrast_vs_temperature(
-            tmap, params, dperp, temps, linewidth_0=cfg["linewidth"] * 5)
+            tmap, params, dperp, temps, linewidth_0=linewidth_0)
         path = _out(cfg, "odmr_contrast.csv")
         write_csv(path, ["temperature_k", "contrast"], rows)
         _finish(cfg, command, [path],
                 f"contrast scan {args.temp_min}-{args.temp_max} K")
         return
     fa, fb, _, _ = branch_esr_frequencies(params, dperp)
-    model = ExchangeModel(freq_a=fa, freq_b=fb,
-                          linewidth_0=cfg["linewidth"] * 5,
+    model = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=linewidth_0,
                           hop_rate=float(tmap.hop_rate(args.temperature)))
     grid = _grid(args.freq_min, args.freq_max, args.freq_points,
                  "--freq-min and --freq-max", "--freq-points")

@@ -277,9 +277,11 @@ def _solve_strains(params, groups, guess=None):
 
 def _linearize(params, names, strains, groups):
     """The matched residuals at the strains and their reduced Jacobian in
-    the globals names, from one eigensolve per group of `_groups`. Per
-    group: `_match`'s residuals and rows, the offsets, the Jacobian
-    (n, m, p) and the strains' derivatives in the globals (n, p).
+    the globals names, from one eigensolve per group of `_groups`.
+    Returns the residuals r and the Jacobian J (rows, p), group after
+    group, then per defect in data order: the offsets, the squared
+    residuals, the matched rows of _INJECTIONS and the strains'
+    derivatives in the globals (n, p).
 
     A residual is sel_k - mean(first) - (meas - mean meas), so its
     derivative is that of the matched row k minus the mean derivative of
@@ -293,14 +295,20 @@ def _linearize(params, names, strains, groups):
     of each global."""
     family = strain_family(params)
     ops = parameter_operators(tuple(names))
-    out = []
+    n = strains.size
+    offsets, sq = np.empty(n), np.empty(n)
+    rows, d_strain = [None] * n, np.empty((n, len(names)))
+    r, jacs = [], []
     for idx, meas in groups:
         values, d_delta, d_theta = strain_slopes(family, strains[idx], ops)
         diff, k, k_first = _match(values, meas)
-        rows = _INJECTIONS[meas.shape[1]]
-        offset = _mean(meas - _take(values[:, rows], k_first))
+        inj = _INJECTIONS[meas.shape[1]]
+        offsets[idx] = _mean(meas - _take(values[:, inj], k_first))
+        sq[idx] = (diff * diff).sum(axis=1)
+        for i, row in zip(idx.tolist(), inj[k].tolist()):
+            rows[i] = row
         # derivatives along the strain, then each global: (n, 1 + p, 6)
-        sel = np.concatenate([d_delta[:, None], d_theta], axis=1)[..., rows]
+        sel = np.concatenate([d_delta[:, None], d_theta], axis=1)[..., inj]
         fixed = sel.shape[:2]
         d = (_take(sel, np.broadcast_to(k[:, None], fixed))
              - _mean(_take(sel, np.broadcast_to(k_first[:, None], fixed)))
@@ -312,16 +320,11 @@ def _linearize(params, names, strains, groups):
         # a flat strain direction has nothing to project out
         coef = np.where(np.isfinite(coef), coef, 0.0)
         jac = j_theta - coef * j_delta[:, None, :]
-        out.append((diff, k, offset, jac.transpose(0, 2, 1), -coef[..., 0]))
-    return out
-
-
-def _stack(lin):
-    """Residual vector r and Jacobian J (rows, p) of all groups."""
-    r = np.concatenate([diff.ravel() for diff, *_ in lin])
-    jac = np.concatenate([j.reshape(-1, j.shape[-1])
-                          for _, _, _, j, _ in lin])
-    return r, jac
+        r.append(diff.ravel())
+        jacs.append(jac.transpose(0, 2, 1).reshape(-1, len(names)))
+        d_strain[idx] = -coef[..., 0]
+    return np.concatenate(r), np.concatenate(jacs), offsets, sq, rows, \
+        d_strain
 
 
 def fit(data, params=None, free_lambda_perp=False):
@@ -387,7 +390,7 @@ def fit(data, params=None, free_lambda_perp=False):
         nit += 1
         # r, J, J^T J are finite as the accepted cost is: Hellmann-Feynman
         # slopes are O(1) and Kaufman's projection cannot grow a row
-        r, jac = _stack(lin)
+        r, jac, *_, d_strain = lin
         grad, hess = jac.T @ r, jac.T @ jac
         # the undamped (Gauss-Newton) step tests convergence; a damped
         # one is short merely because mu is large
@@ -396,17 +399,14 @@ def fit(data, params=None, free_lambda_perp=False):
         if np.max(np.abs(gauss_newton)) <= XTOL * np.max(np.abs(theta)):
             converged = True
             break
-        # each defect's strain at a trial point, to first order, starts
-        # its Newton refinement
-        d_strain = np.empty((len(data), len(names)))
-        for (idx, _), (*_, d_group) in zip(groups, lin):
-            d_strain[idx] = d_group
         # the floor keeps a flat column from making the system singular
         scale = np.diag(hess)
         scale = np.maximum(scale, SCALE_FLOOR * scale.max())
         while True:
             step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
             trial = np.clip(theta + step, lo, hi)
+            # each defect's strain there, to first order, starts its
+            # Newton refinement
             state = evaluate(trial, strains + d_strain @ (trial - theta))
             if state[3] < cost:
                 converged = cost - state[3] <= TOL * cost
@@ -421,7 +421,7 @@ def fit(data, params=None, free_lambda_perp=False):
 
     on_bound = tuple(n for n, t in zip(names, theta.tolist())
                      if n != "lambda_perp" and t in BOUNDS[n])
-    _, jac = _stack(lin)
+    _, jac, offsets, sq, rows, _ = lin
     dof = n_lines - n_free
     errors = {}
     # a global the lines do not depend on has no error
@@ -431,12 +431,6 @@ def fit(data, params=None, free_lambda_perp=False):
         cov = np.linalg.inv(normal) * (cost / dof)
         errors = dict(zip([names[j] for j in cols],
                           np.sqrt(np.diag(cov)).tolist()))
-    offsets, sq, pairs = np.empty(len(data)), np.empty(len(data)), {}
-    for (idx, meas), (diff, k, offset, *_) in zip(groups, lin):
-        offsets[idx] = offset
-        sq[idx] = (diff * diff).sum(axis=1)
-        pairs.update((data[i].id, list(enumerate(row.tolist())))
-                     for i, row in zip(idx, _INJECTIONS[meas.shape[1]][k]))
     return FitResult(
         params=params,
         strains={d.id: float(x) for d, x in zip(data, strains)},
@@ -445,7 +439,8 @@ def fit(data, params=None, free_lambda_perp=False):
         iterations=nit,
         converged=converged and not (at_edge.any() or on_bound),
         stalled=stalled,
-        assignments=pairs,
+        assignments={d.id: list(enumerate(row))
+                     for d, row in zip(data, rows)},
         edge_ids=tuple(d.id for d, e in zip(data, at_edge) if e),
         bound_names=on_bound,
         errors=errors,

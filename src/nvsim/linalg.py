@@ -58,7 +58,7 @@ def offdiag_norm(a):
     return np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
 
 
-def hermitian_eigen(m, tol=DEFAULT_TOL):
+def hermitian_eigen(m):
     """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
 
     Raises EigenError for non-square / non-Hermitian input (tolerance
@@ -83,7 +83,7 @@ def hermitian_eigen(m, tol=DEFAULT_TOL):
     v = np.eye(n, dtype=complex)
     fro = max(np.linalg.norm(a), 1e-300)
     for _ in range(MAX_SWEEPS):
-        if offdiag_norm(a) <= tol * fro:
+        if offdiag_norm(a) <= DEFAULT_TOL * fro:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

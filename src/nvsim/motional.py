@@ -27,11 +27,9 @@ class ExchangeModel:
     freq_b: float                 # GHz, branch-b ESR frequency
     linewidth_0: float = 0.1      # GHz, intrinsic FWHM
     hop_rate: float = 0.0         # GHz, symmetric a<->b exchange
-    weight_a: float = 0.5
 
     def __post_init__(self):
-        vals = (self.freq_a, self.freq_b, self.linewidth_0, self.hop_rate,
-                self.weight_a)
+        vals = (self.freq_a, self.freq_b, self.linewidth_0, self.hop_rate)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("exchange-model parameters must be finite")
         if self.freq_a <= 0 or self.freq_b <= 0:
@@ -40,13 +38,11 @@ class ExchangeModel:
             raise ValueError("linewidth_0 must be positive")
         if self.hop_rate < 0:
             raise ValueError("hop_rate must be nonnegative")
-        if not 0.0 <= self.weight_a <= 1.0:
-            raise ValueError("weight_a must lie in [0, 1]")
 
     @property
     def mean_frequency(self):
-        return self.weight_a * self.freq_a \
-            + (1.0 - self.weight_a) * self.freq_b
+        # symmetric hopping holds the branches at equal weights
+        return 0.5 * self.freq_a + 0.5 * self.freq_b
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,9 @@ class TemperatureMap:
             raise ValueError("need r0 > 0 and ea >= 0")
 
     def hop_rate(self, temperature):
-        if not 0 < temperature < np.inf:     # NaN too
+        """Hop rate (GHz) at a temperature (K), or at each of an array."""
+        temperature = np.asarray(temperature, dtype=float)
+        if not np.all((temperature > 0) & (temperature < np.inf)):  # NaN too
             raise ValueError("temperature must be positive and finite")
         return self.r0 * np.exp(-self.ea / (KB_MEV_PER_K * temperature))
 
@@ -100,57 +98,50 @@ def branch_esr_frequencies(params, strain_perp):
 
 def exchange_lineshape(model, grid):
     """Absorption intensity of the symmetric two-site exchange problem
-    on an ascending frequency grid (GHz).
-
-    Resolvent form: I(nu) = (1/pi) Re{ w^T [i 2pi(nu I - Omega) + K +
-    Gamma0]^-1 w }, with K the exchange generator and Gamma0 the
-    intrinsic damping. Integrated area is hop-rate independent."""
+    on an ascending frequency grid (GHz): (1/pi) Re{w^T [i 2pi(nu I -
+    Omega) + K + Gamma0]^-1 w} at equal weights w = (1, 1)/sqrt(2), with
+    K the exchange generator at hop rate k and Gamma0 the damping gamma0
+    = pi linewidth_0. In closed form, with s = 2pi(nu - mean frequency),
+    d = pi(freq_a - freq_b) and A = gamma0 (gamma0 + 2k) + d^2, it is
+    (gamma0 s^2 + (gamma0 + 2k) A) / (pi |D|^2), |D|^2 = (A - s^2)^2 +
+    (2 (gamma0 + k) s)^2: sums of non-negative terms. Integrated area is
+    hop-rate independent."""
     grid = np.asarray(grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ValueError("frequency grid must be finite")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise ValueError("frequency grid must be ascending")
-    gamma0 = np.pi * model.linewidth_0  # damping giving FWHM linewidth_0
+    gamma0 = np.pi * model.linewidth_0
     k = model.hop_rate
-    wa = model.weight_a
-    w = np.array([np.sqrt(wa), np.sqrt(1.0 - wa)])
-    # the matrix inverted, on the whole grid at once: both diagonal
-    # entries have the real part k + gamma0 and the imaginary parts im,
-    # both off-diagonal ones are -k
-    re = k + gamma0
-    im = 2.0 * np.pi * (grid[:, None] - [model.freq_a, model.freq_b])
-    # the determinant's complex products written out in real arithmetic,
-    # one rounding per operation; an overflow is reported just below
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = (re * re - im[:, 0] * im[:, 1] - k * k) \
-            + 1j * (re * im[:, 1] + im[:, 0] * re)
-    bad = (det == 0) | ~np.isfinite(det)
+    s = 2.0 * np.pi * (grid - model.mean_frequency)
+    # an overflow, or |D|^2 = 0, is reported just below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a = gamma0 * (gamma0 + 2.0 * k) \
+            + (np.pi * (model.freq_a - model.freq_b)) ** 2
+        s2 = s * s
+        d2 = (a - s2) ** 2 + (2.0 * (gamma0 + k) * s) ** 2
+        out = (gamma0 * s2 + (gamma0 + 2.0 * k) * a) / (np.pi * d2)
+    bad = ~(np.isfinite(out) & np.isfinite(d2))
     if bad.any():
         raise ArithmeticError("exchange resolvent singular or overflowed "
                               f"at {grid[np.argmax(bad)]} GHz")
-    inv = np.empty((grid.size, 2, 2), dtype=complex)
-    inv[:, 0, 0] = re + 1j * im[:, 1]
-    inv[:, 1, 1] = re + 1j * im[:, 0]
-    inv[:, 0, 1] = inv[:, 1, 0] = k
-    inv /= det[:, None, None]
-    # w^T inv w as one dot product per point
-    return ((w @ inv)[:, None, :] @ w)[:, 0].real / np.pi
-
-
-def _fast_limit_height(model):
-    """Peak height of the fully collapsed line (hop_rate -> infinity)."""
-    return 1.0 / (np.pi ** 2 * model.linewidth_0)
+    return out
 
 
 def esr_contrast_vs_temperature(tmap, params, strain_perp, temperatures,
                                 linewidth_0=0.1):
-    """ESR contrast versus temperature at equal branch weights: intensity
-    at the averaged frequency, normalized so the fast-exchange limit is 1."""
+    """ESR contrast versus temperature: intensity at the mean frequency
+    over that of the fully collapsed line, 1 / (pi^2 linewidth_0). With
+    the symbols of `exchange_lineshape` it is g / (g + d^2), g = gamma0
+    (gamma0 + 2k), for every temperature at once."""
     fa, fb, _, _ = branch_esr_frequencies(params, strain_perp)
-    rows = []
-    for t in temperatures:
-        m = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=linewidth_0,
-                          hop_rate=float(tmap.hop_rate(t)))
-        height = exchange_lineshape(m, np.array([m.mean_frequency]))[0]
-        rows.append((float(t), float(height / _fast_limit_height(m))))
-    return rows
+    model = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=linewidth_0)
+    temperatures = np.asarray(temperatures, dtype=float)
+    gamma0 = np.pi * model.linewidth_0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = gamma0 * (gamma0 + 2.0 * tmap.hop_rate(temperatures))
+        contrast = g / (g + (np.pi * (fa - fb)) ** 2)
+    if not np.all(np.isfinite(contrast)):
+        raise ArithmeticError("exchange resolvent singular or overflowed "
+                              f"at {model.mean_frequency} GHz")
+    return list(zip(temperatures.tolist(), contrast.tolist()))

@@ -21,10 +21,6 @@ class TestExchangeModel:
     def test_mean_frequency(self):
         assert model(0.0).mean_frequency == pytest.approx(1.4)
 
-    def test_weighted_mean(self):
-        m = ExchangeModel(freq_a=2.0, freq_b=1.0, weight_a=0.25)
-        assert m.mean_frequency == pytest.approx(1.25)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ExchangeModel(freq_a=-1.0, freq_b=1.0)
@@ -36,8 +32,7 @@ class TestExchangeModel:
         with pytest.raises(ValueError, match="linewidth_0"):
             ExchangeModel(freq_a=1.7, freq_b=1.1, linewidth_0=width)
 
-    @pytest.mark.parametrize("name", ["freq_a", "linewidth_0", "hop_rate",
-                                      "weight_a"])
+    @pytest.mark.parametrize("name", ["freq_a", "linewidth_0", "hop_rate"])
     def test_rejects_non_finite(self, name):
         kwargs = {"freq_a": 1.7, "freq_b": 1.1, name: np.nan}
         with pytest.raises(ValueError, match="finite"):
@@ -100,11 +95,13 @@ class TestLineshape:
         with pytest.raises(ArithmeticError, match="at 1.0 GHz"):
             exchange_lineshape(m, np.array([0.5, 1.0, 1.5, 1e300]))
 
-    @pytest.mark.parametrize("hop", [1e-3, 1e-1, 10.0, 314.0, 1e3, 1e5])
-    @pytest.mark.parametrize("weight_a", [0.5, 0.3])
+    @pytest.mark.parametrize("hop", [0.0, 1e-3, 1e-1, 10.0, 314.0, 1e3, 1e5])
+    # symmetric hopping holds the branches at equal weights
+    @pytest.mark.parametrize("weight_a", [0.5])
     def test_matches_a_per_point_resolvent(self, hop, weight_a):
+        # the closed form against a complex 2x2 solve per point
         m = ExchangeModel(freq_a=1.7, freq_b=1.1, linewidth_0=0.1,
-                          hop_rate=hop, weight_a=weight_a)
+                          hop_rate=hop)
         grid = np.linspace(0.4, 2.6, 441)
         w = np.sqrt([weight_a, 1.0 - weight_a])
         kmat = hop * np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -128,6 +125,18 @@ class TestTemperatureMap:
         for temperature in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 TemperatureMap().hop_rate(temperature)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_one_bad_temperature_in_an_array(self, bad):
+        temps = np.linspace(4.0, 320.0, 50)
+        temps[17] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            TemperatureMap().hop_rate(temps)
+
+    def test_array_matches_scalars(self):
+        tmap, temps = TemperatureMap(), np.linspace(2.0, 900.0, 300)
+        assert tmap.hop_rate(temps).tolist() \
+            == [tmap.hop_rate(t) for t in temps.tolist()]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -186,3 +195,25 @@ class TestContrastCurve:
         assert c[-1] > c[0]
         assert c[0] <= 0.1
         assert c[-1] >= 0.8
+
+    def test_overflow_is_numerical(self):
+        # gamma0 (gamma0 + 2k) overflows, as the resolvent did
+        with pytest.raises(ArithmeticError, match="singular or overflowed"):
+            esr_contrast_vs_temperature(TemperatureMap(), PARAMS, 20.0,
+                                        [4.0, 300.0], linewidth_0=1e300)
+
+    def test_is_the_normalized_lineshape_at_the_mean_frequency(self):
+        tmap, width = TemperatureMap(), 0.5
+        temps = np.linspace(2.0, 900.0, 300)
+        rows = esr_contrast_vs_temperature(tmap, PARAMS, 20.0, temps,
+                                           linewidth_0=width)
+        fa, fb, _, _ = branch_esr_frequencies(PARAMS, 20.0)
+        ref = []
+        for t in temps.tolist():
+            m = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=width,
+                              hop_rate=float(tmap.hop_rate(t)))
+            ref.append(np.pi ** 2 * width
+                       * exchange_lineshape(m, [m.mean_frequency])[0])
+        assert [t for t, _ in rows] == temps.tolist()
+        np.testing.assert_allclose([c for _, c in rows], ref, rtol=1e-12,
+                                   atol=0.0)
