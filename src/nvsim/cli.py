@@ -5,7 +5,8 @@ NVSIM_CONFIG environment variable), writes one or more CSVs plus a run
 manifest into the configured output directory, and prints a short
 summary once every file is written; a closed stdout ends that output
 quietly. Exit codes: 0 success, 1 usage/configuration error (an `odmr`
-strain with unresolved branches included), 2 numerical failure.
+strain with unresolved branches and an output that cannot be written
+included), 2 numerical failure.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its subcommand uses.
@@ -401,7 +402,9 @@ def run(argv):
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"nvsim: numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except (UsageError, ConfigError, ValueError) as err:
+    # inputs report their own read errors, so an OSError here is an output
+    # directory or file that cannot be written
+    except (UsageError, ConfigError, ValueError, OSError) as err:
         print(f"nvsim: error: {err}", file=sys.stderr)
         return USAGE_EXIT
     # an allocation too large for the host comes from the requested sizes

@@ -80,9 +80,9 @@ class Config:
         return "\n".join(lines) + "\n"
 
 
-def parse_config(text, base=None):
-    """Parse key=value text over the defaults (or over `base`)."""
-    cfg = Config(dict(_defaults() if base is None else base.values))
+def parse_config(text):
+    """Parse key=value text over the defaults."""
+    cfg = Config(_defaults())
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

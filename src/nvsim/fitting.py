@@ -68,8 +68,9 @@ class ObservedDefect:
     lines: tuple            # detunings, GHz
 
     def __post_init__(self):
-        if len(self.lines) < 2:
-            raise ValueError(f"defect {self.id}: need at least 2 lines")
+        if not 2 <= len(self.lines) <= N_LINES:
+            raise ValueError(f"defect {self.id}: {len(self.lines)} lines, "
+                             f"need 2 to {N_LINES}")
         if not all(np.isfinite(x) for x in self.lines):
             raise ValueError(f"defect {self.id}: non-finite line position")
 
@@ -96,13 +97,6 @@ def predicted_lines(params, delta_perp):
     one stacked solve."""
     return np.linalg.eigvalsh(
         strain_hamiltonians(strain_family(params), delta_perp))
-
-
-def _measured(defect):
-    if len(defect.lines) > N_LINES:
-        raise FitError(f"defect {defect.id}: more measured lines "
-                       f"({len(defect.lines)}) than predicted ({N_LINES})")
-    return np.sort(defect.lines)
 
 
 def _mean(x):
@@ -154,7 +148,7 @@ def _groups(data):
     counts = np.array([len(d.lines) for d in data])
     # not np.unique, which imports numpy.ma
     idxs = [np.flatnonzero(counts == m) for m in sorted(set(counts.tolist()))]
-    return [(idx, np.array([_measured(data[i]) for i in idx])) for idx in idxs]
+    return [(idx, np.sort([data[i].lines for i in idx])) for idx in idxs]
 
 
 def _refine_strains(params, grid, costs, meas):

@@ -18,6 +18,9 @@ STRAIN_Y and SX2_MINUS_SY2. Derivatives of H are read off these.
 A level's weights are read off its eigenvector by one table,
 LEVEL_WEIGHTS (weight -> basis indices): its upper (Ex) branch weight and
 its Sx, Sy, Sz populations, the spins in the tie order of dominant_spins.
+greedy_match pairs two sets of unit vectors one to one by overlap: the
+sweep tracker's steps, and zero_strain_levels' eigenvectors (one solve
+for any lambda_perp) with their symmetry labels.
 """
 
 from dataclasses import dataclass
@@ -192,6 +195,29 @@ def dominant_spins(weights):
     return 1 + weights[1:].argmax(axis=0)
 
 
+def greedy_match(ov):
+    """Greedy matching on every step of a stack ov (m, n, n) of overlap^2
+    between two sets of unit vectors, the rows' and the columns'.
+    In each of n rounds a step takes its largest remaining entry (the
+    first in row-major order on a tie) and strikes its row and column.
+    Returns cols, quality (m, n): the column and overlap^2 per row."""
+    m, n, _ = ov.shape
+    ov = ov.copy()
+    flat = ov.reshape(m, n * n)
+    steps = np.arange(m)
+    cols = np.empty((m, n), dtype=int)
+    quality = np.empty((m, n))
+    for _ in range(n):
+        ij = flat.argmax(axis=1)
+        i, j = np.divmod(ij, n)
+        cols[steps, i] = j
+        quality[steps, i] = flat[steps, ij]
+        # overlap^2 >= 0, so -1 is never taken again
+        ov[steps, i, :] = -1.0
+        ov[steps, :, j] = -1.0
+    return cols, quality
+
+
 def build_excited_hamiltonian(params, strain):
     """6x6 excited-state Hamiltonian (GHz) at the given transverse strain.
 
@@ -214,25 +240,14 @@ def ground_levels(params):
 
 
 def zero_strain_levels(params):
-    """Six (energy, symmetry label) pairs at zero strain.
-
-    Analytic in the lambda_perp = 0 limit; otherwise falls back to
-    numerical diagonalization with labels assigned by eigenvector overlap.
-    """
-    base = params.zpl_offset + params.delta_z
-    if params.lambda_perp == 0.0:
-        e_pair = base - params.lambda_z + params.d_es / 3.0
-        eprime = base - 2.0 * params.d_es / 3.0
-        a1 = base + params.lambda_z + params.d_es / 3.0 - params.delta_cap
-        a2 = base + params.lambda_z + params.d_es / 3.0 + params.delta_cap
-        levels = [(e_pair, "E1"), (e_pair, "E2"), (eprime, "E'x"),
-                  (eprime, "E'y"), (a1, "A1"), (a2, "A2")]
-        return sorted(levels, key=lambda t: t[0])
-
+    """Six (energy, symmetry label) pairs at zero strain, in ascending
+    energy: the eigenvectors of the zero-strain Hamiltonian, labelled one
+    to one by greedy_match on their overlap^2 with symmetry_states()."""
     values, vectors = np.linalg.eigh(
         build_excited_hamiltonian(params, StrainVector()))
     labels, refs = zip(*symmetry_states().items())
-    best = np.abs(np.conj(refs) @ vectors).argmax(axis=0)
+    ov = np.abs(np.conj(refs) @ vectors).T ** 2     # (level, label)
+    best = greedy_match(ov[None])[0][0]
     return [(e, labels[k]) for e, k in zip(values.tolist(), best.tolist())]
 
 

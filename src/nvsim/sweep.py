@@ -26,7 +26,7 @@ import numpy as np
 from .model import (LEVEL_WEIGHTS, MAX_STRAIN_GHZ, PARAMETER_TERMS,
                     STRAIN_X, SX2_MINUS_SY2, FineStructureParams,
                     StrainVector, build_excited_hamiltonian, dominant_spins,
-                    level_weights, symmetry_states)
+                    greedy_match, level_weights, symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
 
@@ -186,33 +186,10 @@ def classify_level(vec):
     return _characters(v.reshape(1, 6, 1))[0][0]
 
 
-def _greedy_match(ov):
-    """Greedy matching on every step of a stack ov (m, n, n) of overlap^2,
-    rows the previous point's eigenvectors and columns the current one's.
-    In each of n rounds a step takes its largest remaining entry (the
-    first in row-major order on a tie) and strikes its row and column.
-    Returns cols, quality (m, n): the column and overlap^2 per row."""
-    m, n, _ = ov.shape
-    ov = ov.copy()
-    flat = ov.reshape(m, n * n)
-    steps = np.arange(m)
-    cols = np.empty((m, n), dtype=int)
-    quality = np.empty((m, n))
-    for _ in range(n):
-        ij = flat.argmax(axis=1)
-        i, j = np.divmod(ij, n)
-        cols[steps, i] = j
-        quality[steps, i] = flat[steps, ij]
-        # overlap^2 >= 0, so -1 is never taken again
-        ov[steps, i, :] = -1.0
-        ov[steps, :, j] = -1.0
-    return cols, quality
-
-
 def sweep(params, grid):
     """Diagonalize along an ascending strain grid and stitch the six
     levels into continuous tracks by greedy overlap matching of every
-    step at once (`_greedy_match`); a step whose smallest matched
+    step at once (`model.greedy_match`); a step whose smallest matched
     overlap^2 is below 0.5 is ambiguous. Track t lies in column perms[i][t]
     = cols[i - 1][perms[i - 1][t]] at point i, composed by a prefix scan
     of log2(points) rounds."""
@@ -225,7 +202,7 @@ def sweep(params, grid):
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), grid))
     # overlap^2 of each point's eigenvectors with the previous point's
-    cols, quality = _greedy_match(
+    cols, quality = greedy_match(
         (vectors[:-1].transpose(0, 2, 1) @ vectors[1:]) ** 2)
     ambiguous = (np.flatnonzero(quality.min(axis=1) < 0.5) + 1).tolist()
     perms = np.concatenate([np.arange(6)[None], cols])

@@ -164,6 +164,19 @@ class TestCliCommands:
         e = {r.split(",")[0]: float(r.split(",")[1]) for r in rows}
         assert e["A2"] - e["A1"] == pytest.approx(3.10, abs=1e-9)
 
+    def test_levels_label_each_level_once(self, tmp_path, capsys):
+        # a per-level argmax labelled two of these levels A1 and printed
+        # A2 - A1 = 5.22688938 GHz
+        cfg, out = make_config(tmp_path, "lambda_z = 1.6131365190189433\n"
+                               "lambda_perp = 0.5374671513261948\n"
+                               "d_es = 1.0756563538067068\n"
+                               "delta_cap = 2.669178381874575\n")
+        assert run(["--config", cfg, "levels"]) == 0
+        assert "A2 - A1 = 5.45018338 GHz" in capsys.readouterr().out
+        rows = (out / "levels.csv").read_text().splitlines()[1:]
+        assert sorted(r.split(",")[0] for r in rows) == sorted(
+            ["E1", "E2", "E'x", "E'y", "A1", "A2"])
+
     def test_gpa_flag_matches_strain_flag(self, tmp_path):
         cfg, out = make_config(tmp_path)
         assert run(["--config", cfg, "lines", "--gpa", "0.004"]) == 0
@@ -243,6 +256,32 @@ class TestExitCodes:
         bad.write_text("defect_id,line_ghz\nnv1,oops\n")
         assert run(["--config", cfg, "fit", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_fit_defect_with_seven_lines(self, tmp_path, capsys):
+        cfg, out = make_config(tmp_path)
+        bad = tmp_path / "seven.csv"
+        bad.write_text("defect_id,line_ghz\n"
+                       + "".join(f"a,{x}\n" for x in range(7)))
+        assert run(["--config", cfg, "fit", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nvsim: error: ")
+        assert "defect a: 7 lines, need 2 to 6" in err
+        assert not out.exists()
+
+    def test_output_dir_under_a_file(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg, _ = make_config(tmp_path)
+        Path(cfg).write_text(f"output_dir = {blocker / 'sub'}\n")
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-m", "nvsim.cli", "--config",
+                              cfg, "levels"], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert res.returncode == 1
+        assert res.stderr.startswith("nvsim: error: ")
+        assert str(blocker) in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
 
     def test_numerical_failure(self, tmp_path, capsys):
         cfg, _ = make_config(tmp_path, "mw_mix_rate = 1e308\n")

@@ -487,9 +487,8 @@ class TestFit:
 
     def test_too_many_lines_raises(self):
         data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)
-        data[0] = replace(data[0], lines=data[0].lines + (30.0,))
-        with pytest.raises(FitError, match="more measured lines"):
-            fit(data)
+        with pytest.raises(ValueError, match="7 lines, need 2 to 6"):
+            replace(data[0], lines=data[0].lines + (30.0,))
 
     def test_predicted_lines_sorted(self):
         vals = predicted_lines(TRUTH, 4.0)

@@ -12,6 +12,40 @@ from nvsim.model import (GPA_TO_GHZ, FineStructureParams, StrainVector,
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
+LABELS = ["E1", "E2", "E'x", "E'y", "A1", "A2"]
+# a per-level argmax over the symmetry states labels two of these levels
+# A1 and none E'y
+SHARED_ARGMAX = FineStructureParams(
+    lambda_z=1.6131365190189433, lambda_perp=0.5374671513261948,
+    d_es=1.0756563538067068, delta_cap=2.669178381874575)
+
+
+def argmax_labels(params):
+    """Each level's label by its own largest symmetry overlap, which may
+    give one label twice."""
+    _, vectors = np.linalg.eigh(
+        build_excited_hamiltonian(params, StrainVector()))
+    refs = np.array(list(symmetry_states().values()))
+    best = np.abs(refs.conj() @ vectors).argmax(axis=0)
+    return [LABELS[k] for k in best]
+
+
+def closed_form_levels(params):
+    """{label: energy} at lambda_perp = 0, where each symmetry state is an
+    eigenvector."""
+    base = params.zpl_offset + params.delta_z
+    e_pair = base - params.lambda_z + params.d_es / 3.0
+    eprime = base - 2.0 * params.d_es / 3.0
+    a = base + params.lambda_z + params.d_es / 3.0
+    return {"E1": e_pair, "E2": e_pair, "E'x": eprime, "E'y": eprime,
+            "A1": a - params.delta_cap, "A2": a + params.delta_cap}
+
+
+def random_params(rng, lambda_perp_max):
+    return FineStructureParams(
+        lambda_z=rng.uniform(0.5, 10.0),
+        lambda_perp=rng.uniform(0.0, lambda_perp_max),
+        d_es=rng.uniform(0.1, 3.0), delta_cap=rng.uniform(0.1, 3.0))
 
 
 class TestParams:
@@ -115,6 +149,40 @@ class TestGroundAndLabels:
         assert np.allclose(g, np.eye(6), atol=1e-12)
 
     def test_zero_strain_labels_with_coupling(self):
-        # the numerical fallback still tags all six levels
+        # all six labels at the default, coupled parameters
         labels = {lab for _, lab in zero_strain_levels(DEFAULTS)}
         assert labels == {"E1", "E2", "E'x", "E'y", "A1", "A2"}
+
+    def test_labels_one_to_one_where_argmax_repeats_one(self):
+        assert sorted(argmax_labels(SHARED_ARGMAX)) != sorted(LABELS)
+        levels = zero_strain_levels(SHARED_ARGMAX)
+        assert sorted(lab for _, lab in levels) == sorted(LABELS)
+        e = {lab: en for en, lab in levels}
+        assert e["A2"] - e["A1"] == pytest.approx(5.45018338, abs=1e-8)
+
+    def test_labels_are_a_permutation_equal_to_a_distinct_argmax(self):
+        rng = np.random.default_rng(1)
+        repeated = 0
+        for _ in range(2000):
+            params = random_params(rng, 2.0)
+            levels = zero_strain_levels(params)
+            labels = [lab for _, lab in levels]
+            assert sorted(labels) == sorted(LABELS), params
+            assert [en for en, _ in levels] == sorted(en for en, _ in levels)
+            oracle = argmax_labels(params)
+            if len(set(oracle)) == 6:
+                assert labels == oracle, params
+            else:
+                repeated += 1
+        # the draws reach the parameters where the argmax repeats a label
+        assert repeated > 0
+
+    def test_decoupled_levels_match_the_closed_form(self):
+        rng = np.random.default_rng(2)
+        for params in [DECOUPLED] + [random_params(rng, 0.0)
+                                     for _ in range(500)]:
+            want = closed_form_levels(params)
+            levels = zero_strain_levels(params)
+            assert sorted(lab for _, lab in levels) == sorted(LABELS)
+            for en, lab in levels:
+                assert en == pytest.approx(want[lab], abs=1e-12), params

@@ -9,12 +9,11 @@ import pytest
 
 from nvsim.model import LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X, \
     SX2_MINUS_SY2, FineStructureParams, StrainVector, \
-    build_excited_hamiltonian, dominant_spins, level_weights, \
-    symmetry_states
+    build_excited_hamiltonian, dominant_spins, greedy_match, \
+    level_weights, symmetry_states
 from nvsim.linalg import hermitian_eigen
 from nvsim.sweep import (LINEAR_PARAMS, LevelCharacter, SweepError,
-                         _characters,
-                         _greedy_match, averaged_splitting,
+                         _characters, averaged_splitting,
                          classify_level, detect_crossings,
                          nv2_condition_strain, parameter_operators,
                          strain_family, strain_hamiltonians, sweep)
@@ -319,7 +318,7 @@ class TestTracking:
         ov[3] = np.eye(6)[[1, 0, 2, 3, 5, 4]]
         ov[3, 3, 0] = 1.0
         before = ov.copy()
-        cols, quality = _greedy_match(ov)
+        cols, quality = greedy_match(ov)
         assert np.array_equal(ov, before)
         assert cols.tolist() == [
             [0, 1, 2, 3, 4, 5],
@@ -333,7 +332,7 @@ class TestTracking:
             [1.0] * 6]
         # each step is matched on its own
         for s in range(4):
-            one = _greedy_match(ov[s:s + 1])
+            one = greedy_match(ov[s:s + 1])
             assert np.array_equal(one[0][0], cols[s])
             assert np.array_equal(one[1][0], quality[s])
 
