@@ -29,9 +29,8 @@ import sys
 import numpy as np
 
 from .config import (Config, ConfigError, RunManifest, format_number,
-                     load_config, sha256_file, write_csv)
-from .model import (GPA_TO_GHZ, MAX_STRAIN_GHZ, StrainVector,
-                    zero_strain_levels)
+                     linear_grid, load_config, sha256_file, write_csv)
+from .model import GPA_TO_GHZ, StrainVector, zero_strain_levels
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -114,38 +113,16 @@ def _build_parser():
 
 def _strain_flags(sp, default=3.0):
     g = sp.add_mutually_exclusive_group()
-    g.add_argument("--strain", type=float, default=None,
+    g.add_argument("--strain", type=float, default=default,
                    help=f"transverse strain, GHz (default {default})")
     g.add_argument("--gpa", type=float, default=None,
                    help="transverse stress, GPa (converted at "
                         f"{GPA_TO_GHZ:g} GHz/GPa)")
-    sp.set_defaults(default_strain=default)
 
 
 def _resolve_strain(args):
-    if args.gpa is not None:
-        strain = args.gpa * GPA_TO_GHZ
-    elif args.strain is not None:
-        strain = args.strain
-    else:
-        return args.default_strain
-    if not abs(strain) <= MAX_STRAIN_GHZ:
-        raise UsageError(f"strain {strain:g} GHz is not finite or beyond "
-                         f"the {MAX_STRAIN_GHZ:g} GHz (1 TPa) limit")
-    return strain
-
-
-def _grid(lo, hi, points, bounds, count):
-    """`np.linspace(lo, hi, points)` after the checks numpy does not make:
-    it takes 0 or 1 points, warns on an infinite bound and needs no lo <
-    hi. `bounds` and `count` name the flags for the message."""
-    if points < 2:
-        raise UsageError(f"{count} must be >= 2")
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise UsageError(f"{bounds} must be finite")
-    if not lo < hi:
-        raise UsageError(f"{bounds} must give an ascending grid")
-    return np.linspace(lo, hi, points)
+    """The strain in GHz; its consumers check it (`model.checked_strains`)."""
+    return args.strain if args.gpa is None else args.gpa * GPA_TO_GHZ
 
 
 def _out(cfg, name):
@@ -221,8 +198,10 @@ def _cmd_lines(cfg, args, command):
 def _cmd_excitation(cfg, args, command):
     from .photodynamics import excitation_spectrum
     strain = StrainVector(_resolve_strain(args), 0.0)
-    grid = _grid(args.detuning_min, args.detuning_max, args.detuning_points,
-                 "--detuning-min and --detuning-max", "--detuning-points")
+    grid = linear_grid(args.detuning_min, args.detuning_max,
+                       args.detuning_points,
+                       "--detuning-min and --detuning-max",
+                       "--detuning-points")
     spec = excitation_spectrum(cfg.fine_structure(), strain, cfg.rates(),
                                grid, mw_on=args.mw)
     path = _out(cfg, "excitation.csv")
@@ -248,8 +227,8 @@ def _cmd_rabi(cfg, args, command):
     params, rp = cfg.fine_structure(), cfg.rates()
     line = _pick_readout_line(transition_lines(params, strain),
                               args.readout)
-    taus = _grid(0.0, args.tau_max, args.tau_points, "--tau-max",
-                 "--tau-points")
+    taus = linear_grid(0.0, args.tau_max, args.tau_points, "--tau-max",
+                       "--tau-points")
     rows = rabi_trace(params, strain, rp, args.omega_mw, line, taus)
     path = _out(cfg, "rabi.csv")
     write_csv(path, ["tau_ns", "counts"], rows)
@@ -266,8 +245,9 @@ def _cmd_odmr(cfg, args, command):
     tmap = cfg.temperature_map()
     linewidth_0 = cfg["linewidth"] * 5     # ESR intrinsic linewidth, GHz
     if args.temperature_scan:
-        temps = _grid(args.temp_min, args.temp_max, args.temp_points,
-                      "--temp-min and --temp-max", "--temp-points")
+        temps = linear_grid(args.temp_min, args.temp_max,
+                            args.temp_points, "--temp-min and --temp-max",
+                            "--temp-points")
         rows = esr_contrast_vs_temperature(
             tmap, params, dperp, temps, linewidth_0=linewidth_0)
         path = _out(cfg, "odmr_contrast.csv")
@@ -278,8 +258,8 @@ def _cmd_odmr(cfg, args, command):
     fa, fb, _, _ = branch_esr_frequencies(params, dperp)
     model = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=linewidth_0,
                           hop_rate=float(tmap.hop_rate(args.temperature)))
-    grid = _grid(args.freq_min, args.freq_max, args.freq_points,
-                 "--freq-min and --freq-max", "--freq-points")
+    grid = linear_grid(args.freq_min, args.freq_max, args.freq_points,
+                       "--freq-min and --freq-max", "--freq-points")
     shape = exchange_lineshape(model, grid)
     path = _out(cfg, "odmr.csv")
     write_csv(path, ["freq_ghz", "intensity"],
@@ -291,8 +271,8 @@ def _cmd_odmr(cfg, args, command):
 
 def _cmd_avg(cfg, args, command):
     from .sweep import averaged_splitting
-    grid = _grid(0.0, args.max_strain, args.points, "--max-strain",
-                 "--points")
+    grid = linear_grid(0.0, args.max_strain, args.points, "--max-strain",
+                       "--points")
     vals = averaged_splitting(cfg.fine_structure(), grid)
     path = _out(cfg, "avg.csv")
     write_csv(path, ["delta_perp_ghz", "avg_split_ghz"],

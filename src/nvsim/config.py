@@ -1,4 +1,5 @@
-"""Flat key=value configuration, run manifests and bit-stable CSV output.
+"""Flat key=value configuration, run manifests, the grid builder and
+bit-stable CSV output.
 
 A config file is plain text: one `key = value` per line, `#` comments,
 blank lines ignored. Unknown keys are rejected so typos cannot silently
@@ -7,8 +8,10 @@ fall back to defaults. All energies are GHz, times ns, temperatures K.
 
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
-                    MAX_STRAIN_GHZ, FineStructureParams, RateParams)
+                    FineStructureParams, RateParams, checked_strains)
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -56,19 +59,10 @@ class Config:
                               ea=self.values["hop_activation_mev"])
 
     def strain_grid(self):
-        import numpy as np
-        n = int(self.values["strain_points"])
-        if n < 2:
-            raise ConfigError("strain_points must be >= 2")
-        lo, hi = self.values["strain_min"], self.values["strain_max"]
-        if not (abs(lo) <= MAX_STRAIN_GHZ and abs(hi) <= MAX_STRAIN_GHZ):
-            raise ConfigError("strain_min and strain_max must be finite "
-                              f"and within +-{MAX_STRAIN_GHZ:g} GHz")
-        grid = np.linspace(lo, hi, n)
-        if not np.all(np.diff(grid) > 0):
-            raise ConfigError("strain_max must exceed strain_min by enough "
-                              "for strain_points distinct points")
-        return grid
+        lo, hi = checked_strains((self.values["strain_min"],
+                                  self.values["strain_max"]))
+        return linear_grid(lo, hi, int(self.values["strain_points"]),
+                           "strain_min and strain_max", "strain_points")
 
     def dump(self):
         """Key-sorted text snapshot; reloading it reproduces the config."""
@@ -78,6 +72,21 @@ class Config:
             lines.append(f"{k} = {v!r}" if isinstance(v, float)
                          else f"{k} = {v}")
         return "\n".join(lines) + "\n"
+
+
+def linear_grid(lo, hi, points, bounds, count):
+    """`np.linspace(lo, hi, points)` after the checks numpy does not make:
+    it takes 0 or 1 points, warns on an infinite bound, and returns
+    repeated or descending points. Every CLI and config grid is built
+    here; `bounds` and `count` name the inputs for the message."""
+    if points < 2:
+        raise ValueError(f"{count} must be >= 2")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"{bounds} must be finite")
+    grid = np.linspace(lo, hi, points)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"{bounds} must give an ascending grid")
+    return grid
 
 
 def parse_config(text):

@@ -29,11 +29,13 @@ import numpy as np
 
 GPA_TO_GHZ = 1.0e3
 
-# Largest transverse strain accepted from input, GHz (1 TPa). Float64
-# eigenvalues of the 6x6 Hamiltonian carry an error of about eps times
-# the strain, ~1e-10 GHz at this limit against a ~1 GHz fine structure;
-# far beyond it, cancellation swamps the splittings (the averaged
-# splitting is 0.1 GHz off at 1e14 GHz and meaningless at 1e16).
+# Largest magnitude of any strain or fine-structure parameter accepted
+# from input, GHz (1 TPa of strain); `checked_strains` is its one check.
+# Float64 eigenvalues of the 6x6 Hamiltonian carry an error of about eps
+# times its largest term, ~1e-10 GHz at this limit against a ~1 GHz fine
+# structure; far beyond it, cancellation swamps the splittings (the
+# averaged splitting is 0.1 GHz off at a 1e14 GHz strain, and A2 - A1
+# reads 1.7e184 GHz at lambda_z = 1e200).
 MAX_STRAIN_GHZ = 1.0e6
 
 # Arrhenius defaults of the motional hop rate (`motional.TemperatureMap`),
@@ -43,6 +45,16 @@ MAX_STRAIN_GHZ = 1.0e6
 # defaults do not load the motional module.
 DEFAULT_ATTEMPT_RATE = 3.2e3   # GHz (phonon-scale attempt frequency)
 DEFAULT_ACTIVATION_MEV = 60.0
+
+
+def checked_strains(values):
+    """values as a float array, each checked to be finite and within
+    MAX_STRAIN_GHZ: every strain and fine-structure energy input."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.abs(values) <= MAX_STRAIN_GHZ):     # NaN too
+        raise ValueError("strains and energies must be finite and within "
+                         f"+-{MAX_STRAIN_GHZ:g} GHz")
+    return values
 
 
 @dataclass(frozen=True)
@@ -71,6 +83,8 @@ class RateParams:
             raise ValueError("rate parameters must be finite")
         if any(r < 0 for r in rates):
             raise ValueError("rates must be nonnegative")
+        if self.linewidth <= 0:
+            raise ValueError("linewidth must be positive")
         if not 0.0 <= self.beta_z <= 1.0:
             raise ValueError("beta_z must lie in [0, 1]")
         if self.k_isc_z > self.k_isc_xy:
@@ -96,10 +110,9 @@ class FineStructureParams:
     zpl_offset: float = 0.0  # optical reference shift relative to 1.945 eV
 
     def __post_init__(self):
-        vals = (self.lambda_z, self.lambda_perp, self.d_es, self.delta_cap,
-                self.d_gs, self.e_es_coeff, self.delta_z, self.zpl_offset)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("all fine-structure parameters must be finite")
+        checked_strains((self.lambda_z, self.lambda_perp, self.d_es,
+                         self.delta_cap, self.d_gs, self.e_es_coeff,
+                         self.delta_z, self.zpl_offset))
         if self.d_gs <= 0:
             raise ValueError("d_gs must be positive")
         if self.lambda_perp < 0:
@@ -117,8 +130,7 @@ class StrainVector:
     delta_y: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.delta_x) and np.isfinite(self.delta_y)):
-            raise ValueError("strain components must be finite")
+        checked_strains((self.delta_x, self.delta_y))
 
     @property
     def delta_perp(self):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
-                    MAX_STRAIN_GHZ, level_weights)
+                    checked_strains, level_weights)
 from .sweep import strain_family, strain_hamiltonians
 
 KB_MEV_PER_K = 0.08617333  # Boltzmann constant, meV/K
@@ -72,10 +72,8 @@ def branch_esr_frequencies(params, strain_perp):
     lower (b = Ey) orbital branches.
 
     Requires strain large enough that every level is cleanly assigned to
-    a branch (orbital weight > 0.9), and at most MAX_STRAIN_GHZ."""
-    if not abs(strain_perp) <= MAX_STRAIN_GHZ:   # NaN too
-        raise ValueError("strain must be finite and within "
-                         f"+-{MAX_STRAIN_GHZ:g} GHz")
+    a branch (orbital weight > 0.9), and within `checked_strains`."""
+    checked_strains(strain_perp)
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), strain_perp))
     p_x, _, _, p_sz = level_weights(vectors)

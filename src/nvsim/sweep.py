@@ -23,10 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (LEVEL_WEIGHTS, MAX_STRAIN_GHZ, PARAMETER_TERMS,
-                    STRAIN_X, SX2_MINUS_SY2, FineStructureParams,
-                    StrainVector, build_excited_hamiltonian, dominant_spins,
-                    greedy_match, level_weights, symmetry_states)
+from .model import (LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X,
+                    SX2_MINUS_SY2, FineStructureParams, StrainVector,
+                    build_excited_hamiltonian, checked_strains,
+                    dominant_spins, greedy_match, level_weights,
+                    symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
 
@@ -151,14 +152,6 @@ def strain_slopes(family, deltas, operators=None, curvatures=False):
     return tuple(out)
 
 
-def _finite_strains(deltas):
-    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if deltas.ndim != 1 or not np.all(np.abs(deltas) <= MAX_STRAIN_GHZ):
-        raise ValueError("strains must be a 1-D grid of finite numbers "
-                         f"within +-{MAX_STRAIN_GHZ:g} GHz")
-    return deltas
-
-
 def _characters(vectors):
     """LevelCharacter of every eigenvector column of vectors (n, 6, k),
     as n lists of k. A symmetry tag is attached when the overlap with a
@@ -193,11 +186,9 @@ def sweep(params, grid):
     overlap^2 is below 0.5 is ambiguous. Track t lies in column perms[i][t]
     = cols[i - 1][perms[i - 1][t]] at point i, composed by a prefix scan
     of log2(points) rounds."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.isfinite(grid)) \
-            or np.any(np.diff(grid) <= 0):
-        raise SweepError("grid must be finite and ascending with at least "
-                         "2 points")
+    grid = checked_strains(grid)
+    if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be ascending with at least 2 points")
 
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), grid))
@@ -281,7 +272,7 @@ def averaged_splitting(params, dperp):
     the two ms=0-character ones (the orbit-averaged ESR splitting). A
     scalar strain gives a float; a grid of strains gives an array, from
     one stacked eigensolve."""
-    deltas = _finite_strains(dperp)
+    deltas = checked_strains(dperp).reshape(-1)
     values, vectors = np.linalg.eigh(
         strain_hamiltonians(strain_family(params), deltas))
     ms0 = level_weights(vectors)[-1] > 0.5     # the ms=0 (Sz) weight
@@ -299,7 +290,8 @@ def averaged_splitting(params, dperp):
     n = deltas.size
     split = (values[~ms0].reshape(n, 4).mean(axis=1)
              - values[ms0].reshape(n, 2).mean(axis=1))
-    return float(split[0]) if np.ndim(dperp) == 0 else split
+    return float(split[0]) if np.ndim(dperp) == 0 \
+        else split.reshape(np.shape(dperp))
 
 
 def _upper_branch_sz_gaps(family, deltas):
@@ -330,8 +322,9 @@ def nv2_condition_strain(params, window=(0.0, 100.0), tol=1e-6):
                              f"delta_perp={d[bad[0]]}")
         return fs
 
-    lo = max(window[0], 0.3)  # branches unresolved at tiny strain
-    xs = _finite_strains(np.linspace(lo, window[1], 400))
+    # branches unresolved at tiny strain
+    lo, hi = checked_strains((max(window[0], 0.3), window[1]))
+    xs = np.linspace(lo, hi, 400)
     fs = _upper_branch_sz_gaps(family, xs) - target
     change = np.flatnonzero((fs[:-1] == 0.0) | (fs[:-1] * fs[1:] < 0))
     # the scan ends at the first sign change, and fails at an unresolved

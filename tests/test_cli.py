@@ -465,7 +465,8 @@ class TestExitCodes:
         # a configuration error, not a numerical failure of the sweep
         cfg, out = make_config(tmp_path, extra)
         assert run(["--config", cfg, "sweep"]) == 1
-        assert "strain_max must exceed strain_min" in capsys.readouterr().err
+        assert "strain_min and strain_max must give an ascending grid" in \
+            capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -480,7 +481,11 @@ class TestExitCodes:
         ["lines", "--strain", "2e6"], ["lines", "--gpa", "1001"],
         ["rabi", "--strain=-1e16"], ["odmr", "--strain", "1e7"],
         ["sweep", "strain_max = 1e14\n"],
-        ["sweep", "strain_min = -2e6\n"]])
+        ["sweep", "strain_min = -2e6\n"],
+        # the same bound holds for every fine-structure parameter: at
+        # lambda_z = 1e200 levels printed A2 - A1 = 1.7e184 GHz, exit 0
+        ["levels", "lambda_z = 1e200\n"], ["levels", "d_gs = 2e6\n"],
+        ["levels", "zpl_offset = -1e300\n"]])
     def test_strain_beyond_physical_limit_rejected(self, tmp_path, capsys,
                                                    argv):
         # float64 cancellation swamps the splittings far beyond 1e6 GHz
@@ -496,6 +501,10 @@ class TestExitCodes:
                     "--points", "5"]) == 0
         rows = (out / "avg.csv").read_text().splitlines()[1:]
         assert all(abs(float(r.split(",")[1]) - 1.42) < 0.05 for r in rows)
+        # a fine-structure parameter exactly at the bound
+        cfg, out = make_config(tmp_path, "zpl_offset = 1e6\n")
+        assert run(["--config", cfg, "levels"]) == 0
+        assert (out / "levels.csv").exists()
 
     def test_fit_non_finite_starting_cost(self, tmp_path, capfd):
         cfg, out = make_config(tmp_path)
@@ -581,13 +590,19 @@ class TestExitCodes:
         (["excitation", "--detuning-min", "1", "--detuning-max", "1"],
          "--detuning-min and --detuning-max"),
         (["odmr", "--freq-min", "2", "--freq-max", "1"],
-         "--freq-min and --freq-max")],
+         "--freq-min and --freq-max"),
+        # ascending bounds too close for float64 to hold distinct points
+        (["avg", "--max-strain", "5e-324", "--points", "3"], "--max-strain"),
+        (["rabi", "--tau-max", "5e-324", "--tau-points", "3"], "--tau-max"),
+        (["odmr", "--temperature-scan", "--temp-min", "6", "--temp-max",
+          "6.000000000000001"], "--temp-min and --temp-max")],
         ids=["avg-empty", "avg-descending", "rabi-empty", "scan-empty",
-             "scan-descending", "excitation-empty", "odmr-descending"])
+             "scan-descending", "excitation-empty", "odmr-descending",
+             "avg-narrow", "rabi-narrow", "scan-narrow"])
     def test_grid_bounds_not_ascending_rejected(self, tmp_path, capsys, argv,
                                                 bounds):
-        # a zero-width or descending range wrote repeated or descending
-        # rows with exit 0 (avg, rabi, the temperature scan)
+        # a zero-width, descending or too narrow range wrote repeated or
+        # descending rows with exit 0 (avg, rabi, the temperature scan)
         cfg, out = make_config(tmp_path)
         assert run(["--config", cfg, *argv]) == 1
         assert capsys.readouterr().err == \

@@ -67,6 +67,21 @@ class TestParams:
         with pytest.raises(ValueError):
             FineStructureParams(lambda_perp=-0.1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: StrainVector(2e6, 0.0), lambda: StrainVector(0.0, -np.inf),
+        lambda: FineStructureParams(lambda_z=1e200),
+        lambda: FineStructureParams(zpl_offset=-1e300)],
+        ids=["strain", "strain-inf", "lambda_z", "zpl_offset"])
+    def test_rejects_values_beyond_the_limit(self, make):
+        # float64 cancellation swamps the fine structure far beyond 1e6 GHz
+        with pytest.raises(ValueError, match=r"finite and within \+-1e\+06 "
+                                              "GHz"):
+            make()
+
+    def test_values_at_the_limit_accepted(self):
+        assert StrainVector(-1e6, 1e6).delta_x == -1e6
+        assert FineStructureParams(d_gs=1e6).d_gs == 1e6
+
     def test_strain_norm(self):
         sv = StrainVector(3.0, 4.0)
         assert sv.delta_perp == 5.0

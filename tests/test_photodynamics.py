@@ -66,6 +66,11 @@ class TestTransitionLines:
                 assert ln.spin_conserving == (
                     dominant == spin_of[ln.ground_sublevel])
 
+    def test_rejects_strain_beyond_limit(self):
+        # returned lines of strength 0.0 after an overflow RuntimeWarning
+        with pytest.raises(ValueError, match="1e\\+06 GHz"):
+            transition_lines(PARAMS, StrainVector(1e300, 0.0))
+
     def test_flags_are_python_bools(self):
         # a numpy bool has another repr, which the lines table would show
         for strain in (StrainVector(), STRAIN):
@@ -105,6 +110,11 @@ class TestRateMatrix:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             RateParams(**{name: value})
+
+    def test_rejects_zero_linewidth(self):
+        # excitation wrote an all-zero spectrum with exit 0
+        with pytest.raises(ValueError, match="linewidth must be positive"):
+            RateParams(linewidth=0.0)
 
     def test_lorentzian_peak_unit_height(self):
         assert lorentzian_peak(0.0, 0.1) == 1.0
@@ -251,7 +261,8 @@ class TestStacked:
                          line.detuning + 1.0])
         with pytest.raises(RateModelError,
                            match=f"not finite at detuning {line.detuning}"):
-            build_rate_matrix(PARAMS, STRAIN, replace(RATES, linewidth=0.0),
+            # the squared half-width underflows to 0
+            build_rate_matrix(PARAMS, STRAIN, replace(RATES, linewidth=1e-200),
                               laser_detuning=grid)
 
 
