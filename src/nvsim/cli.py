@@ -243,7 +243,7 @@ def _cmd_odmr(cfg, args, command):
     params = cfg.fine_structure()
     dperp = _resolve_strain(args)
     tmap = cfg.temperature_map()
-    linewidth_0 = cfg["linewidth"] * 5     # ESR intrinsic linewidth, GHz
+    linewidth_0 = cfg.rates().linewidth * 5     # ESR intrinsic width, GHz
     if args.temperature_scan:
         temps = linear_grid(args.temp_min, args.temp_max,
                             args.temp_points, "--temp-min and --temp-max",

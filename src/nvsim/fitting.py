@@ -30,6 +30,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .linalg import eigensolve
 from .model import FineStructureParams
 from .sweep import (parameter_operators, strain_family, strain_hamiltonians,
                     strain_slopes)
@@ -95,8 +96,8 @@ def predicted_lines(params, delta_perp):
     line positions up to the per-defect offset, with the ground
     sublevels collapsed. Strains of any shape (...) give (..., 6), from
     one stacked solve."""
-    return np.linalg.eigvalsh(
-        strain_hamiltonians(strain_family(params), delta_perp))
+    return eigensolve(strain_hamiltonians(strain_family(params),
+                                          delta_perp), vectors=False)
 
 
 def _mean(x):

@@ -1,18 +1,24 @@
-"""Dense complex Hermitian eigensolver by cyclic Jacobi rotations.
+"""Eigensolvers: the one checked, counted LAPACK entry point and a dense
+complex Hermitian Jacobi solver.
 
-All matrices are plain numpy arrays (complex128). Target sizes are tiny
-(dim <= 12), so a cyclic Jacobi sweep is used: robust, dependency-free,
-and deterministic including the eigenvector phase convention.
+`eigensolve` is the only place nvsim calls LAPACK's symmetric
+eigensolvers. It serves any stack of real-symmetric or complex-Hermitian
+matrices, checks every member's eigenvalues against the trace identity
+and counts what it solves in `eigensolve_counts`.
 
-Every other spectrum goes through the batched LAPACK core of
-`nvsim.sweep`. `hermitian_eigen` has one production caller, the rate
-model's `photodynamics._excited_structure`, because the frozen
-excitation-spectrum reference pins its rounding: with LAPACK in its
-place, two far-tail values of the default spectrum (about 5e-8 against a
-2.6e-3 peak) move by 2e-16, past that reference's 1e-9 relative
-tolerance. Even a subtraction-free (GTH) stationary solve misses that
-reference in the far tail, so only a peak-relative floor lets it go.
+`hermitian_eigen` diagonalizes one small matrix (dim <= 12) by cyclic
+Jacobi sweeps: robust, dependency-free, and deterministic including the
+eigenvector phase convention. It has one production
+caller, the rate model's `photodynamics._excited_structure`, because the
+frozen excitation-spectrum reference pins its rounding: with LAPACK in
+its place, two far-tail values of the default spectrum (about 5e-8
+against a 2.6e-3 peak) move by 2e-16, past that reference's 1e-9
+relative tolerance. Even a subtraction-free (GTH) stationary solve
+misses that reference in the far tail, so only a peak-relative floor
+lets it go.
 """
+
+import math
 
 import numpy as np
 
@@ -20,6 +26,18 @@ MAX_SWEEPS = 100
 DEFAULT_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
 MAX_DIM = 64
+
+# The trace check's constant C (see `eigensolve`). On the model's
+# Hamiltonians the largest |sum(lambda) - tr H| / (eps max|H|) measured is
+# 20.3 on 200 seeded parameter draws x 801 strains up to +-1e6 GHz
+# (zpl_offset up to +-1e3 GHz, both routines) and 23.6 over the tests.
+TRACE_ULPS = 64
+_TOL = TRACE_ULPS * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+# What `eigensolve` has served in this process: the calls and the
+# matrices they solved. A reader counts a stretch of work by difference.
+eigensolve_counts = {"calls": 0, "matrices": 0}
 
 
 class EigenError(ArithmeticError):
@@ -38,6 +56,37 @@ class EigenSystem:
     def __init__(self, values, vectors):
         self.values = values
         self.vectors = vectors
+
+
+def eigensolve(h, vectors=True):
+    """LAPACK spectrum of each member of a stack h (..., n, n) of
+    real-symmetric or complex-Hermitian matrices: what `np.linalg.eigh`
+    returns, or `np.linalg.eigvalsh` with vectors=False. The two round
+    differently in the last bits, so each caller keeps its routine.
+
+    Each member is checked against the trace identity
+    |sum_i (lambda_i - H_ii)| <= C eps max|H| + tiny: C = TRACE_ULPS, eps
+    the float64 epsilon, max|H| the member's largest entry magnitude,
+    tiny the smallest normal float (the floor under subnormal rounding).
+    A backward-stable solver misses it by a small multiple of eps max|H|;
+    a NaN or a corrupted eigenvalue fails it, raising an EigenError that
+    names the first failing member by its flat index. LAPACK's own
+    LinAlgError passes through. Each call adds 1 to
+    eigensolve_counts["calls"] and h's member count to ["matrices"]."""
+    out = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    values = out[0] if vectors else out
+    eigensolve_counts["calls"] += 1
+    eigensolve_counts["matrices"] += math.prod(h.shape[:-2])
+    err = abs((values - h.diagonal(0, -2, -1).real).sum(-1))
+    bound = _TOL * abs(h).max((-2, -1), initial=0.0) + _TINY
+    ok = err <= bound           # False on NaN
+    if not ok.all():
+        k = int(ok.argmin())
+        raise EigenError(
+            f"eigenvalues of member {k} of {ok.size} fail the trace "
+            f"identity: |sum - trace| = {err.flat[k]:.3e} > "
+            f"{bound.flat[k]:.3e}")
+    return out
 
 
 def _phase_normalize(vectors):

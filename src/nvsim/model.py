@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import eigensolve
+
 GPA_TO_GHZ = 1.0e3
 
 # Largest magnitude of any strain or fine-structure parameter accepted
@@ -81,10 +83,10 @@ class RateParams:
                  self.linewidth, self.mw_mix_rate)
         if not all(np.isfinite(v) for v in rates + (self.beta_z,)):
             raise ValueError("rate parameters must be finite")
-        if any(r < 0 for r in rates):
-            raise ValueError("rates must be nonnegative")
         if self.linewidth <= 0:
             raise ValueError("linewidth must be positive")
+        if any(r < 0 for r in rates):
+            raise ValueError("rates must be nonnegative")
         if not 0.0 <= self.beta_z <= 1.0:
             raise ValueError("beta_z must lie in [0, 1]")
         if self.k_isc_z > self.k_isc_xy:
@@ -163,9 +165,15 @@ STRAIN_X = np.kron(_VX, np.eye(3, dtype=complex))
 STRAIN_Y = np.kron(_VY, np.eye(3, dtype=complex))
 SX2_MINUS_SY2 = np.kron(np.eye(2), np.diag([-1.0, 1.0, 0.0])).astype(complex)
 
-# Transverse spin-orbit operator. Both C3v-allowed couplings between the
-# ms=0 and ms=+-1 sectors are included so that each of the two
-# lower-branch level crossings acquires a finite anticrossing gap.
+# Transverse spin-orbit operator: two couplings between the ms=0 and
+# ms=+-1 sectors, so that each of the two lower-branch level crossings
+# acquires a finite anticrossing gap. Only the second piece,
+# Vx (x) {Sx,Sz} - Vy (x) {Sy,Sz}, is C3v-invariant; it opens the 7.31 GHz
+# gap. The first, Vx (x) Sx + Vy (x) Sy, is odd under sigma_v (y -> -y)
+# and not invariant under C3: it splits the zero-strain E'x/E'y pair by
+# 1.3e-4 GHz and E1/E2 by 6e-9 GHz at the defaults, and it alone opens
+# the 15.50 GHz gap (strain along x keeps sigma_v, under which the two
+# levels there have opposite parity), one of the two that c04 requires.
 # The overall scale is a model convention (only the 0.2 GHz magnitude is
 # physically constrained); 0.15 keeps the anticrossing gaps well above
 # numerical resolution while the orbit-averaged spin splitting stays
@@ -255,7 +263,7 @@ def zero_strain_levels(params):
     """Six (energy, symmetry label) pairs at zero strain, in ascending
     energy: the eigenvectors of the zero-strain Hamiltonian, labelled one
     to one by greedy_match on their overlap^2 with symmetry_states()."""
-    values, vectors = np.linalg.eigh(
+    values, vectors = eigensolve(
         build_excited_hamiltonian(params, StrainVector()))
     labels, refs = zip(*symmetry_states().items())
     ov = np.abs(np.conj(refs) @ vectors).T ** 2     # (level, label)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import eigensolve
 from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
                     checked_strains, level_weights)
 from .sweep import strain_family, strain_hamiltonians
@@ -74,7 +75,7 @@ def branch_esr_frequencies(params, strain_perp):
     Requires strain large enough that every level is cleanly assigned to
     a branch (orbital weight > 0.9), and within `checked_strains`."""
     checked_strains(strain_perp)
-    values, vectors = np.linalg.eigh(
+    values, vectors = eigensolve(
         strain_hamiltonians(strain_family(params), strain_perp))
     p_x, _, _, p_sz = level_weights(vectors)
     if np.any((p_x > 0.1) & (p_x < 0.9)):

@@ -3,10 +3,11 @@ orbit-averaged spin splitting.
 
 Every strain-dependent spectrum goes through one batched core: the
 Hamiltonian is affine in the strain (`strain_family`), so a whole grid is
-diagonalised by one stacked LAPACK call and its level characters are read
-off in one pass. Crossing refinement and the repump strain share one
-batched bisection. The strain slopes and `parameter_operators` are read
-off `model`'s term table, not rebuilt from Hamiltonians.
+diagonalised by one stacked, checked `linalg.eigensolve` call and its
+level characters are read off in one pass. Crossing refinement and the
+repump strain share one batched bisection. The strain slopes and
+`parameter_operators` are read off `model`'s term table, not rebuilt
+from Hamiltonians.
 
 The family is stored in the real gauge D^dagger H D, D = diag(1, i, 1, i,
 1, i), where every strain Hamiltonian is real symmetric, so LAPACK runs
@@ -23,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import eigensolve
 from .model import (LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X,
                     SX2_MINUS_SY2, FineStructureParams, StrainVector,
                     build_excited_hamiltonian, checked_strains,
@@ -138,7 +140,7 @@ def strain_slopes(family, deltas, operators=None, curvatures=False):
     h0, hd, hd_neg = family
     d = np.asarray(deltas, dtype=float)[..., None, None]
     slope = np.where(d < 0, hd_neg, hd)
-    values, vectors = np.linalg.eigh(h0 + d * slope)
+    values, vectors = eigensolve(h0 + d * slope)
     moved = slope @ vectors
     out = [values, np.sum(vectors * moved, axis=-2)]
     if operators is not None:
@@ -190,7 +192,7 @@ def sweep(params, grid):
     if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be ascending with at least 2 points")
 
-    values, vectors = np.linalg.eigh(
+    values, vectors = eigensolve(
         strain_hamiltonians(strain_family(params), grid))
     # overlap^2 of each point's eigenvectors with the previous point's
     cols, quality = greedy_match(
@@ -253,7 +255,7 @@ def detect_crossings(sr, gap_threshold):
         return hf[cand, hi] - hf[cand, lo]
 
     x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)
-    values = np.linalg.eigvalsh(strain_hamiltonians(family, x))
+    values = eigensolve(strain_hamiltonians(family, x), vectors=False)
     min_gap = values[cand, hi] - values[cand, lo]
     # each track's dominant spin three points before (0) and after (1)
     spins = dominant_spins(level_weights(sr.vectors[
@@ -273,7 +275,7 @@ def averaged_splitting(params, dperp):
     scalar strain gives a float; a grid of strains gives an array, from
     one stacked eigensolve."""
     deltas = checked_strains(dperp).reshape(-1)
-    values, vectors = np.linalg.eigh(
+    values, vectors = eigensolve(
         strain_hamiltonians(strain_family(params), deltas))
     ms0 = level_weights(vectors)[-1] > 0.5     # the ms=0 (Sz) weight
     mixed = np.flatnonzero(ms0.sum(axis=1) != 2)
@@ -282,7 +284,7 @@ def averaged_splitting(params, dperp):
         # sorted-position partition of the decoupled lambda_perp = 0
         # reference at the same strains
         ref = strain_family(replace(params, lambda_perp=0.0))
-        _, ref_vectors = np.linalg.eigh(
+        _, ref_vectors = eigensolve(
             strain_hamiltonians(ref, deltas[mixed]))
         top2 = np.argsort(level_weights(ref_vectors)[-1], axis=1)[:, -2:]
         ms0[mixed] = False
@@ -298,7 +300,7 @@ def _upper_branch_sz_gaps(family, deltas):
     """Gap between the upper-branch ms=0 level and the nearer upper-branch
     ms=+-1 level at every strain; NaN where the upper branch is not
     resolved into three levels with one ms=0 among them."""
-    values, vectors = np.linalg.eigh(strain_hamiltonians(family, deltas))
+    values, vectors = eigensolve(strain_hamiltonians(family, deltas))
     p_x, _, _, p_sz = level_weights(vectors)
     upper = p_x > 0.5
     sz = upper & (p_sz > 0.5)

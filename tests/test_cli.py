@@ -523,10 +523,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("scan", [[], ["--temperature-scan"]])
     def test_nonpositive_odmr_linewidth_rejected(self, tmp_path, capsys,
                                                  scan):
-        cfg, out = make_config(tmp_path, "linewidth = -0.02\n")
-        assert run(["--config", cfg, "odmr", *scan]) == 1
-        assert "linewidth_0 must be positive" in capsys.readouterr().err
-        assert not list(out.glob("odmr*.csv"))
+        # the message names the config key, as excitation and rabi do
+        for linewidth in ("0", "-0.02"):
+            cfg, out = make_config(tmp_path, f"linewidth = {linewidth}\n")
+            assert run(["--config", cfg, "odmr", *scan]) == 1
+            assert capsys.readouterr().err == \
+                "nvsim: error: linewidth must be positive\n"
+            assert not list(out.glob("odmr*.csv"))
 
     def test_non_finite_odmr_grid_rejected(self, tmp_path, capfd, recwarn):
         # an infinite bound reaching np.linspace printed numpy's
@@ -718,13 +721,13 @@ class TestImportCost:
         assert (out / "manifest.txt").exists()
 
     def test_cli_import_loads_no_command_module(self):
-        # the fit, the lineshape, the rate model, the Jacobi solver, input
-        # hashing and numpy.ma load only where a command uses them
+        # the fit, the lineshape, the rate model, input hashing and
+        # numpy.ma load only where a command uses them (`nvsim.linalg`
+        # loads with the sweep core, whose every spectrum it solves)
         src = str(Path(nvsim.__file__).resolve().parents[1])
         code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
                 "'nvsim.motional', 'hashlib', 'numpy.ma', "
-                "'nvsim.photodynamics', 'nvsim.linalg') "
-                "if n in sys.modules])")
+                "'nvsim.photodynamics') if n in sys.modules])")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)

@@ -16,6 +16,7 @@ from nvsim.fitting import (_INJECTIONS, BOUNDS, COARSE_STEP, NEWTON_STEPS,
                            _newton_strains, _refine_strains, _solve_strains,
                            _take, fit, predicted_lines,
                            synthesize_dataset)
+from nvsim.linalg import eigensolve_counts
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
 from nvsim.sweep import strain_family, strain_slopes
@@ -265,20 +266,15 @@ def stop_ensemble(kind):
 
 
 def count_eigensolves(monkeypatch):
-    """Spy on the fit: the list it returns gets, per `_solve_strains`
-    call, the number of stacked eigensolves that call ran."""
-    per_solve, n = [], [0]
-    for name in ("predicted_lines", "strain_slopes"):
-        def counted(*args, _orig=getattr(fitting, name), **kwargs):
-            n[0] += 1
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(fitting, name, counted)
+    """The list it returns gets, per `_solve_strains` call, the number of
+    stacked eigensolves that call ran, read off `eigensolve_counts`."""
+    per_solve = []
     solve = fitting._solve_strains
 
     def recorded(*args):
-        before = n[0]
+        before = eigensolve_counts["calls"]
         out = solve(*args)
-        per_solve.append(n[0] - before)
+        per_solve.append(eigensolve_counts["calls"] - before)
         return out
 
     monkeypatch.setattr(fitting, "_solve_strains", recorded)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from nvsim.linalg import hermitian_eigen
-from nvsim.model import (GPA_TO_GHZ, FineStructureParams, StrainVector,
-                         build_excited_hamiltonian, ground_levels,
-                         symmetry_states, zero_strain_levels)
+from nvsim.model import (GPA_TO_GHZ, PARAMETER_TERMS, STRAIN_X, STRAIN_Y,
+                         TRANSVERSE_SO_SCALE, FineStructureParams,
+                         StrainVector, build_excited_hamiltonian,
+                         ground_levels, symmetry_states, zero_strain_levels)
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
@@ -201,3 +202,92 @@ class TestGroundAndLabels:
             assert sorted(lab for _, lab in levels) == sorted(LABELS)
             for en, lab in levels:
                 assert en == pytest.approx(want[lab], abs=1e-12), params
+
+
+def c3v_operations():
+    """The 120 degree rotation C3 about the NV axis and the mirror sigma_v
+    (y -> -y) in the product basis: the orbitals (Ex, Ey) transform as
+    (x, y), the spin states (Sx, Sy, Sz) as an axial vector (a mirror
+    also flips its sign)."""
+    c, s = np.cos(2.0 * np.pi / 3.0), np.sin(2.0 * np.pi / 3.0)
+    c3 = np.kron([[c, -s], [s, c]], [[c, -s, 0.0], [s, c, 0.0],
+                                     [0.0, 0.0, 1.0]])
+    sigma_v = np.kron(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]))
+    return {"C3": c3, "sigma_v": sigma_v}
+
+
+OPS = c3v_operations()
+# the spin-1 matrices (S_k)_ij = -i eps_kij and the orbital strain
+# couplings, stated independently of the model
+LEVI = np.zeros((3, 3, 3))
+for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    LEVI[i, j, k], LEVI[i, k, j] = 1.0, -1.0
+SPIN = -1j * LEVI
+VX, VY = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def transformed(op, name):
+    r = OPS[name]
+    return r @ op @ r.T
+
+
+class TestSymmetry:
+    """The model's terms under C3v. The axial terms are invariant and the
+    strain pair transforms as E; one piece of the lambda_perp operator is
+    not C3v-invariant, and the second anticrossing depends on it."""
+
+    @pytest.mark.parametrize("name", list(OPS))
+    @pytest.mark.parametrize("term", ["lambda_z", "d_es", "delta_cap"])
+    def test_axial_terms_are_invariant(self, term, name):
+        op = PARAMETER_TERMS[term]
+        assert np.abs(transformed(op, name) - op).max() <= 1e-15
+
+    @pytest.mark.parametrize("name, character", [("C3", -1.0),
+                                                 ("sigma_v", 0.0)])
+    def test_strain_pair_transforms_as_e(self, name, character):
+        pair = np.stack([STRAIN_X.ravel(), STRAIN_Y.ravel()], axis=1)
+        images = np.stack([transformed(STRAIN_X, name).ravel(),
+                           transformed(STRAIN_Y, name).ravel()], axis=1)
+        # the images lie in the pair's span, by an orthogonal 2x2 matrix
+        # whose trace is E's character
+        rep = np.linalg.lstsq(pair, images, rcond=None)[0].real
+        assert np.abs(pair @ rep - images).max() <= 1e-15
+        assert np.abs(rep.T @ rep - np.eye(2)).max() <= 1e-15
+        assert np.trace(rep) == pytest.approx(character, abs=1e-15)
+
+    def test_transverse_spin_orbit_departure(self):
+        sx, sy, sz = SPIN
+        first = TRANSVERSE_SO_SCALE * (np.kron(VX, sx) + np.kron(VY, sy))
+        second = TRANSVERSE_SO_SCALE * (np.kron(VX, sx @ sz + sz @ sx)
+                                        - np.kron(VY, sy @ sz + sz @ sy))
+        assert np.abs(first + second
+                      - PARAMETER_TERMS["lambda_perp"]).max() <= 1e-15
+        for name in OPS:
+            assert np.abs(transformed(second, name) - second).max() <= 1e-15
+        # the first piece is odd under sigma_v and not invariant under C3
+        assert np.abs(transformed(first, "sigma_v") + first).max() <= 1e-15
+        assert np.abs(transformed(first, "C3") - first).max() == \
+            pytest.approx(0.225, abs=1e-12)
+
+    def test_second_anticrossing_needs_the_odd_piece(self):
+        # along x the strain keeps sigma_v, so without the sigma_v-odd
+        # piece the two lowest levels near 15.50 GHz lie in different
+        # parity blocks and cross; the 7.31 GHz gap does not need it
+        op = PARAMETER_TERMS["lambda_perp"]
+        odd = (op - transformed(op, "sigma_v")) / 2.0
+        h0 = build_excited_hamiltonian(DEFAULTS, StrainVector())
+        even_h0 = h0 - DEFAULTS.lambda_perp * odd
+        sigma_v = OPS["sigma_v"]
+        assert np.abs(sigma_v @ (even_h0 + 15.5 * STRAIN_X) @ sigma_v.T
+                      - (even_h0 + 15.5 * STRAIN_X)).max() <= 1e-14
+
+        def min_gap(h, lo, hi, rank):
+            deltas = np.linspace(lo, hi, 2001)[:, None, None]
+            values = np.linalg.eigvalsh(h + deltas * STRAIN_X)
+            return (values[:, rank + 1] - values[:, rank]).min()
+
+        assert min_gap(h0, 15.4, 15.6, 0) == pytest.approx(0.0509, abs=1e-4)
+        assert min_gap(even_h0, 15.4, 15.6, 0) < 2e-6
+        assert min_gap(h0, 7.2, 7.4, 1) == pytest.approx(0.0768, abs=1e-4)
+        assert min_gap(even_h0, 7.2, 7.4, 1) == pytest.approx(0.0768,
+                                                              abs=1e-4)
