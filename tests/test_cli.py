@@ -721,13 +721,13 @@ class TestImportCost:
         assert (out / "manifest.txt").exists()
 
     def test_cli_import_loads_no_command_module(self):
-        # the fit, the lineshape, the rate model, input hashing and
-        # numpy.ma load only where a command uses them (`nvsim.linalg`
-        # loads with the sweep core, whose every spectrum it solves)
+        # the fit, the lineshape, the rate model, the Jacobi solver, input
+        # hashing and numpy.ma load only where a command uses them
         src = str(Path(nvsim.__file__).resolve().parents[1])
         code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
                 "'nvsim.motional', 'hashlib', 'numpy.ma', "
-                "'nvsim.photodynamics') if n in sys.modules])")
+                "'nvsim.photodynamics', 'nvsim.jacobi') "
+                "if n in sys.modules])")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)

@@ -11,8 +11,9 @@ import pytest
 import nvsim
 from nvsim.cli import run
 from nvsim.fitting import synthesize_dataset
+from nvsim.jacobi import hermitian_eigen, offdiag_norm
 from nvsim.linalg import (TRACE_ULPS, EigenError, eigensolve,
-                          eigensolve_counts, hermitian_eigen, offdiag_norm)
+                          eigensolve_counts)
 from nvsim.model import PARAMETER_TERMS, FineStructureParams
 from nvsim.sweep import strain_family, strain_hamiltonians
 
@@ -114,9 +115,9 @@ def corrupt(monkeypatch, member, fault):
 
 
 def trace_ratio(h, values):
-    """|sum(lambda) - tr H| / (eps max|H|) of each member."""
+    """|sum(lambda) - tr H| / (eps max|lambda|) of each member."""
     err = np.abs((values - np.diagonal(h, 0, -2, -1).real).sum(-1))
-    return err / (np.finfo(float).eps * np.abs(h).max(axis=(-2, -1)))
+    return err / (np.finfo(float).eps * np.abs(values).max(axis=-1))
 
 
 class TestEigensolve:
@@ -131,6 +132,7 @@ class TestEigensolve:
                              for k in range(5)]),
         "single": sum(PARAMETER_TERMS.values()),
         "zero": np.zeros((2, 6, 6)),
+        "empty": np.zeros((2, 0, 0)),
         # eps max|H| underflows: the floor holds subnormal rounding
         "subnormal": REAL * 1e-315,
     }
@@ -155,7 +157,7 @@ class TestEigensolve:
                                      "matrices": before["matrices"] + 13}
 
     @pytest.mark.parametrize("vectors", [True, False])
-    @pytest.mark.parametrize("fault", [1e-9, np.nan])
+    @pytest.mark.parametrize("fault", [1e-9, np.nan, np.inf])
     def test_names_the_first_corrupted_member(self, monkeypatch, vectors,
                                               fault):
         corrupt(monkeypatch, 6, fault)
@@ -189,18 +191,21 @@ class TestEigensolve:
         assert not out.exists() or not list(out.iterdir())
 
     def test_bound_has_headroom_on_the_model(self):
-        # seeded draws of every parameter, strains up to +-1e6 GHz: the
+        # seeded draws of every parameter, log-uniform in magnitude up to
+        # the accepted 1e6 GHz, and of strain ranges up to +-1e6 GHz: the
         # largest ratio stays below half the documented constant
         rng = np.random.default_rng(21)
+
+        def draw(signed=True):
+            size = 10.0 ** rng.uniform(-3.0, 6.0)
+            return size * rng.choice([-1.0, 1.0]) if signed else size
+
         worst = 0.0
         for _ in range(40):
             params = FineStructureParams(
-                lambda_z=rng.uniform(0.0, 10.0),
-                lambda_perp=rng.uniform(0.0, 1.0),
-                d_es=rng.uniform(0.0, 3.0), delta_cap=rng.uniform(0.0, 3.0),
-                e_es_coeff=rng.uniform(-0.2, 0.2),
-                delta_z=rng.uniform(-10.0, 10.0),
-                zpl_offset=rng.uniform(-1e3, 1e3))
+                lambda_z=draw(), lambda_perp=draw(signed=False),
+                d_es=draw(), delta_cap=draw(), d_gs=draw(signed=False),
+                e_es_coeff=draw(), delta_z=draw(), zpl_offset=draw())
             reach = 10.0 ** rng.uniform(0.0, 6.0)
             h = strain_hamiltonians(strain_family(params),
                                     np.linspace(-reach, reach, 801))
