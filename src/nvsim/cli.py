@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Every subcommand reads an optional flat config file (--config flag or
-NVSIM_CONFIG environment variable), writes one or more CSVs plus a run
-manifest into the configured output directory, and prints a short
-summary once every file is written; a closed stdout ends that output
-quietly. Exit codes: 0 success, 1 usage/configuration error (an `odmr`
-strain with unresolved branches and an output that cannot be written
-included), 2 numerical failure.
+NVSIM_CONFIG environment variable), computes its tables and hands them
+to `_finish`, the one writer: it writes them plus a run manifest into
+the configured output directory and prints a short summary once every
+file is written; a closed stdout ends that output quietly. Exit codes:
+0 success, 1 usage/configuration error (an `odmr` strain with unresolved
+branches and an output that cannot be written included), 2 numerical
+failure.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its subcommand uses.
@@ -125,23 +126,28 @@ def _resolve_strain(args):
     return args.strain if args.gpa is None else args.gpa * GPA_TO_GHZ
 
 
-def _out(cfg, name):
-    d = cfg["output_dir"]
-    os.makedirs(d, exist_ok=True)
-    return os.path.join(d, name)
-
-
-def _finish(cfg, command, outputs, summary, inputs=None):
-    """Write the manifest, then print the summary and the files written.
-    A closed stdout (`nvsim sweep | head -1`) ends the output quietly."""
-    man = RunManifest(command=command, config=cfg,
-                      inputs={p: sha256_file(p) for p in (inputs or [])},
-                      outputs=[os.path.basename(p) for p in outputs])
-    path = _out(cfg, "manifest.txt")
-    man.write(path)
+def _finish(cfg, command, files, summary, inputs=()):
+    """The one writer of a command's outputs. `files` maps each file
+    name, in write order, to its content: a CSV `(header, rows)` pair
+    (`write_csv`) or text, written as is. Creates output_dir, writes each
+    file, then manifest.txt (the hashes of the input paths `inputs`
+    included), then prints the summary and a `wrote` line per file,
+    manifest.txt last. A closed stdout (`nvsim sweep | head -1`) ends
+    that output quietly."""
+    os.makedirs(cfg["output_dir"], exist_ok=True)
+    paths = [os.path.join(cfg["output_dir"], name)
+             for name in [*files, "manifest.txt"]]
+    for path, content in zip(paths, files.values()):
+        if isinstance(content, str):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(content)
+        else:
+            write_csv(path, *content)
+    RunManifest(command=command, config=cfg,
+                inputs={p: sha256_file(p) for p in inputs},
+                outputs=list(files)).write(paths[-1])
     try:
-        print("\n".join([summary] + [f"wrote {p}"
-                                     for p in list(outputs) + [path]]),
+        print("\n".join([summary] + [f"wrote {p}" for p in paths]),
               flush=True)
     except BrokenPipeError:
         # the rest goes to os.devnull, where the last flush cannot fail
@@ -150,49 +156,45 @@ def _finish(cfg, command, outputs, summary, inputs=None):
 
 def _cmd_levels(cfg, args, command):
     levels = zero_strain_levels(cfg.fine_structure())
-    path = _out(cfg, "levels.csv")
-    write_csv(path, ["label", "energy_ghz"],
-              [(lab, e) for e, lab in levels])
     by_label = {lab: e for e, lab in levels}
     summary = ["zero-strain levels (GHz):"]
     summary += [f"  {lab:4s} {format_number(e)}" for e, lab in levels]
     summary.append("A2 - A1 = "
                    f"{format_number(by_label['A2'] - by_label['A1'])} GHz")
-    _finish(cfg, command, [path], "\n".join(summary))
+    _finish(cfg, command, {"levels.csv": (
+        ["label", "energy_ghz"], [(lab, e) for e, lab in levels])},
+        "\n".join(summary))
 
 
 def _cmd_sweep(cfg, args, command):
     from .sweep import detect_crossings, sweep
     sr = sweep(cfg.fine_structure(), cfg.strain_grid())
     events = detect_crossings(sr, args.gap_threshold)
-    path = _out(cfg, "sweep.csv")
-    write_csv(path, ["delta_perp_ghz"] + [f"track{k+1}_ghz"
-                                          for k in range(6)],
-              np.column_stack([sr.grid, sr.energies]).tolist())
-    cpath = _out(cfg, "crossings.csv")
-    write_csv(cpath, ["delta_perp_ghz", "track_a", "track_b",
-                      "min_gap_ghz", "avoided"],
-              [(e.strain_at_min_gap, e.track_a + 1, e.track_b + 1,
-                e.min_gap, int(e.avoided)) for e in events])
-    _finish(cfg, command, [path, cpath],
-            f"swept {sr.grid.size} points, "
-            f"{sum(e.avoided for e in events)} avoided crossings")
+    _finish(cfg, command, {
+        "sweep.csv": (["delta_perp_ghz"] + [f"track{k+1}_ghz"
+                                            for k in range(6)],
+                      np.column_stack([sr.grid, sr.energies]).tolist()),
+        "crossings.csv": (["delta_perp_ghz", "track_a", "track_b",
+                           "min_gap_ghz", "avoided"],
+                          [(e.strain_at_min_gap, e.track_a + 1,
+                            e.track_b + 1, e.min_gap, int(e.avoided))
+                           for e in events])},
+        f"swept {sr.grid.size} points, "
+        f"{sum(e.avoided for e in events)} avoided crossings")
 
 
 def _cmd_lines(cfg, args, command):
     from .photodynamics import transition_lines
     strain = StrainVector(_resolve_strain(args), 0.0)
     lines = transition_lines(cfg.fine_structure(), strain)
-    path = _out(cfg, "lines.csv")
-    write_csv(path, ["ground", "excited_index", "detuning_ghz",
-                     "strength", "spin_conserving", "weak"],
-              [(ln.ground_sublevel, ln.excited_index, ln.detuning,
-                ln.strength, int(ln.spin_conserving), int(ln.weak))
-               for ln in lines])
     strong = sum(1 for ln in lines if not ln.weak)
-    _finish(cfg, command, [path],
-            f"{len(lines)} lines at delta_perp = "
-            f"{format_number(strain.delta_perp)} GHz ({strong} strong)")
+    _finish(cfg, command, {"lines.csv": (
+        ["ground", "excited_index", "detuning_ghz", "strength",
+         "spin_conserving", "weak"],
+        [(ln.ground_sublevel, ln.excited_index, ln.detuning, ln.strength,
+          int(ln.spin_conserving), int(ln.weak)) for ln in lines])},
+        f"{len(lines)} lines at delta_perp = "
+        f"{format_number(strain.delta_perp)} GHz ({strong} strong)")
 
 
 def _cmd_excitation(cfg, args, command):
@@ -204,9 +206,8 @@ def _cmd_excitation(cfg, args, command):
                        "--detuning-points")
     spec = excitation_spectrum(cfg.fine_structure(), strain, cfg.rates(),
                                grid, mw_on=args.mw)
-    path = _out(cfg, "excitation.csv")
-    write_csv(path, ["detuning_ghz", "pl_rate"], spec.tolist())
-    _finish(cfg, command, [path],
+    _finish(cfg, command,
+            {"excitation.csv": (["detuning_ghz", "pl_rate"], spec.tolist())},
             f"spectrum over [{args.detuning_min}, {args.detuning_max}] GHz, "
             f"MW {'on' if args.mw else 'off'}")
 
@@ -230,9 +231,7 @@ def _cmd_rabi(cfg, args, command):
     taus = linear_grid(0.0, args.tau_max, args.tau_points, "--tau-max",
                        "--tau-points")
     rows = rabi_trace(params, strain, rp, args.omega_mw, line, taus)
-    path = _out(cfg, "rabi.csv")
-    write_csv(path, ["tau_ns", "counts"], rows)
-    _finish(cfg, command, [path],
+    _finish(cfg, command, {"rabi.csv": (["tau_ns", "counts"], rows)},
             f"rabi trace via {args.readout} line "
             f"(excited level {line.excited_index})")
 
@@ -250,10 +249,9 @@ def _cmd_odmr(cfg, args, command):
                             "--temp-points")
         rows = esr_contrast_vs_temperature(
             tmap, params, dperp, temps, linewidth_0=linewidth_0)
-        path = _out(cfg, "odmr_contrast.csv")
-        write_csv(path, ["temperature_k", "contrast"], rows)
-        _finish(cfg, command, [path],
-                f"contrast scan {args.temp_min}-{args.temp_max} K")
+        _finish(cfg, command, {"odmr_contrast.csv": (
+            ["temperature_k", "contrast"], rows)},
+            f"contrast scan {args.temp_min}-{args.temp_max} K")
         return
     fa, fb, _, _ = branch_esr_frequencies(params, dperp)
     model = ExchangeModel(freq_a=fa, freq_b=fb, linewidth_0=linewidth_0,
@@ -261,12 +259,10 @@ def _cmd_odmr(cfg, args, command):
     grid = linear_grid(args.freq_min, args.freq_max, args.freq_points,
                        "--freq-min and --freq-max", "--freq-points")
     shape = exchange_lineshape(model, grid)
-    path = _out(cfg, "odmr.csv")
-    write_csv(path, ["freq_ghz", "intensity"],
-              list(zip(grid.tolist(), shape.tolist())))
-    _finish(cfg, command, [path],
-            f"lineshape at T = {args.temperature} K "
-            f"(hop rate {format_number(model.hop_rate)} GHz)")
+    _finish(cfg, command, {"odmr.csv": (
+        ["freq_ghz", "intensity"], list(zip(grid.tolist(), shape.tolist())))},
+        f"lineshape at T = {args.temperature} K "
+        f"(hop rate {format_number(model.hop_rate)} GHz)")
 
 
 def _cmd_avg(cfg, args, command):
@@ -274,12 +270,11 @@ def _cmd_avg(cfg, args, command):
     grid = linear_grid(0.0, args.max_strain, args.points, "--max-strain",
                        "--points")
     vals = averaged_splitting(cfg.fine_structure(), grid)
-    path = _out(cfg, "avg.csv")
-    write_csv(path, ["delta_perp_ghz", "avg_split_ghz"],
-              list(zip(grid.tolist(), vals.tolist())))
-    _finish(cfg, command, [path],
-            f"averaged splitting in [{format_number(vals.min())}, "
-            f"{format_number(vals.max())}] GHz")
+    _finish(cfg, command, {"avg.csv": (
+        ["delta_perp_ghz", "avg_split_ghz"],
+        list(zip(grid.tolist(), vals.tolist())))},
+        f"averaged splitting in [{format_number(vals.min())}, "
+        f"{format_number(vals.max())}] GHz")
 
 
 def _read_defects(path):
@@ -331,15 +326,12 @@ def _cmd_fit(cfg, args, command):
         f"iterations = {result.iterations}",
         f"converged = {result.converged}",
     ]
-    rpath = _out(cfg, "fit_report.txt")
-    with open(rpath, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(report) + "\n")
-    spath = _out(cfg, "fit_strains.csv")
-    write_csv(spath, ["defect_id", "delta_perp_ghz", "offset_ghz"],
-              [(d.id, result.strains[d.id], result.offsets[d.id])
-               for d in data])
-    _finish(cfg, command, [rpath, spath], "\n".join(report),
-            inputs=[args.input])
+    _finish(cfg, command, {
+        "fit_report.txt": "\n".join(report) + "\n",
+        "fit_strains.csv": (["defect_id", "delta_perp_ghz", "offset_ghz"],
+                            [(d.id, result.strains[d.id],
+                              result.offsets[d.id]) for d in data])},
+        "\n".join(report), inputs=[args.input])
     if not result.converged:
         flagged = [f"{what}: {', '.join(names)}" for what, names in (
             ("defects at the strain-grid edge", result.edge_ids),

@@ -298,7 +298,12 @@ def _linearize(params, names, strains, groups):
         values, d_delta, d_theta = strain_slopes(family, strains[idx], ops)
         diff, k, k_first = _match(values, meas)
         inj = _INJECTIONS[meas.shape[1]]
-        offsets[idx] = _mean(meas - _take(values[:, inj], k_first))
+        if meas.shape[1] == N_LINES:
+            # the six lines' mean is tr H / 6 = zpl_offset + delta_z at
+            # every strain: the offset without the eigenvalues' rounding
+            offsets[idx] = _mean(meas) - (params.zpl_offset + params.delta_z)
+        else:
+            offsets[idx] = _mean(meas - _take(values[:, inj], k_first))
         sq[idx] = (diff * diff).sum(axis=1)
         for i, row in zip(idx.tolist(), inj[k].tolist()):
             rows[i] = row

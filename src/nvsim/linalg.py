@@ -35,7 +35,9 @@ class EigenError(ArithmeticError):
 
 def __getattr__(name):
     # `nvsim.linalg.hermitian_eigen` and `.EigenSystem` load the Jacobi
-    # solver on first access (PEP 562), as `nvsim.__getattr__` does
+    # solver on first access (PEP 562), as `nvsim.__getattr__` does;
+    # perfbench/tracer.py wraps `nvsim.linalg.hermitian_eigen`, so without
+    # this forwarder `run.py --trace 1` would silently lose the Jacobi spans
     if name not in ("EigenSystem", "hermitian_eigen"):
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}")

@@ -32,6 +32,8 @@ from .model import (LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X,
                     symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
+HALF_WIDTHS = 3.0       # a crossing's spins are read this many half-widths out
+GAP_FLOOR = 1e-6        # GHz, least gap of an avoided crossing
 
 # The diagonal of the gauge D (see the module docstring)
 _GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
@@ -234,8 +236,26 @@ def detect_crossings(sr, gap_threshold):
     below `gap_threshold`, each bisected between its grid neighbours to a
     zero of the Hellmann-Feynman gap derivative <hi|Hd|hi> - <lo|Hd|lo>
     of the sorted ranks lo, hi the two tracks hold at the minimum.
-    `avoided` requires an exchange of dominant spin (`dominant_spins`)
-    between the two tracks across the minimum."""
+
+    The verdict reads the crossing's own width, not the grid. At the
+    refined strain x, g = E_hi - E_lo and c = E''_hi - E''_lo (the
+    curvatures of `strain_slopes`); a two-level anticrossing has
+    c = s^2 / g there, s its slope difference, so its half-width is
+    w = sqrt(g / c). It is `avoided` when g > GAP_FLOOR, c > 0 and ranks
+    lo and hi exchange dominant spin (`dominant_spins`) between x - K w
+    and x + K w, K = HALF_WIDTHS, both clipped to the sweep.
+    - K = 3 leaves each level within (1 / 2K)^2, about 3%, of its
+      diabatic parent, and keeps the read clear of neighbouring crossings
+      and of the zero-strain doublets, which K = 5 reaches on 3 of 30
+      seeded draws.
+    - GAP_FLOOR = 1e-6 GHz: ranks exchange character at a true crossing
+      too, where g is bisection noise (3e-12 to 8e-11 GHz on the seeded
+      lambda_perp = 0 draws of the tests); 1 kHz is far below any
+      resolved splitting, so the 2.2e-7 GHz minimum at 0.0084 GHz (the
+      defaults on 12801 points) is not avoided.
+    - c <= 0: x is no gap minimum but a gap maximum (the anticrossing
+      lying outside a coarse grid's bracket) or the kink at zero strain,
+      where the e_es term follows |delta|: not avoided."""
     if not gap_threshold > 0:   # NaN too
         raise ValueError("gap_threshold must be positive")
     family = strain_family(sr.params)
@@ -257,11 +277,17 @@ def detect_crossings(sr, gap_threshold):
     x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)
     values = eigensolve(strain_hamiltonians(family, x), vectors=False)
     min_gap = values[cand, hi] - values[cand, lo]
-    # each track's dominant spin three points before (0) and after (1)
-    spins = dominant_spins(level_weights(sr.vectors[
-        [np.maximum(i - 3, 0), np.minimum(i + 3, sr.grid.size - 1)]]))
-    (a0, a1), (b0, b1) = spins[:, cand, a], spins[:, cand, b]
-    exchanged = (a0 == b1) & (b0 == a1) & (a0 != b0)
+    curv = strain_slopes(family, x, curvatures=True)[2]
+    c = curv[cand, hi] - curv[cand, lo]
+    gapped = (min_gap > GAP_FLOOR) & (c > 0)
+    w = HALF_WIDTHS * np.sqrt(np.divide(min_gap, c, where=gapped,
+                                        out=np.zeros_like(c)))
+    # the dominant spins of ranks lo and hi below (0) and above (1) x
+    _, vectors = eigensolve(strain_hamiltonians(family, np.clip(
+        [x - w, x + w], sr.grid[0], sr.grid[-1])))
+    spins = dominant_spins(level_weights(vectors))
+    (lo0, lo1), (hi0, hi1) = spins[:, cand, lo], spins[:, cand, hi]
+    exchanged = gapped & (lo0 == hi1) & (hi0 == lo1) & (lo0 != hi0)
     events = (CrossingEvent(strain_at_min_gap=float(x[k]), track_a=ak,
                             track_b=bk, min_gap=float(min_gap[k]),
                             avoided=bool(exchanged[k]))

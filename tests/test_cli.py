@@ -1,5 +1,6 @@
 """Tests for configuration parsing, CSV emission and the CLI."""
 
+import ast
 import gc
 import os
 import subprocess
@@ -47,6 +48,26 @@ def write_fixture(tmp_path, n=8, noise=0.0, strains=None):
     path = tmp_path / "fixture.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+# every subcommand at a small size (`fit` gets a 4-defect fixture) and the
+# files it writes, in write order
+SMALL_COMMANDS = [
+    (["levels"], ["levels.csv"]),
+    (["sweep"], ["sweep.csv", "crossings.csv"]),
+    (["lines"], ["lines.csv"]),
+    (["excitation", "--detuning-points", "21"], ["excitation.csv"]),
+    (["rabi", "--readout", "sxy", "--tau-points", "5"], ["rabi.csv"]),
+    (["odmr", "--freq-points", "21"], ["odmr.csv"]),
+    (["odmr", "--temperature-scan", "--temp-points", "5"],
+     ["odmr_contrast.csv"]),
+    (["avg", "--points", "11"], ["avg.csv"]),
+    (["fit"], ["fit_report.txt", "fit_strains.csv"]),
+]
+
+
+def command_id(argv):
+    return "-".join(a.lstrip("-") for a in argv[:2])
 
 
 class TestConfig:
@@ -746,17 +767,8 @@ class TestImportCost:
         assert res.stdout.splitlines()[-1] == "0 False"
         assert (out / "fit_strains.csv").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["levels"],
-        ["sweep"],
-        ["lines"],
-        ["excitation", "--detuning-points", "21"],
-        ["rabi", "--readout", "sxy", "--tau-points", "5"],
-        ["odmr", "--freq-points", "21"],
-        ["odmr", "--temperature-scan", "--temp-points", "5"],
-        ["avg", "--points", "11"],
-        ["fit"],
-    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+    @pytest.mark.parametrize("argv", [argv for argv, _ in SMALL_COMMANDS],
+                             ids=command_id)
     def test_every_command_runs_in_a_fresh_process(self, tmp_path, argv):
         # each command imports what it runs; a missing import shows only
         # in a process that has not loaded it for another command
@@ -770,6 +782,61 @@ class TestImportCost:
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert (out / "manifest.txt").exists()
+
+
+class TestOneWriter:
+    """`cli._finish` writes every output file of every command: the
+    output directory holds the manifest's `output` files and manifest.txt,
+    and stdout ends with a `wrote` line per file, in write order, with
+    manifest.txt last."""
+
+    @staticmethod
+    def check_outputs(out, stdout, names):
+        listed = [line.split(" ", 1)[1] for line in
+                  (out / "manifest.txt").read_text().splitlines()
+                  if line.startswith("output ")]
+        assert listed == names
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted(names + ["manifest.txt"])
+        assert stdout.splitlines()[-len(names) - 1:] == \
+            [f"wrote {out / name}" for name in names + ["manifest.txt"]]
+
+    @pytest.mark.parametrize("argv, names", SMALL_COMMANDS,
+                             ids=[command_id(a) for a, _ in SMALL_COMMANDS])
+    def test_every_command_writes_through_finish(self, tmp_path, capsys,
+                                                 argv, names):
+        cfg, out = make_config(tmp_path, "strain_points = 41\n")
+        if argv == ["fit"]:
+            argv = ["fit", write_fixture(tmp_path, n=4)]
+        assert run(["--config", cfg, *argv]) == 0
+        self.check_outputs(out, capsys.readouterr().out, names)
+
+    def test_only_finish_writes_files(self):
+        # every write_csv call and every open() outside read mode in cli.py
+        # lies inside _finish
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        finish, = (node for node in tree.body
+                   if getattr(node, "name", None) == "_finish")
+        inside = range(finish.lineno, finish.end_lineno + 1)
+        writes = [node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) in ("write_csv", "open")
+                  and not (len(node.args) > 1
+                           and isinstance(node.args[1], ast.Constant)
+                           and node.args[1].value == "r")]
+        assert len(writes) == 2
+        assert all(line in inside for line in writes), writes
+
+    def test_fit_that_does_not_converge_writes_then_exits_2(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(fitting, "MAX_ITER", 1)
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
+        assert run(["--config", cfg, "fit", write_fixture(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "fit did not converge" in captured.err
+        self.check_outputs(out, captured.out,
+                           ["fit_report.txt", "fit_strains.csv"])
 
 
 class TestProcessEntry:

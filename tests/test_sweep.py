@@ -2,7 +2,6 @@
 
 import importlib
 from dataclasses import replace
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +15,8 @@ from nvsim.sweep import (LINEAR_PARAMS, LevelCharacter, SweepError,
                          _characters, averaged_splitting,
                          classify_level, detect_crossings,
                          nv2_condition_strain, parameter_operators,
-                         strain_family, strain_hamiltonians, sweep)
+                         strain_family, strain_hamiltonians, strain_slopes,
+                         sweep)
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
@@ -399,24 +399,58 @@ class TestCrossings:
         assert strains[1] == pytest.approx(15.50, abs=0.05)
         assert all(e.min_gap > 0.01 for e in events)
 
-    @pytest.mark.xfail(strict=True, reason="avoided reads the dominant "
-                       "spins three grid points either side of the gap "
-                       "minimum, which at 3201 points lie inside the "
-                       "anticrossing, so it depends on the grid density")
     def test_avoided_crossings_do_not_depend_on_grid_density(self):
-        # at 0-20 GHz both anticrossings are avoided at 101-1601 points
-        # and neither is at 3201
+        # at 3201 points over 0-20 GHz, three grid steps lie inside both
+        # anticrossings; their verdict reads their own widths instead
         for n in (801, 3201):
             sr = sweep(DEFAULTS, np.linspace(0.0, 20.0, n))
             strains = [e.strain_at_min_gap
                        for e in detect_crossings(sr, 0.5) if e.avoided]
             assert strains == pytest.approx([7.3136, 15.5015], abs=1e-3)
 
+    def test_gap_below_the_floor_is_not_avoided(self, monkeypatch):
+        # at 12801 points a minimum next to the zero-strain E pair appears
+        # at 0.0084 GHz; its ranks exchange dominant spin, but its gap,
+        # 2.2e-7 GHz, lies below GAP_FLOOR, and that decides it
+        sr = sweep(DEFAULTS, np.linspace(0.0, 20.0, 12801))
+        events = detect_crossings(sr, 0.5)
+        first = events[0]
+        assert first.strain_at_min_gap == pytest.approx(0.0084, abs=1e-4)
+        assert first.min_gap == pytest.approx(2.2e-7, rel=0.05)
+        assert [e.avoided for e in events] == [False, True, True]
+        monkeypatch.setattr(importlib.import_module("nvsim.sweep"),
+                            "GAP_FLOOR", 1e-9)
+        assert detect_crossings(sr, 0.5)[0].avoided
+
+    def test_gap_maximum_is_not_avoided(self):
+        # on a 0.1 GHz grid the bisection of the tracks' (0, 1) minimum at
+        # 0.1 GHz meets a maximum of their gap (c < 0); the anticrossing,
+        # at 0.257 GHz, lies outside that bracket and is found from 101
+        # points
+        params = FineStructureParams(lambda_z=4.587, lambda_perp=0.917,
+                                     d_es=2.003, delta_cap=0.615,
+                                     e_es_coeff=-0.064)
+        family = strain_family(params)
+        for n, strain, convex, avoided in ((11, 0.1356, False, False),
+                                           (101, 0.2574, True, True)):
+            sr = sweep(params, np.linspace(0.0, 1.0, n))
+            [event] = [e for e in detect_crossings(sr, 0.5)
+                       if (e.track_a, e.track_b) == (0, 1)]
+            x = event.strain_at_min_gap
+            assert x == pytest.approx(strain, abs=1e-4)
+            curv = strain_slopes(family, [x], curvatures=True)[2][0]
+            assert (curv[1] - curv[0] > 0) == convex
+            assert event.min_gap > 1e-4
+            assert event.avoided == avoided
+
     def test_avoided_is_an_exchange_of_dominant_spins(self):
-        # oracle: LevelCharacter.dominant_spin of both tracks three grid
-        # points before and after each gap minimum, the minima listed per
-        # track pair and along the grid. The seed draws two minima whose
-        # tracks hold one dominant spin throughout, which is no exchange.
+        # oracle: the width rule written out per event: the ranks (lo, hi)
+        # whose gap is the event's, c from the curvatures of
+        # `strain_slopes`, and LevelCharacter.dominant_spin of both ranks
+        # at x -+ 3 sqrt(g / c), clipped to the sweep; no exchange is read
+        # where g <= 1e-6 GHz or c <= 0. The read stays in the family's
+        # gauge: at zero strain the E-doublet levels hold equal sx and sy
+        # weights, which rounding splits differently in another gauge.
         rng = np.random.default_rng(42)
         seen = set()
         for trial in range(30):
@@ -426,27 +460,55 @@ class TestCrossings:
                 d_es=rng.uniform(0.3, 3.0), delta_cap=rng.uniform(0.1, 3.0),
                 e_es_coeff=rng.uniform(-0.2, 0.2))
             sr = coarse_sweep(params, lo=0.0, n=301)
-            n, chars = sr.grid.size, sr.characters
-            expected = []
-            for a, b in combinations(range(6), 2):
-                gap = np.abs(sr.energies[:, a] - sr.energies[:, b])
-                for i in range(1, n - 1):
-                    if not (gap[i] <= gap[i - 1] and gap[i] < gap[i + 1]
-                            and gap[i] < 0.5):
-                        continue
-                    before = [c.dominant_spin for c in chars[max(i - 3, 0)]]
-                    after = [c.dominant_spin
-                             for c in chars[min(i + 3, n - 1)]]
-                    expected.append(((a, b), before[a] == after[b]
-                                     and before[b] == after[a]
-                                     and before[a] != before[b]))
-            events = sorted(detect_crossings(sr, 0.5), key=lambda e: (
-                e.track_a, e.track_b, e.strain_at_min_gap))
-            found = [((e.track_a, e.track_b), e.avoided) for e in events]
-            assert found == expected
-            assert all(type(e.avoided) is bool for e in events)
-            seen.update(avoided for _, avoided in found)
-        assert seen == {True, False}
+            family = strain_family(params)
+            for e in detect_crossings(sr, 0.5):
+                x, g = e.strain_at_min_gap, e.min_gap
+                lo, hi = min(candidate_ranks(sr, e, 0.5), key=lambda r: abs(
+                    g - rank_gap(params, x, *r)))
+                curv = strain_slopes(family, [x], curvatures=True)[2][0]
+                c = curv[hi] - curv[lo]
+                if g <= 1e-6 or c <= 0:
+                    expected, why = False, "closed" if g <= 1e-6 else "c"
+                else:
+                    spins = []
+                    for side in (-1.0, 1.0):
+                        at = np.clip(x + side * 3.0 * np.sqrt(g / c),
+                                     0.0, 30.0)
+                        vecs = np.linalg.eigh(
+                            strain_hamiltonians(family, at))[1]
+                        spins.append([classify_level(vecs[:, k])
+                                      .dominant_spin for k in (lo, hi)])
+                    (lo0, hi0), (lo1, hi1) = spins
+                    expected = lo0 == hi1 and hi0 == lo1 and lo0 != hi0
+                    why = "read"
+                assert type(e.avoided) is bool
+                assert e.avoided == expected, (trial, e)
+                seen.add((why, expected))
+        assert seen == {("closed", False), ("c", False), ("read", False),
+                        ("read", True)}
+
+    def test_verdicts_agree_across_grid_densities(self):
+        # an event found from every grid gets one verdict from all of them
+        rng = np.random.default_rng(8)
+        agreed = set()
+        for _ in range(15):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 10.0),
+                lambda_perp=rng.choice([0.0, rng.uniform(0.0, 1.0)]),
+                d_es=rng.uniform(0.3, 3.0), delta_cap=rng.uniform(0.1, 3.0),
+                e_es_coeff=rng.uniform(-0.2, 0.2))
+            found = [detect_crossings(sweep(params, np.linspace(
+                0.0, 30.0, n)), 0.5) for n in (401, 1201, 4801, 19201)]
+            for e in found[0]:
+                same = [[f for f in events if abs(
+                    f.strain_at_min_gap - e.strain_at_min_gap) < 1e-6]
+                    for events in found[1:]]
+                if all(same):
+                    verdicts = {e.avoided} | {f.avoided for fs in same
+                                              for f in fs}
+                    assert len(verdicts) == 1, (params, e)
+                    agreed |= verdicts
+        assert agreed == {True, False}
 
     def test_no_candidate_minima(self):
         sr = coarse_sweep(DEFAULTS)
