@@ -243,11 +243,17 @@ def detect_crossings(sr, gap_threshold):
     c = s^2 / g there, s its slope difference, so its half-width is
     w = sqrt(g / c). It is `avoided` when g > GAP_FLOOR, c > 0 and ranks
     lo and hi exchange dominant spin (`dominant_spins`) between x - K w
-    and x + K w, K = HALF_WIDTHS, both clipped to the sweep.
+    and x + K w, K = HALF_WIDTHS.
+    - The reads are not clipped to the sweep: the family holds on both
+      sides of zero (strain along -x below it), so an event's verdict is
+      a property of the model at x, whatever the sweep's range. Clipped,
+      a sweep from 0 read wide events at zero strain itself, where the
+      E doublets are degenerate and rounding picks their spins.
     - K = 3 leaves each level within (1 / 2K)^2, about 3%, of its
-      diabatic parent, and keeps the read clear of neighbouring crossings
-      and of the zero-strain doublets, which K = 5 reaches on 3 of 30
-      seeded draws.
+      diabatic parent while keeping the read near x: K = 5 changes the
+      verdict on 7 of 30 seeded draws, each time of an event whose
+      half-width is comparable to its distance from zero strain or from
+      another event, where no two-level picture holds.
     - GAP_FLOOR = 1e-6 GHz: ranks exchange character at a true crossing
       too, where g is bisection noise (3e-12 to 8e-11 GHz on the seeded
       lambda_perp = 0 draws of the tests); 1 kHz is far below any
@@ -283,8 +289,7 @@ def detect_crossings(sr, gap_threshold):
     w = HALF_WIDTHS * np.sqrt(np.divide(min_gap, c, where=gapped,
                                         out=np.zeros_like(c)))
     # the dominant spins of ranks lo and hi below (0) and above (1) x
-    _, vectors = eigensolve(strain_hamiltonians(family, np.clip(
-        [x - w, x + w], sr.grid[0], sr.grid[-1])))
+    _, vectors = eigensolve(strain_hamiltonians(family, [x - w, x + w]))
     spins = dominant_spins(level_weights(vectors))
     (lo0, lo1), (hi0, hi1) = spins[:, cand, lo], spins[:, cand, hi]
     exchanged = gapped & (lo0 == hi1) & (hi0 == lo1) & (lo0 != hi0)

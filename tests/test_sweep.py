@@ -1,6 +1,7 @@
 """Tests for strain sweeps, crossing detection and averaged splitting."""
 
 import importlib
+from itertools import combinations
 from dataclasses import replace
 
 import numpy as np
@@ -423,34 +424,36 @@ class TestCrossings:
         assert detect_crossings(sr, 0.5)[0].avoided
 
     def test_gap_maximum_is_not_avoided(self):
-        # on a 0.1 GHz grid the bisection of the tracks' (0, 1) minimum at
-        # 0.1 GHz meets a maximum of their gap (c < 0); the anticrossing,
-        # at 0.257 GHz, lies outside that bracket and is found from 101
-        # points
+        # on a 0.1 GHz grid the bisection of the tracks' (0, 1) minimum
+        # meets a maximum of their gap (c < 0), which is not avoided; the
+        # anticrossing, at 0.257 GHz, lies outside that bracket and is
+        # found from 101 points
         params = FineStructureParams(lambda_z=4.587, lambda_perp=0.917,
                                      d_es=2.003, delta_cap=0.615,
                                      e_es_coeff=-0.064)
         family = strain_family(params)
-        for n, strain, convex, avoided in ((11, 0.1356, False, False),
-                                           (101, 0.2574, True, True)):
+        for n, convex in ((11, False), (101, True)):
             sr = sweep(params, np.linspace(0.0, 1.0, n))
             [event] = [e for e in detect_crossings(sr, 0.5)
                        if (e.track_a, e.track_b) == (0, 1)]
             x = event.strain_at_min_gap
-            assert x == pytest.approx(strain, abs=1e-4)
             curv = strain_slopes(family, [x], curvatures=True)[2][0]
             assert (curv[1] - curv[0] > 0) == convex
-            assert event.min_gap > 1e-4
-            assert event.avoided == avoided
+            assert event.avoided == convex
+        assert x == pytest.approx(0.2574, abs=1e-4)
+        assert event.min_gap > 1e-4
 
     def test_avoided_is_an_exchange_of_dominant_spins(self):
-        # oracle: the width rule written out per event: the ranks (lo, hi)
-        # whose gap is the event's, c from the curvatures of
-        # `strain_slopes`, and LevelCharacter.dominant_spin of both ranks
-        # at x -+ 3 sqrt(g / c), clipped to the sweep; no exchange is read
-        # where g <= 1e-6 GHz or c <= 0. The read stays in the family's
-        # gauge: at zero strain the E-doublet levels hold equal sx and sy
-        # weights, which rounding splits differently in another gauge.
+        # oracle: every grid minimum of a track pair's gap below the
+        # threshold, listed per pair and along the grid, is one event whose
+        # strain x lies in the minimum's bracket; the width rule written
+        # out from the sorted ranks (lo, hi) the tracks hold at the minimum,
+        # g their gap at x, c from the curvatures of `strain_slopes`, and
+        # LevelCharacter.dominant_spin of both ranks at x -+ 3 sqrt(g / c)
+        # from the complex Hamiltonian; no exchange is read where
+        # g <= 1e-6 GHz or c <= 0. The grid reaches below zero strain,
+        # where the seed draws minima whose ranks hold one dominant spin
+        # on both sides, which is no exchange.
         rng = np.random.default_rng(42)
         seen = set()
         for trial in range(30):
@@ -459,12 +462,25 @@ class TestCrossings:
                 lambda_perp=0.0 if trial % 3 == 0 else rng.uniform(0.0, 1.0),
                 d_es=rng.uniform(0.3, 3.0), delta_cap=rng.uniform(0.1, 3.0),
                 e_es_coeff=rng.uniform(-0.2, 0.2))
-            sr = coarse_sweep(params, lo=0.0, n=301)
+            sr = coarse_sweep(params, lo=-1.0, n=311)
             family = strain_family(params)
-            for e in detect_crossings(sr, 0.5):
+            minima = []
+            for a, b in combinations(range(6), 2):
+                gap = np.abs(sr.energies[:, a] - sr.energies[:, b])
+                minima += [(a, b, i) for i in range(1, sr.grid.size - 1)
+                           if gap[i] <= gap[i - 1] and gap[i] < gap[i + 1]
+                           and gap[i] < 0.5]
+            events = sorted(detect_crossings(sr, 0.5), key=lambda e: (
+                e.track_a, e.track_b, e.strain_at_min_gap))
+            assert [(e.track_a, e.track_b) for e in events] == [
+                (a, b) for a, b, _ in minima]
+            for e, (a, b, i) in zip(events, minima):
                 x, g = e.strain_at_min_gap, e.min_gap
-                lo, hi = min(candidate_ranks(sr, e, 0.5), key=lambda r: abs(
-                    g - rank_gap(params, x, *r)))
+                assert sr.grid[i - 1] <= x <= sr.grid[i + 1]
+                rank = np.argsort(np.argsort(sr.energies[i], kind="stable"))
+                lo, hi = sorted((rank[a], rank[b]))
+                assert g == pytest.approx(rank_gap(params, x, lo, hi),
+                                          abs=1e-10)
                 curv = strain_slopes(family, [x], curvatures=True)[2][0]
                 c = curv[hi] - curv[lo]
                 if g <= 1e-6 or c <= 0:
@@ -472,20 +488,19 @@ class TestCrossings:
                 else:
                     spins = []
                     for side in (-1.0, 1.0):
-                        at = np.clip(x + side * 3.0 * np.sqrt(g / c),
-                                     0.0, 30.0)
-                        vecs = np.linalg.eigh(
-                            strain_hamiltonians(family, at))[1]
-                        spins.append([classify_level(vecs[:, k])
+                        vectors = hermitian_eigen(build_excited_hamiltonian(
+                            params, StrainVector(
+                                x + side * 3.0 * np.sqrt(g / c), 0.0))).vectors
+                        spins.append([classify_level(vectors[:, k])
                                       .dominant_spin for k in (lo, hi)])
                     (lo0, hi0), (lo1, hi1) = spins
                     expected = lo0 == hi1 and hi0 == lo1 and lo0 != hi0
-                    why = "read"
+                    why = "one spin" if lo0 == hi0 == lo1 == hi1 else "read"
                 assert type(e.avoided) is bool
                 assert e.avoided == expected, (trial, e)
                 seen.add((why, expected))
         assert seen == {("closed", False), ("c", False), ("read", False),
-                        ("read", True)}
+                        ("read", True), ("one spin", False)}
 
     def test_verdicts_agree_across_grid_densities(self):
         # an event found from every grid gets one verdict from all of them
