@@ -5,6 +5,9 @@ strain-dependent excited eigenstates (ascending energy) and one
 metastable singlet. Populations are classical (no optical coherences);
 the only coherent element is the microwave rotation inside the Rabi
 pulse sequence. Rates in 1/ns, energies/detunings in GHz.
+
+The excited structure is diagonalised by `linalg.eigensolve` in
+`model.gauged`'s gauge: real at strain along x, complex off that axis.
 """
 
 from dataclasses import dataclass
@@ -12,10 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import hermitian_eigen
+from .linalg import eigensolve
 from .model import RateParams  # noqa: F401, re-exported here
 from .model import (LEVEL_WEIGHTS, build_excited_hamiltonian,
-                    dominant_spins, ground_levels, level_weights)
+                    dominant_spins, gauged, ground_levels, level_weights)
 
 N_LEVELS = 10
 IDX_GSZ, IDX_GSX, IDX_GSY = 0, 1, 2
@@ -51,10 +54,11 @@ class RateModelError(ArithmeticError):
 @lru_cache(maxsize=64)
 def _excited_structure(params, strain):
     """Excited eigenvalues (6,) and their `level_weights` (4, 6)."""
-    es = hermitian_eigen(build_excited_hamiltonian(params, strain))
-    weights = level_weights(es.vectors)
+    values, vectors = eigensolve(
+        gauged(build_excited_hamiltonian(params, strain)))
+    weights = level_weights(vectors)
     weights.flags.writeable = False
-    return es.values, weights
+    return values, weights
 
 
 def transition_lines(params, strain):

@@ -9,13 +9,9 @@ repump strain share one batched bisection. The strain slopes and
 `parameter_operators` are read off `model`'s term table, not rebuilt
 from Hamiltonians.
 
-The family is stored in the real gauge D^dagger H D, D = diag(1, i, 1, i,
-1, i), where every strain Hamiltonian is real symmetric, so LAPACK runs
-its faster real solvers. Nothing read off the eigenvectors depends on D:
-populations, overlaps between family eigenvectors and Hellmann-Feynman
-slopes do not, and every symmetry state lies on the even or on the odd
-basis indices only, where D is a constant phase, so its overlaps with a
-vector have the same magnitude in either basis.
+The family is stored in `model.gauged`'s real gauge D^dagger H D, where
+every strain Hamiltonian is real symmetric, so LAPACK runs its faster
+real solvers; nothing read off the eigenvectors depends on D.
 """
 
 from dataclasses import dataclass, replace
@@ -28,15 +24,12 @@ from .linalg import eigensolve
 from .model import (LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X,
                     SX2_MINUS_SY2, FineStructureParams, StrainVector,
                     build_excited_hamiltonian, checked_strains,
-                    dominant_spins, greedy_match, level_weights,
+                    dominant_spins, gauged, greedy_match, level_weights,
                     symmetry_states)
 
 SYMMETRY_OVERLAP_MIN = 0.9
 HALF_WIDTHS = 3.0       # a crossing's spins are read this many half-widths out
 GAP_FLOOR = 1e-6        # GHz, least gap of an avoided crossing
-
-# The diagonal of the gauge D (see the module docstring)
-_GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
 
 # The parameters the Hamiltonian is linear in, with no constant term
 LINEAR_PARAMS = tuple(PARAMETER_TERMS)
@@ -93,21 +86,12 @@ def strain_family(params):
     the slopes STRAIN_X +- e_es_coeff * SX2_MINUS_SY2 read off the model's
     terms: the e_es term follows |delta|. Sweeps run along x; off that
     axis the levels also depend on the strain's direction. All three
-    are real, in the gauge D^dagger H D. Cached read-only: the fit asks
-    for the same params once per strain refinement step."""
+    are real, in the gauge of `model.gauged`. Cached read-only: the fit
+    asks for the same params once per strain refinement step."""
     e_es = params.e_es_coeff * SX2_MINUS_SY2
-    return tuple(_gauged(m) for m in (
+    return tuple(gauged(np.stack([
         build_excited_hamiltonian(params, StrainVector(0.0, 0.0)),
-        STRAIN_X + e_es, STRAIN_X - e_es))
-
-
-def _gauged(m):
-    """D^dagger m D as a contiguous read-only real array. D^dagger H D is
-    real for this Hamiltonian, and multiplying by +-i is exact, so .real
-    drops only zeros."""
-    m = np.ascontiguousarray((_GAUGE.conj()[:, None] * m * _GAUGE).real)
-    m.flags.writeable = False
-    return m
+        STRAIN_X + e_es, STRAIN_X - e_es])))
 
 
 @lru_cache(maxsize=4)
@@ -119,9 +103,7 @@ def parameter_operators(names):
     if not set(names) <= set(LINEAR_PARAMS):
         raise ValueError(f"the Hamiltonian is linear only in "
                          f"{', '.join(LINEAR_PARAMS)}")
-    ops = np.stack([_gauged(PARAMETER_TERMS[name]) for name in names])
-    ops.flags.writeable = False
-    return ops
+    return gauged(np.stack([PARAMETER_TERMS[name] for name in names]))
 
 
 def strain_hamiltonians(family, deltas):
@@ -213,12 +195,13 @@ def sweep(params, grid):
                        params=params, ambiguous_points=ambiguous)
 
 
-def _bisect(f, lo, hi, tol):
+def _bisect(f, lo, hi, tol, f_lo=None):
     """Roots of the batched f (an array of points to an array of values)
     on the brackets [lo, hi], across each of which f changes sign: the
-    midpoints once every bracket is at most tol wide or cannot split."""
+    midpoints once every bracket is at most tol wide or cannot split.
+    f_lo, when given, is f(lo)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo = f(lo)
+    f_lo = f(lo) if f_lo is None else f_lo
     while True:
         mid = 0.5 * (lo + hi)
         split = (hi - lo > tol) & (lo < mid) & (mid < hi)
@@ -233,9 +216,12 @@ def _bisect(f, lo, hi, tol):
 
 def detect_crossings(sr, gap_threshold):
     """Locate (avoided) crossings: local minima of pairwise track gaps
-    below `gap_threshold`, each bisected between its grid neighbours to a
-    zero of the Hellmann-Feynman gap derivative <hi|Hd|hi> - <lo|Hd|lo>
-    of the sorted ranks lo, hi the two tracks hold at the minimum.
+    below `gap_threshold`, each bisected to a zero of the Hellmann-Feynman
+    gap derivative <hi|Hd|hi> - <lo|Hd|lo> of the sorted ranks lo, hi the
+    two tracks hold at the minimum. Of the bracket between its grid
+    neighbours, the half over which that derivative turns from negative
+    to positive is bisected, as it holds a minimum of the gap; where
+    neither half does, the whole bracket.
 
     The verdict reads the crossing's own width, not the grid. At the
     refined strain x, g = E_hi - E_lo and c = E''_hi - E''_lo (the
@@ -259,9 +245,10 @@ def detect_crossings(sr, gap_threshold):
       lambda_perp = 0 draws of the tests); 1 kHz is far below any
       resolved splitting, so the 2.2e-7 GHz minimum at 0.0084 GHz (the
       defaults on 12801 points) is not avoided.
-    - c <= 0: x is no gap minimum but a gap maximum (the anticrossing
-      lying outside a coarse grid's bracket) or the kink at zero strain,
-      where the e_es term follows |delta|: not avoided."""
+    - c <= 0: x is no gap minimum but a gap maximum (where neither half
+      of the bracket holds a minimum, its whole bisection can end at
+      one) or the kink at zero strain, where the e_es term follows
+      |delta|: not avoided."""
     if not gap_threshold > 0:   # NaN too
         raise ValueError("gap_threshold must be positive")
     family = strain_family(sr.params)
@@ -278,9 +265,16 @@ def detect_crossings(sr, gap_threshold):
 
     def slope_gap(x):
         hf = strain_slopes(family, x)[1]
-        return hf[cand, hi] - hf[cand, lo]
+        return hf[..., cand, hi] - hf[..., cand, lo]
 
-    x = _bisect(slope_gap, sr.grid[i - 1], sr.grid[i + 1], 1e-9)
+    # the bracket's ends and midpoint, (3, events)
+    x3 = sr.grid[i + np.array([[-1], [0], [1]])]
+    s = slope_gap(x3)
+    left = (s[0] < 0) & (s[1] >= 0)
+    right = ~left & (s[1] <= 0) & (s[2] > 0)
+    x = _bisect(slope_gap, np.where(right, x3[1], x3[0]),
+                np.where(left, x3[1], x3[2]), 1e-9,
+                np.where(right, s[1], s[0]))
     values = eigensolve(strain_hamiltonians(family, x), vectors=False)
     min_gap = values[cand, hi] - values[cand, lo]
     curv = strain_slopes(family, x, curvatures=True)[2]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import nvsim
-from nvsim import cli, fitting, motional
+from nvsim import cli, fitting, motional, photodynamics
 from nvsim.cli import run
 from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
                           format_number, parse_config, write_csv)
@@ -692,27 +692,30 @@ class TestExitCodes:
 
 
 class TestSpectralPath:
-    def test_only_the_rate_model_uses_the_jacobi_solver(self, tmp_path,
-                                                        monkeypatch,
-                                                        capsys):
-        def jacobi_forbidden(*args, **kwargs):
+    def test_no_command_calls_hermitian_eigen(self, tmp_path, monkeypatch,
+                                              capsys):
+        # every command, the rate model's included, diagonalises through
+        # linalg.eigensolve; the structure cache is cleared so that the
+        # rate model does solve
+        def forbidden(*args, **kwargs):
             raise AssertionError("hermitian_eigen called")
 
         patched = []
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "nvsim" or module is None \
-                    or name == "nvsim.photodynamics":
+            if name.split(".")[0] != "nvsim" or module is None:
                 continue
             for attr, value in list(vars(module).items()):
                 if value is hermitian_eigen:
-                    monkeypatch.setattr(module, attr, jacobi_forbidden)
+                    monkeypatch.setattr(module, attr, forbidden)
                     patched.append(f"{name}.{attr}")
         assert "nvsim.linalg.hermitian_eigen" in patched
+        photodynamics._excited_structure.cache_clear()
         cfg, out = make_config(tmp_path)
         fixture = write_fixture(tmp_path, n=4)
-        for argv in (["levels"], ["sweep"], ["avg"], ["odmr"],
-                     ["odmr", "--temperature-scan"], ["fit", fixture]):
+        for argv, _ in SMALL_COMMANDS:
+            argv = ["fit", fixture] if argv == ["fit"] else argv
             assert run(["--config", cfg, *argv]) == 0, argv
+        assert photodynamics._excited_structure.cache_info().misses
 
 
 class TestImportCost:
@@ -742,12 +745,12 @@ class TestImportCost:
         assert (out / "manifest.txt").exists()
 
     def test_cli_import_loads_no_command_module(self):
-        # the fit, the lineshape, the rate model, the Jacobi solver, input
-        # hashing and numpy.ma load only where a command uses them
+        # the fit, the lineshape, the rate model, input hashing and
+        # numpy.ma load only where a command uses them
         src = str(Path(nvsim.__file__).resolve().parents[1])
         code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
                 "'nvsim.motional', 'hashlib', 'numpy.ma', "
-                "'nvsim.photodynamics', 'nvsim.jacobi') "
+                "'nvsim.photodynamics') "
                 "if n in sys.modules])")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,

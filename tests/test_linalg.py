@@ -1,5 +1,5 @@
-"""Tests for the checked LAPACK entry point and the dense complex
-Hermitian Jacobi eigensolver."""
+"""Tests for the checked LAPACK entry point and the single-matrix
+Hermitian wrapper over it."""
 
 import ast
 import re
@@ -11,9 +11,8 @@ import pytest
 import nvsim
 from nvsim.cli import run
 from nvsim.fitting import synthesize_dataset
-from nvsim.jacobi import hermitian_eigen, offdiag_norm
 from nvsim.linalg import (TRACE_ULPS, EigenError, eigensolve,
-                          eigensolve_counts)
+                          eigensolve_counts, hermitian_eigen)
 from nvsim.model import PARAMETER_TERMS, FineStructureParams
 from nvsim.sweep import strain_family, strain_hamiltonians
 
@@ -89,11 +88,6 @@ class TestHermitianEigen:
     def test_rejects_oversized(self):
         with pytest.raises(EigenError):
             hermitian_eigen(np.eye(65, dtype=complex))
-
-
-class TestHelpers:
-    def test_offdiag_norm_diagonal_is_zero(self):
-        assert offdiag_norm(np.diag([1.0, 2.0]).astype(complex)) == 0.0
 
 
 def corrupt(monkeypatch, member, fault):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from nvsim import photodynamics
-from nvsim.linalg import hermitian_eigen
+from nvsim.linalg import eigensolve, hermitian_eigen
 from nvsim.model import FineStructureParams, StrainVector, \
-    build_excited_hamiltonian
+    build_excited_hamiltonian, gauged, level_weights
 from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
                                  RateModelError, RateParams,
                                  build_rate_matrix, excitation_spectrum,
@@ -44,9 +44,10 @@ class TestTransitionLines:
         assert all(ln.strength > 0.25 for ln in conserving)
 
     def test_spin_populations_are_the_level_characters(self):
-        # the rate model's level weights hold the LevelCharacter fields
-        # bit for bit, and a line conserves spin where its ground
-        # sublevel is the level's dominant spin
+        # the rate model's level weights hold the LevelCharacter fields of
+        # the same eigenvectors, those of the gauged Hamiltonian, bit for
+        # bit, and a line conserves spin where its ground sublevel is the
+        # level's dominant spin
         rng = np.random.default_rng(71)
         spin_of = {"gSz": "sz", "gSx": "sx", "gSy": "sy"}
         for _ in range(40):
@@ -57,14 +58,36 @@ class TestTransitionLines:
                 e_es_coeff=rng.uniform(-0.5, 0.5))
             strain = StrainVector(*rng.uniform(-30.0, 30.0, 2))
             _, weights = photodynamics._excited_structure(params, strain)
-            chars = _characters(hermitian_eigen(build_excited_hamiltonian(
-                params, strain)).vectors[None])[0]
+            chars = _characters(eigensolve(gauged(build_excited_hamiltonian(
+                params, strain)))[1][None])[0]
             assert np.array_equal(weights.T, [
                 [c.p_branch_x, c.p_sx, c.p_sy, c.p_sz] for c in chars])
             for ln in transition_lines(params, strain):
                 dominant = chars[ln.excited_index - 1].dominant_spin
                 assert ln.spin_conserving == (
                     dominant == spin_of[ln.ground_sublevel])
+
+    @pytest.mark.parametrize("on_axis", [True, False])
+    def test_structure_is_that_of_the_ungauged_hamiltonian(self, on_axis):
+        # the gauge changes no eigenvalue and no level weight: both agree
+        # with hermitian_eigen of the physical Hamiltonian, on the x axis
+        # (a real solve) and off it (a complex one)
+        rng = np.random.default_rng(72)
+        for _ in range(40):
+            params = FineStructureParams(
+                lambda_z=rng.uniform(1.0, 15.0),
+                lambda_perp=rng.uniform(0.0, 1.0),
+                d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
+                e_es_coeff=rng.uniform(-0.5, 0.5))
+            dx, dy = rng.uniform(-30.0, 30.0, 2)
+            strain = StrainVector(dx, 0.0 if on_axis else dy)
+            values, weights = photodynamics._excited_structure(params,
+                                                               strain)
+            h = build_excited_hamiltonian(params, strain)
+            assert np.isrealobj(gauged(h)) == on_axis
+            es = hermitian_eigen(h)
+            assert np.abs(values - es.values).max() <= 1e-12
+            assert np.abs(weights - level_weights(es.vectors)).max() <= 1e-12
 
     def test_rejects_strain_beyond_limit(self):
         # returned lines of strength 0.0 after an overflow RuntimeWarning

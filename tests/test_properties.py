@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvsim.config import Config, parse_config
-from nvsim.model import (FineStructureParams, RateParams, StrainVector,
-                         build_excited_hamiltonian)
+from nvsim.model import (GAUGE, FineStructureParams, RateParams,
+                         StrainVector, build_excited_hamiltonian)
 from nvsim.photodynamics import (RateModelError, build_rate_matrix,
                                  stationary_state)
-from nvsim.sweep import _GAUGE, strain_family, strain_hamiltonians
+from nvsim.sweep import strain_family, strain_hamiltonians
 
 SEEDED = settings(derandomize=True, database=None, max_examples=100,
                   deadline=None)
@@ -88,7 +88,7 @@ class TestStrainCore:
             scale = np.abs(hk).max()
             assert np.abs(v * e @ v.T - hk).max() <= 1e-12 * scale
             # D V diagonalises the Hamiltonian in the physical basis
-            dv = _GAUGE[:, None] * v
+            dv = GAUGE[:, None] * v
             full = build_excited_hamiltonian(params, StrainVector(delta, 0.0))
             assert np.abs(dv.conj().T @ full @ dv - np.diag(e)).max() \
                 <= 1e-12 * scale

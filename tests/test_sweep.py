@@ -423,25 +423,44 @@ class TestCrossings:
                             "GAP_FLOOR", 1e-9)
         assert detect_crossings(sr, 0.5)[0].avoided
 
-    def test_gap_maximum_is_not_avoided(self):
-        # on a 0.1 GHz grid the bisection of the tracks' (0, 1) minimum
-        # meets a maximum of their gap (c < 0), which is not avoided; the
-        # anticrossing, at 0.257 GHz, lies outside that bracket and is
-        # found from 101 points
+    def test_coarse_grid_lands_on_the_gap_minimum(self):
+        # the tracks' (0, 1) grid minimum at 0.2 GHz brackets [0.1, 0.3]
+        # GHz, which also holds a maximum of their gap near 0.14 GHz; the
+        # half over which the gap's slope turns from negative to positive
+        # is bisected, so 11 points find the anticrossing of 101 points
         params = FineStructureParams(lambda_z=4.587, lambda_perp=0.917,
                                      d_es=2.003, delta_cap=0.615,
                                      e_es_coeff=-0.064)
-        family = strain_family(params)
-        for n, convex in ((11, False), (101, True)):
-            sr = sweep(params, np.linspace(0.0, 1.0, n))
-            [event] = [e for e in detect_crossings(sr, 0.5)
-                       if (e.track_a, e.track_b) == (0, 1)]
-            x = event.strain_at_min_gap
-            curv = strain_slopes(family, [x], curvatures=True)[2][0]
-            assert (curv[1] - curv[0] > 0) == convex
-            assert event.avoided == convex
-        assert x == pytest.approx(0.2574, abs=1e-4)
-        assert event.min_gap > 1e-4
+        events = [[e for e in detect_crossings(
+                       sweep(params, np.linspace(0.0, 1.0, n)), 0.5)
+                   if (e.track_a, e.track_b) == (0, 1)] for n in (11, 101)]
+        [coarse], [fine] = events
+        assert coarse.strain_at_min_gap == pytest.approx(
+            fine.strain_at_min_gap, abs=1e-6)
+        assert coarse.min_gap == pytest.approx(fine.min_gap, rel=1e-6)
+        assert coarse.avoided and fine.avoided
+        assert fine.strain_at_min_gap == pytest.approx(0.2574, abs=1e-4)
+
+    def test_gap_maximum_is_not_avoided(self):
+        # the ranks' (0, 1) gap has minima at zero strain (a kink) and at
+        # 0.108 GHz and a maximum between them; on a 0.1 GHz grid the
+        # minimum at 0 brackets [-0.1, 0.1] GHz, over neither half of which
+        # the gap's slope turns from negative to positive, so the whole
+        # bracket is bisected and ends at the maximum: c < 0 with a gap
+        # above GAP_FLOOR, not avoided
+        params = FineStructureParams(lambda_z=6.842, lambda_perp=0.6702,
+                                     d_es=2.360, delta_cap=0.2685,
+                                     e_es_coeff=-0.05336)
+        [event] = [e for e in detect_crossings(
+                       sweep(params, np.linspace(-1.0, 1.0, 21)), 0.5)
+                   if (e.track_a, e.track_b) == (0, 1)]
+        x = event.strain_at_min_gap
+        curv = strain_slopes(strain_family(params), [x],
+                             curvatures=True)[2][0]
+        assert x == pytest.approx(0.0548, abs=1e-3)
+        assert curv[1] - curv[0] < 0
+        assert event.min_gap > 1e-5
+        assert not event.avoided
 
     def test_avoided_is_an_exchange_of_dominant_spins(self):
         # oracle: every grid minimum of a track pair's gap below the
