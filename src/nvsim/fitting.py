@@ -25,6 +25,7 @@ from the grid bracket refines it instead. Both stop once their steps
 fall to STRAIN_TOL, or at their step caps.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
@@ -72,7 +73,7 @@ class ObservedDefect:
         if not 2 <= len(self.lines) <= N_LINES:
             raise ValueError(f"defect {self.id}: {len(self.lines)} lines, "
                              f"need 2 to {N_LINES}")
-        if not all(np.isfinite(x) for x in self.lines):
+        if not all(map(math.isfinite, self.lines)):
             raise ValueError(f"defect {self.id}: non-finite line position")
 
 

@@ -195,13 +195,12 @@ def sweep(params, grid):
                        params=params, ambiguous_points=ambiguous)
 
 
-def _bisect(f, lo, hi, tol, f_lo=None):
+def _bisect(f, lo, hi, tol, f_lo):
     """Roots of the batched f (an array of points to an array of values)
     on the brackets [lo, hi], across each of which f changes sign: the
     midpoints once every bracket is at most tol wide or cannot split.
-    f_lo, when given, is f(lo)."""
+    f_lo is f(lo), which every caller has already read."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    f_lo = f(lo) if f_lo is None else f_lo
     while True:
         mid = 0.5 * (lo + hi)
         split = (hi - lo > tol) & (lo < mid) & (mid < hi)
@@ -224,8 +223,8 @@ def detect_crossings(sr, gap_threshold):
     neither half does, the whole bracket.
 
     The verdict reads the crossing's own width, not the grid. At the
-    refined strain x, g = E_hi - E_lo and c = E''_hi - E''_lo (the
-    curvatures of `strain_slopes`); a two-level anticrossing has
+    refined strain x, g = E_hi - E_lo and c = E''_hi - E''_lo, both from
+    one `strain_slopes` solve with curvatures; a two-level anticrossing has
     c = s^2 / g there, s its slope difference, so its half-width is
     w = sqrt(g / c). It is `avoided` when g > GAP_FLOOR, c > 0 and ranks
     lo and hi exchange dominant spin (`dominant_spins`) between x - K w
@@ -275,9 +274,8 @@ def detect_crossings(sr, gap_threshold):
     x = _bisect(slope_gap, np.where(right, x3[1], x3[0]),
                 np.where(left, x3[1], x3[2]), 1e-9,
                 np.where(right, s[1], s[0]))
-    values = eigensolve(strain_hamiltonians(family, x), vectors=False)
+    values, _, curv = strain_slopes(family, x, curvatures=True)
     min_gap = values[cand, hi] - values[cand, lo]
-    curv = strain_slopes(family, x, curvatures=True)[2]
     c = curv[cand, hi] - curv[cand, lo]
     gapped = (min_gap > GAP_FLOOR) & (c > 0)
     w = HALF_WIDTHS * np.sqrt(np.divide(min_gap, c, where=gapped,
@@ -363,4 +361,4 @@ def nv2_condition_strain(params, window=(0.0, 100.0), tol=1e-6):
                          f"d_gs={target} GHz condition")
     return _bisect(lambda d: resolved(d, _upper_branch_sz_gaps(family, d)
                                       - target),
-                   xs[end - 1:end], xs[end:end + 1], tol)[0]
+                   xs[end - 1:end], xs[end:end + 1], tol, fs[end - 1:end])[0]
