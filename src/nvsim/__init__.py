@@ -6,12 +6,25 @@ first access to one of its names, so `import nvsim` and each CLI command
 pay only for the modules they use.
 """
 
+import gc
 import importlib
 
-# `sweep` names both a submodule and a function. Importing the submodule
-# binds it as this package's attribute, after which a lazy lookup would
-# never run, so the function is bound here, once, over the module.
-from .sweep import sweep
+# The ~22k objects the import allocates live as long as the process: no
+# collection scans them, freeze() + unfreeze() ages them to generation 2.
+_gc_was_on = gc.isenabled()
+gc.disable()
+try:
+    # `sweep` names both a submodule and a function. Importing the submodule
+    # binds it as this package's attribute, after which a lazy lookup would
+    # never run, so the function is bound here, once, over the module.
+    from .sweep import sweep
+finally:
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
+    if _gc_was_on:
+        gc.enable()
+    del _gc_was_on
 
 _SOURCES = {
     "config": ("Config", "RunManifest", "load_config", "parse_config",

@@ -12,13 +12,14 @@ failure.
 Each command imports the modules it runs when it runs, so a process
 loads only what its subcommand uses.
 
-The process entry, `main()`, calls `gc.freeze()` after the command has
-run and just before the interpreter exits. The shutdown's garbage
-collections then skip the ~22k objects that numpy and nvsim allocated,
-objects that die with the process anyway. Everything else in a normal
-exit still happens: atexit handlers, the stdio flush, module teardown.
-`run()`, which tests and library callers use, leaves the collector as it
-finds it.
+The package import (`nvsim/__init__.py`) pauses the collector and ages
+what it allocated unscanned: one collection at start-up, not ~30. The
+process entry, `main()`, calls `gc.freeze()` after the command has run,
+just before the interpreter exits, so the shutdown's collections skip
+the ~22k objects numpy and nvsim allocated, which die with the process.
+Everything else in a normal exit still happens: atexit handlers, the
+stdio flush, module teardown. `run()`, which tests and library callers
+use, leaves the collector as it finds it.
 """
 
 import argparse

@@ -83,6 +83,8 @@ def linear_grid(lo, hi, points, bounds, count):
         raise ValueError(f"{count} must be >= 2")
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError(f"{bounds} must be finite")
+    if not np.isfinite(float(hi) - float(lo)):
+        raise ValueError(f"{bounds} span a range too wide to represent")
     grid = np.linspace(lo, hi, points)
     if not np.all(np.diff(grid) > 0):
         raise ValueError(f"{bounds} must give an ascending grid")

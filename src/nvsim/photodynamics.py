@@ -314,6 +314,10 @@ def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
         raise ValueError("MW durations must be >= 0")
     if readout_line.strength <= 0:
         raise ValueError("readout line has zero strength")
+    with np.errstate(over="ignore"):
+        angles = omega_mw * mw_durations
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("MW angle omega_mw * tau overflows")
 
     init = polarize(params, strain, rp)
 
@@ -326,6 +330,6 @@ def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
     read_prop = expm(aug * READOUT_NS)
 
     # the integrator starts at 0, so only its row of the propagator acts
-    pops = _mw_rotation(init, omega_mw * mw_durations)
+    pops = _mw_rotation(init, angles)
     counts = pops @ read_prop[N_LEVELS, :N_LEVELS]
     return list(zip(mw_durations.tolist(), counts.tolist()))

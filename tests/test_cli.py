@@ -587,6 +587,33 @@ class TestExitCodes:
         assert "finite" in no_warning_err(capfd, recwarn)
         assert not (out / "excitation.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--omega-mw", "1e308"], ["--omega-mw", "1e300", "--tau-max", "1e10"]])
+    def test_overflowing_rabi_angle_rejected(self, tmp_path, capfd, recwarn,
+                                             argv):
+        # the MW angle omega * tau overflowed to inf: exit 0 with 80 of 81
+        # counts nan, after numpy's overflow and invalid-value warnings
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "rabi", *argv]) == 1
+        assert no_warning_err(capfd, recwarn) == \
+            "nvsim: error: MW angle omega_mw * tau overflows\n"
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("argv, bounds", [
+        (["excitation", "--detuning-min=-1e308", "--detuning-max", "1e308"],
+         "--detuning-min and --detuning-max"),
+        (["odmr", "--freq-min=-1e308", "--freq-max", "1e308"],
+         "--freq-min and --freq-max")])
+    def test_overflowing_grid_span_rejected(self, tmp_path, capfd, recwarn,
+                                            argv, bounds):
+        # finite ascending bounds whose span overflows: np.linspace printed
+        # three warnings, then the grid was called not ascending
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, *argv]) == 1
+        assert no_warning_err(capfd, recwarn) == \
+            f"nvsim: error: {bounds} span a range too wide to represent\n"
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("argv, flag", [
         (["excitation"], "--detuning-points=1"),
         (["rabi"], "--tau-points=0"),
