@@ -15,14 +15,13 @@ slopes.
 
 One path serves any line count: a defect's m lines match the six predicted
 ones by one of C(6, m) <= 20 injections, in closed form batched per m.
-Every strain is first scanned on a coarse grid. The strain of a defect
-with all six lines is then refined by Newton steps on exact line slopes
-and curvatures, started at a trial point of the globals from variable
-projection's first-order prediction of the strain where that lies in the
-grid bracket; with fewer lines the matching can switch inside the
-bracket, the cost has kinks there, and a safeguarded parabolic search
-from the grid bracket refines it instead. Both stop once their steps
-fall to STRAIN_TOL, or at their step caps.
+Every strain is first scanned on a coarse grid, then refined by Newton
+steps on the matched lines' exact slopes and curvatures inside the grid
+bracket. A defect with all six lines starts, at a trial point of the
+globals, from variable projection's first-order prediction of its
+strain; one with fewer lines can switch its matching inside the bracket,
+so it starts from the best of a RESCAN-point rescan of the bracket. The
+steps stop once they fall to STRAIN_TOL, or at NEWTON_STEPS.
 """
 
 import math
@@ -39,9 +38,9 @@ from .sweep import (parameter_operators, strain_family, strain_hamiltonians,
 STRAIN_MAX = 30.0
 COARSE_STEP = 0.25
 STRAIN_GRID = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
-REFINE_ITERS = 18       # most parabolic steps, partial line lists
-NEWTON_STEPS = 4        # most Newton steps, full line lists
-STRAIN_TOL = 1e-9       # GHz, strain step at which both refiners stop
+RESCAN = 15             # bracket points rescanned, partial line lists
+NEWTON_STEPS = 4        # most Newton steps per strain search
+STRAIN_TOL = 1e-9       # GHz, strain step at which the search stops
 N_LINES = 6             # predicted excited-state lines
 XTOL = 1e-10            # LM step test, relative to the largest global
 MU_START = 1e-3         # LM damping at the first step
@@ -138,6 +137,16 @@ def _match(pred, meas):
     return (_take(sel, k) - anchor[..., None]) - meas_c, k, k_first
 
 
+def _matched(sel, k, k_first):
+    """Residual derivatives (n, q, m) from line derivatives sel (n, q, C,
+    m) on the C(6, m) injections: those of the matched row k less the
+    mean of row k_first, on which the offset is fixed."""
+    fixed = sel.shape[:2]
+    return (_take(sel, np.broadcast_to(k[:, None], fixed))
+            - _mean(_take(sel, np.broadcast_to(k_first[:, None], fixed)))
+            [..., None])
+
+
 def _cost(pred, meas):
     """Squared residual of the matched lines, GHz^2."""
     diff = _match(pred, meas)[0]
@@ -153,88 +162,52 @@ def _groups(data):
     return [(idx, np.sort([data[i].lines for i in idx])) for idx in idxs]
 
 
-def _refine_strains(params, grid, costs, meas):
-    """Per-defect strain minimization for partial line lists: safeguarded
-    successive parabolic interpolation from the bracket of grid points
-    around the coarse-grid minimum, batched across defects (one stacked
-    eigensolve per step). It stops once every defect's parabola has put
-    its vertex within STRAIN_TOL of the bracket's middle on two steps
-    running, the second left unevaluated, or after REFINE_ITERS steps.
-    Returns the best strain evaluated (the grid minimum included) and its
-    cost, the final bracket's middle on a tie: at a grid-end minimum the
-    clipped bracket's middle is not the best."""
-    idx = np.arange(costs.shape[0])
-    k = np.argmin(costs, axis=1)
-    best_x, best_f = grid[k], costs[idx, k]
-    k = np.clip(k, 1, grid.size - 2)
-    # (left end, middle, right end) strains and costs of each bracket
-    xs, fs = grid[[k - 1, k, k + 1]], costs[idx, [k - 1, k, k + 1]]
-    near_before = False
-    for _ in range(REFINE_ITERS):
-        x0, x1, x2 = xs
-        # the vertex of the parabola through the bracket:
-        # x1 - (a^2 fa - b^2 fb) / 2 (a fa - b fb), with a = x1 - x0,
-        # b = x1 - x2, fa = f1 - f2 and fb = f1 - f0
-        dx = x1 - xs[::2]               # a, b
-        df = fs[1] - fs[2::-2]          # fa, fb
-        p, q = dx * df, dx * dx * df
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = x1 - 0.5 * (q[0] - q[1]) / (p[0] - p[1])
-        step = np.abs(vertex - x1)
-        near = (step <= STRAIN_TOL).all()
-        if near and near_before:
-            break
-        near_before = near
-        # bisect the wider flank instead when the parabola is degenerate
-        # or escapes the bracket
-        fallback = 0.5 * (x1 + np.where(dx[0] >= -dx[1], x0, x2))
-        cand = np.where((vertex > x0) & (vertex < x2) & (step >= 1e-14),
-                        vertex, fallback)
-        fc = _cost(predicted_lines(params, cand), meas)
-        better = fc < best_f
-        best_x = np.where(better, cand, best_x)
-        best_f = np.where(better, fc, best_f)
-        # merge the new point: of the four in order, keep the three around
-        # the first lowest
-        left = cand < x1
-        xs, fs = (np.array([v[0], np.where(left, new, v[1]),
-                            np.where(left, v[1], new), v[2]])
-                  for v, new in ((xs, cand), (fs, fc)))
-        lowest = np.minimum(fs[::2], fs[1::2])
-        xs, fs = (np.where(lowest[0] <= lowest[1], v[:3], v[1:])
-                  for v in (xs, fs))
-    middle = fs[1] <= best_f
-    return np.where(middle, xs[1], best_x), np.where(middle, fs[1], best_f)
-
-
 def _newton_strains(params, grid, costs, meas, start=None):
-    """Per-defect strain minimization for full line lists, batched across
+    """Per-defect strain minimization for any line count, batched across
     defects and kept in the bracket of grid points around the coarse-grid
-    minimum. It starts from the strains start where they lie inside that
-    bracket (the fit passes variable projection's first-order
-    prediction), from the grid minimum elsewhere. Newton steps on half
-    the squared residual r, centred to remove the offset: one stacked
-    eigensolve gives the lines, their centred slopes J and curvatures
-    E'', so the gradient J.r and curvature J.J + r.E'' are exact; J.J
-    stands in where the latter is not positive. The first step that
-    moves no strain by more than STRAIN_TOL is taken unevaluated and
-    ends the search, so the strain is Newton's fixed point; after
-    NEWTON_STEPS steps it is the last point evaluated. Returns it with
-    the last cost evaluated, or the grid minimum where that is lower."""
+    minimum. Full line lists start from the strains start where they lie
+    inside that bracket (the fit passes variable projection's first-order
+    prediction), from the grid minimum elsewhere. With fewer lines the
+    matching can switch inside the bracket, and the grid minimum can sit
+    in the wrong basin: those lists rescan the bracket at RESCAN interior
+    points, start from the cheapest of them and the grid minimum, and
+    step at most one rescan spacing either side of that start. Newton
+    steps on half the squared residual r: one stacked eigensolve gives
+    the lines and, on the matched ones (`_matched`), the slopes J and
+    curvatures E'' of r, so the gradient J.r and curvature J.J + r.E''
+    are exact; J.J stands in where the latter is not positive. The first
+    step that moves no strain by more than STRAIN_TOL is taken
+    unevaluated and ends the search, so the strain is Newton's fixed
+    point; after NEWTON_STEPS steps it is the last point evaluated.
+    Returns it with the last cost evaluated, or the start where that
+    costs less."""
     family = strain_family(params)
+    rows = np.arange(costs.shape[0])
     k = np.argmin(costs, axis=1)
     kb = np.clip(k, 1, grid.size - 2)
     lo, hi = grid[kb - 1], grid[kb + 1]
-    x = grid[k]
-    if start is not None:
-        x = np.where((start >= lo) & (start <= hi), start, x)
+    x0, cost0 = grid[k], costs[rows, k]
+    x = x0
+    inj = _INJECTIONS[meas.shape[1]]
+    if meas.shape[1] < N_LINES:
+        spacing = (hi - lo) / (RESCAN + 1)
+        scan = lo[:, None] + spacing[:, None] * np.arange(1, RESCAN + 1)
+        scan_costs = _cost(predicted_lines(params, scan), meas[:, None, :])
+        j = np.argmin(scan_costs, axis=1)
+        better = scan_costs[rows, j] < cost0
+        x = x0 = np.where(better, scan[rows, j], x0)
+        cost0 = np.where(better, scan_costs[rows, j], cost0)
+        lo, hi = np.maximum(lo, x0 - spacing), np.minimum(hi, x0 + spacing)
+    elif start is not None:
+        x = np.where((start >= lo) & (start <= hi), start, x0)
     for step in range(NEWTON_STEPS + 1):
         values, slopes, curv = strain_slopes(family, x, curvatures=True)
-        r = _match(values, meas)[0]
+        r, k, k_first = _match(values, meas)
         cost = (r * r).sum(axis=1)
         if step == NEWTON_STEPS:
             break
-        jac = slopes - _mean(slopes)[:, None]
+        jac, curv = _matched(np.stack([slopes, curv], axis=1)[..., inj],
+                             k, k_first).transpose(1, 0, 2)
         grad, gauss_newton = (jac * r).sum(axis=1), (jac * jac).sum(axis=1)
         newton = gauss_newton + (r * curv).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,29 +217,24 @@ def _newton_strains(params, grid, costs, meas, start=None):
         x = np.clip(x - np.where(np.isfinite(dx), dx, 0.0), lo, hi)
         if np.max(np.abs(x - last_x)) <= STRAIN_TOL:
             break
-    grid_cost = costs.min(axis=1)
-    kept = cost <= grid_cost
-    return np.where(kept, x, grid[k]), np.where(kept, cost, grid_cost)
+    kept = cost <= cost0
+    return np.where(kept, x, x0), np.where(kept, cost, cost0)
 
 
 def _solve_strains(params, groups, guess=None):
     """Every defect's best strain at params and its cost, in data
-    order: a scan of STRAIN_GRID, then the refinement for its line count;
-    full line lists start from the strains guess (data order) where given.
-    Also flags the defects whose best grid strain is STRAIN_MAX."""
+    order: a scan of STRAIN_GRID, then `_newton_strains`; full line lists
+    start from the strains guess (data order) where given. Also flags the
+    defects whose best grid strain is STRAIN_MAX."""
     n = sum(idx.size for idx, _ in groups)
     grid_pred = predicted_lines(params, STRAIN_GRID)
     strains, costs = np.empty(n), np.empty(n)
     at_edge = np.empty(n, dtype=bool)
     for idx, meas in groups:
         grid_costs = _cost(grid_pred, meas[:, None, :])
-        if meas.shape[1] == N_LINES:
-            strains[idx], costs[idx] = _newton_strains(
-                params, STRAIN_GRID, grid_costs, meas,
-                None if guess is None else guess[idx])
-        else:
-            strains[idx], costs[idx] = _refine_strains(
-                params, STRAIN_GRID, grid_costs, meas)
+        strains[idx], costs[idx] = _newton_strains(
+            params, STRAIN_GRID, grid_costs, meas,
+            None if guess is None else guess[idx])
         at_edge[idx] = np.argmin(grid_costs, axis=1) == STRAIN_GRID.size - 1
     return strains, costs, at_edge
 
@@ -309,11 +277,8 @@ def _linearize(params, names, strains, groups):
         for i, row in zip(idx.tolist(), inj[k].tolist()):
             rows[i] = row
         # derivatives along the strain, then each global: (n, 1 + p, 6)
-        sel = np.concatenate([d_delta[:, None], d_theta], axis=1)[..., inj]
-        fixed = sel.shape[:2]
-        d = (_take(sel, np.broadcast_to(k[:, None], fixed))
-             - _mean(_take(sel, np.broadcast_to(k_first[:, None], fixed)))
-             [..., None])
+        d = _matched(np.concatenate([d_delta[:, None], d_theta],
+                                    axis=1)[..., inj], k, k_first)
         j_delta, j_theta = d[:, 0], d[:, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             coef = (j_theta @ j_delta[..., None]) \
@@ -339,7 +304,8 @@ def fit(data, params=None, free_lambda_perp=False):
     defect's strain (a grid scan plus 1-D refinement, a deterministic
     multi-start) and offset (closed form). A Levenberg-Marquardt loop
     minimizes it on the exact reduced Jacobian (see `_linearize`, run
-    once per accepted point). It converges when the Gauss-Newton step,
+    once per accepted point), holding for an iteration each global on a
+    bound whose gradient pushes outward. It converges when the Gauss-Newton step,
     clipped to the bounds, moves no global by more than XTOL relative to
     the largest, or an accepted step lowers the cost by at most TOL
     relative. It stops without when no damped step up to MU_MAX lowers
@@ -393,18 +359,24 @@ def fit(data, params=None, free_lambda_perp=False):
         # slopes are O(1) and Kaufman's projection cannot grow a row
         r, jac, *_, d_strain = lin
         grad, hess = jac.T @ r, jac.T @ jac
+        # a global on a bound whose gradient pushes outward is held for
+        # this iteration: the steps are solved over the free ones only
+        free = np.flatnonzero(~((theta <= lo) & (grad > 0)
+                                | (theta >= hi) & (grad < 0)))
+        step = np.zeros_like(theta)
         # the undamped (Gauss-Newton) step tests convergence; a damped
         # one is short merely because mu is large
-        gauss_newton = np.clip(
-            theta + np.linalg.lstsq(jac, -r, rcond=None)[0], lo, hi) - theta
+        step[free] = np.linalg.lstsq(jac[:, free], -r, rcond=None)[0]
+        gauss_newton = np.clip(theta + step, lo, hi) - theta
         if np.max(np.abs(gauss_newton)) <= XTOL * np.max(np.abs(theta)):
             converged = True
             break
         # the floor keeps a flat column from making the system singular
         scale = np.diag(hess)
-        scale = np.maximum(scale, SCALE_FLOOR * scale.max())
+        scale = np.maximum(scale, SCALE_FLOOR * scale.max())[free]
+        hess, grad = hess[np.ix_(free, free)], grad[free]
         while True:
-            step = np.linalg.solve(hess + mu * np.diag(scale), -grad)
+            step[free] = np.linalg.solve(hess + mu * np.diag(scale), -grad)
             trial = np.clip(theta + step, lo, hi)
             # each defect's strain there, to first order, starts its
             # Newton refinement

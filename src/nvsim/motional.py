@@ -64,7 +64,10 @@ class TemperatureMap:
         temperature = np.asarray(temperature, dtype=float)
         if not np.all((temperature > 0) & (temperature < np.inf)):  # NaN too
             raise ValueError("temperature must be positive and finite")
-        return self.r0 * np.exp(-self.ea / (KB_MEV_PER_K * temperature))
+        # near 0 K the exponent overflows to -inf, and exp(-inf) = 0 is
+        # the limit
+        with np.errstate(over="ignore", divide="ignore"):
+            return self.r0 * np.exp(-self.ea / (KB_MEV_PER_K * temperature))
 
 
 def branch_esr_frequencies(params, strain_perp):

@@ -415,8 +415,8 @@ class TestExitCodes:
         assert "iteration limit" not in err
 
     def test_fit_on_a_bound_exits_2_and_names_it(self, tmp_path, capsys):
-        # the highest three lines of each defect: the fit ends with d_es
-        # on the upper end of its bounds, a wrong result
+        # the highest three lines of each defect: the fit ends with
+        # lambda_z on the lower end of its bounds, a wrong result
         init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
         cfg, out = make_config(tmp_path, init)
         rows = ["defect_id,line_ghz"]
@@ -428,9 +428,9 @@ class TestExitCodes:
         assert run(["--config", cfg, "fit", str(fixture)]) == 2
         err = capsys.readouterr().err
         assert "fit did not converge: globals on an end of their fit " \
-            "bounds: d_es; result flagged" in err
+            "bounds: lambda_z; result flagged" in err
         report = (out / "fit_report.txt").read_text()
-        assert "d_es_ghz = 5.00000000\n" in report
+        assert "lambda_z_ghz = 1.00000000\n" in report
         assert "converged = False" in report
         assert (out / "fit_strains.csv").exists()
         assert (out / "manifest.txt").exists()
@@ -669,6 +669,15 @@ class TestExitCodes:
         assert "temperature must be positive and finite" in \
             capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+    def test_near_zero_temperature_runs_quietly(self, tmp_path, capfd,
+                                                recwarn):
+        # the Arrhenius exponent overflows to -inf: a hop rate of 0, and
+        # numpy's overflow warning used to reach stderr with exit 0
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, "odmr", "--temperature", "1e-320"]) == 0
+        assert no_warning_err(capfd, recwarn) == ""
+        assert (out / "odmr.csv").exists()
 
     @pytest.mark.parametrize("value", ["0", "nan"])
     def test_bad_gap_threshold_rejected(self, tmp_path, capsys, value):

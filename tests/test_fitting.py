@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from nvsim import fitting
 from nvsim.fitting import (_INJECTIONS, BOUNDS, COARSE_STEP, NEWTON_STEPS,
-                           PERP_FLOOR, REFINE_ITERS, STRAIN_GRID, STRAIN_MAX,
-                           FitError, ObservedDefect,
-                           _cost, _groups, _linearize, _match,
-                           _newton_strains, _refine_strains, _solve_strains,
-                           _take, fit, predicted_lines,
-                           synthesize_dataset)
+                           PERP_FLOOR, STRAIN_GRID, STRAIN_MAX, FitError,
+                           ObservedDefect, _cost, _groups, _linearize,
+                           _match, _newton_strains, _solve_strains, _take,
+                           fit, predicted_lines, synthesize_dataset)
 from nvsim.linalg import eigensolve_counts
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
@@ -161,9 +159,8 @@ class TestMatch:
 
 
 class TestGaussNewtonStrains:
-    """Full line lists refine their strains by Newton steps on
-    Hellmann-Feynman slopes and exact curvatures; partial ones keep the
-    parabolic search."""
+    """One refiner for every line count: Newton steps on the matched
+    lines' Hellmann-Feynman slopes and exact curvatures."""
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(delta=st.floats(-30.0, 30.0),
@@ -207,7 +204,7 @@ class TestGaussNewtonStrains:
         assert curv.shape == (2, 6) and np.all(np.isfinite(curv))
 
     @pytest.mark.parametrize("shift", [0.0, 0.4, -0.4])
-    def test_no_worse_than_the_parabolic_search(self, shift):
+    def test_no_worse_than_a_dense_bracket_scan(self, shift):
         # 0.3 GHz has a bracket touching zero strain, 29.8 GHz one at the
         # grid's end
         strains = [0.3, 1.1, 4.0, 7.31, 12.0, 15.5, 21.0, 26.0, 29.8]
@@ -219,8 +216,12 @@ class TestGaussNewtonStrains:
         (_, meas), = _groups(data)
         grid_costs = _cost(predicted_lines(params, grid), meas[:, None, :])
         x_gn, cost_gn = _newton_strains(params, grid, grid_costs, meas)
-        cost_par = _refine_strains(params, grid, grid_costs, meas)[1]
-        assert np.all(cost_gn <= cost_par * (1 + 1e-9) + 1e-16)
+        # 5001 points across each defect's grid bracket
+        k = np.clip(np.argmin(grid_costs, axis=1), 1, grid.size - 2)
+        scan = grid[k - 1, None] + np.linspace(0.0, 2 * COARSE_STEP, 5001)
+        scan_min = _cost(predicted_lines(params, scan),
+                         meas[:, None, :]).min(axis=1)
+        assert np.all(cost_gn <= scan_min * (1 + 1e-9) + 1e-16)
         assert np.all(cost_gn <= grid_costs.min(axis=1))
         # the reported cost is the cost at the reported strain
         assert cost_gn == pytest.approx(
@@ -229,7 +230,7 @@ class TestGaussNewtonStrains:
 
 
     @pytest.mark.parametrize("drop", [(0, 5), (5,)])
-    def test_parabolic_search_keeps_a_grid_end_minimum(self, drop):
+    def test_partial_lists_keep_a_grid_end_minimum(self, drop):
         # a partial-line defect beyond the grid: its bracket is clipped
         # to [29.5, 30], and every point inside costs more than 30 GHz
         full = synthesize_dataset(TRUTH, [40.0], seed=9)
@@ -239,7 +240,7 @@ class TestGaussNewtonStrains:
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
         grid_costs = _cost(predicted_lines(TRUTH, grid), meas[:, None, :])
         assert np.argmin(grid_costs) == grid.size - 1
-        x, cost = _refine_strains(TRUTH, grid, grid_costs, meas)
+        x, cost = _newton_strains(TRUTH, grid, grid_costs, meas)
         assert x[0] == STRAIN_MAX
         assert cost[0] <= grid_costs.min()
 
@@ -254,8 +255,14 @@ def shifted(shift):
 def stop_ensemble(kind):
     """A noisy full-line ensemble, one at the two anticrossings (7.314 and
     15.501 GHz), or a noise-free one of middle four lines (the kind
-    `nvsim fit` reads in the benchmark's partial workload)."""
+    `nvsim fit` reads in the benchmark's partial workload; "kinked" is
+    one whose cost kinks at a strain minimum, where the L1 matching rule
+    switches injection)."""
     strains = [1.2, 3.0, 7.3, 12.0, 17.5, 23.0]
+    if kind == "kinked":
+        strains = np.sort(np.random.default_rng(6).uniform(0.5, 25.0, 6))
+        full = synthesize_dataset(TRUTH, strains, seed=6)
+        return [replace(d, lines=d.lines[1:5]) for d in full]
     if kind == "full":
         return synthesize_dataset(TRUTH, strains, noise=0.01, seed=31)
     if kind == "crossing":
@@ -282,12 +289,17 @@ def count_eigensolves(monkeypatch):
 
 
 class TestStoppedSearches:
-    """Both strain refiners stop once a step falls to STRAIN_TOL, and
-    Newton's may start from a given strain in the grid bracket."""
+    """The one strain refiner stops once a step falls to STRAIN_TOL, and
+    may start a full line list from a given strain in the grid bracket."""
 
-    @pytest.mark.parametrize("kind", ["full", "partial", "crossing"])
-    @pytest.mark.parametrize("shift", [0.0, 0.4, -0.4])
-    def test_ends_at_a_minimum_below_the_grid(self, kind, shift):
+    @pytest.mark.parametrize("shift, kind", [
+        *((shift, kind) for shift in (0.0, 0.4, -0.4)
+          for kind in ("full", "partial", "crossing")),
+        pytest.param(-0.4, "kinked", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the strain of defect 3 ends at 12.9375 GHz, off a "
+                   "minimum, where the L1 matching rule kinks the cost"))])
+    def test_ends_at_a_minimum_below_the_grid(self, shift, kind):
         params = shifted(shift)
         groups = _groups(stop_ensemble(kind))
         strains, costs, _ = _solve_strains(params, groups)
@@ -310,9 +322,9 @@ class TestStoppedSearches:
         per_solve.clear()
         monkeypatch.setattr(fitting, "STRAIN_TOL", 0.0)
         capped = fit(data, START)
-        # the grid scan, then every step up to the cap and the point
-        # Newton's last step reaches
-        cap = 1 + (NEWTON_STEPS + 1 if kind == "full" else REFINE_ITERS)
+        # the grid scan, the bracket's rescan (partial lists only), then
+        # every step up to the cap and the point the last step reaches
+        cap = 1 + (kind == "partial") + NEWTON_STEPS + 1
         assert per_solve == [cap] * len(per_solve)
         assert max(n_stopped) <= cap and sum(n_stopped) < sum(per_solve)
         assert stopped.converged and capped.converged
@@ -484,7 +496,7 @@ class TestFit:
         assert fit(data, self.INIT).edge_ids == ()
 
     @pytest.mark.parametrize("keep, on_bound", [
-        (slice(3, 6), ("d_es",)), (slice(0, 3), ("d_es", "delta_cap"))])
+        (slice(3, 6), ("lambda_z",)), (slice(0, 3), ("d_es", "delta_cap"))])
     def test_fit_ending_on_a_bound_not_converged(self, keep, on_bound):
         # one-sided partial line lists: the fit runs into a wrong minimum
         # with these globals exactly on an end of their BOUNDS
@@ -497,6 +509,9 @@ class TestFit:
         assert res.bound_names == on_bound
         for name in on_bound:
             assert getattr(res.params, name) in BOUNDS[name]
+        # a global on its bound is held there, so the fit stops on the
+        # bound instead of crawling along it
+        assert res.iterations <= 20
 
     def test_too_many_lines_raises(self):
         data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)
@@ -522,12 +537,14 @@ class TestVariableProjection:
     """The Levenberg-Marquardt loop on the reduced Jacobian of the cost
     minimized over every defect's strain and offset."""
 
-    @pytest.mark.parametrize("seed", range(16, 24))
+    @pytest.mark.parametrize("seed", [*range(16, 24), 53])
     def test_partial_ensembles_converge_to_the_truth(self, seed):
         # the middle four lines, noise-free: a Jacobian that keeps the
         # strain direction, or takes the offset's derivative from the
         # matched row, stalls about 0.1 GHz short of the truth on 4-5 of
-        # these 8 ensembles and reports converged
+        # seeds 16-23 and reports converged; on seed 53 a strain search
+        # that rescans its grid bracket at 7 points instead of RESCAN ends
+        # converged at lambda_z 5.1997
         rng = np.random.default_rng(seed)
         strains = np.array([3.0, 7.0, 12.0, 17.0, 21.0]) \
             + rng.uniform(-0.5, 0.5, 5)

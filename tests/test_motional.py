@@ -1,5 +1,7 @@
 """Tests for the two-site exchange lineshape and temperature map."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,14 @@ class TestTemperatureMap:
         tmap, temps = TemperatureMap(), np.linspace(2.0, 900.0, 300)
         assert tmap.hop_rate(temps).tolist() \
             == [tmap.hop_rate(t) for t in temps.tolist()]
+
+    @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+    def test_vanishes_near_zero_kelvin_without_a_warning(self, temperature):
+        # the exponent overflows (1e-320 K) or divides by a kB T that
+        # underflows to 0 (5e-324 K); exp(-inf) = 0 is the limit
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert TemperatureMap().hop_rate(temperature) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
