@@ -39,9 +39,8 @@ _SOURCES = {
     "photodynamics": ("TransitionLine", "build_rate_matrix",
                       "excitation_spectrum", "polarize", "propagate",
                       "rabi_trace", "stationary_state", "transition_lines"),
-    "sweep": ("CrossingEvent", "LevelCharacter", "SweepResult",
-              "averaged_splitting", "detect_crossings",
-              "nv2_condition_strain", "sweep"),
+    "sweep": ("CrossingEvent", "SweepResult", "averaged_splitting",
+              "detect_crossings", "nv2_condition_strain", "sweep"),
 }
 
 # public name -> (module, attribute in it)

@@ -64,6 +64,8 @@ class TemperatureMap:
         temperature = np.asarray(temperature, dtype=float)
         if not np.all((temperature > 0) & (temperature < np.inf)):  # NaN too
             raise ValueError("temperature must be positive and finite")
+        if self.ea == 0:    # r0, also where kB T underflows to 0
+            return np.full_like(temperature, self.r0)
         # near 0 K the exponent overflows to -inf, and exp(-inf) = 0 is
         # the limit
         with np.errstate(over="ignore", divide="ignore"):

@@ -3,11 +3,11 @@ orbit-averaged spin splitting.
 
 Every strain-dependent spectrum goes through one batched core: the
 Hamiltonian is affine in the strain (`strain_family`), so a whole grid is
-diagonalised by one stacked, checked `linalg.eigensolve` call and its
-level characters are read off in one pass. Crossing refinement and the
-repump strain share one batched bisection. The strain slopes and
-`parameter_operators` are read off `model`'s term table, not rebuilt
-from Hamiltonians.
+diagonalised by one stacked, checked `linalg.eigensolve` call, whose
+level weights `model.level_weights` reads in one pass. Crossing
+refinement and the repump strain share one batched bisection. The strain
+slopes and `parameter_operators` are read off `model`'s term table, not
+rebuilt from Hamiltonians.
 
 The family is stored in `model.gauged`'s real gauge D^dagger H D, where
 every strain Hamiltonian is real symmetric, so LAPACK runs its faster
@@ -15,19 +15,16 @@ real solvers; nothing read off the eigenvectors depends on D.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import eigensolve
-from .model import (LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X,
-                    SX2_MINUS_SY2, FineStructureParams, StrainVector,
+from .model import (PARAMETER_TERMS, STRAIN_X, SX2_MINUS_SY2,
+                    FineStructureParams, StrainVector,
                     build_excited_hamiltonian, checked_strains,
-                    dominant_spins, gauged, greedy_match, level_weights,
-                    symmetry_states)
+                    dominant_spins, gauged, greedy_match, level_weights)
 
-SYMMETRY_OVERLAP_MIN = 0.9
 HALF_WIDTHS = 3.0       # a crossing's spins are read this many half-widths out
 GAP_FLOOR = 1e-6        # GHz, least gap of an avoided crossing
 
@@ -37,22 +34,6 @@ LINEAR_PARAMS = tuple(PARAMETER_TERMS)
 
 class SweepError(ArithmeticError):
     pass
-
-
-@dataclass(frozen=True)
-class LevelCharacter:
-    """Orbital-branch and spin-population weights of one eigenstate."""
-
-    p_branch_x: float
-    p_sx: float
-    p_sy: float
-    p_sz: float
-    symmetry_tag: Optional[str] = None
-
-    @property
-    def dominant_spin(self):
-        weights = np.array([getattr(self, n) for n in LEVEL_WEIGHTS])
-        return list(LEVEL_WEIGHTS)[dominant_spins(weights)].removeprefix("p_")
 
 
 @dataclass(frozen=True)
@@ -71,12 +52,6 @@ class SweepResult:
     vectors: np.ndarray               # (npoints, 6, 6), track-ordered columns
     params: FineStructureParams
     ambiguous_points: list            # grid indices where tracking overlap^2 < 0.5
-
-    @cached_property
-    def characters(self):
-        """Per point, the list of the 6 tracks' LevelCharacter; built
-        on first access."""
-        return _characters(self.vectors)
 
 
 @lru_cache(maxsize=16)
@@ -136,33 +111,6 @@ def strain_slopes(family, deltas, operators=None, curvatures=False):
         out.append(2.0 * np.divide(coupling ** 2, gaps, where=gaps != 0,
                                    out=np.zeros_like(gaps)).sum(axis=-1))
     return tuple(out)
-
-
-def _characters(vectors):
-    """LevelCharacter of every eigenvector column of vectors (n, 6, k),
-    as n lists of k. A symmetry tag is attached when the overlap with a
-    zero-strain symmetry state reaches SYMMETRY_OVERLAP_MIN."""
-    refs = symmetry_states()
-    tags = list(refs) + [None]
-    pops = np.moveaxis(level_weights(vectors), 0, -1)
-    ref_rows = np.array(list(refs.values()), dtype=complex).reshape(-1, 6)
-    hit = np.abs(ref_rows.conj() @ vectors) ** 2 >= SYMMETRY_OVERLAP_MIN
-    first = np.where(hit.any(axis=1), hit.argmax(axis=1), len(refs))
-    return [[LevelCharacter(*p, tags[t]) for p, t in zip(prow, trow)]
-            for prow, trow in zip(pops.tolist(), first.tolist())]
-
-
-def classify_level(vec):
-    """Branch and spin populations of a unit-norm 6-vector; a symmetry
-    tag is attached when the overlap with a zero-strain symmetry state
-    exceeds 0.9."""
-    v = np.asarray(vec, dtype=complex)
-    if v.shape != (6,):
-        raise ValueError("expected a 6-component eigenvector")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"eigenvector norm {norm:.6f} is not 1")
-    return _characters(v.reshape(1, 6, 1))[0][0]
 
 
 def sweep(params, grid):

@@ -16,7 +16,7 @@ from nvsim.cli import run
 from nvsim.fitting import fit, synthesize_dataset
 from nvsim.linalg import hermitian_eigen
 from nvsim.model import (FineStructureParams, StrainVector,
-                         build_excited_hamiltonian)
+                         build_excited_hamiltonian, level_weights)
 from nvsim.motional import (ExchangeModel, TemperatureMap,
                             esr_contrast_vs_temperature,
                             exchange_lineshape)
@@ -24,8 +24,8 @@ from nvsim.photodynamics import (RateParams, excitation_spectrum,
                                  polarize, propagate, rabi_trace,
                                  build_rate_matrix, transition_lines,
                                  uniform_ground)
-from nvsim.sweep import (averaged_splitting, classify_level,
-                         detect_crossings, nv2_condition_strain, sweep)
+from nvsim.sweep import (averaged_splitting, detect_crossings,
+                         nv2_condition_strain, sweep)
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
@@ -96,8 +96,8 @@ def test_c04_lower_branch_avoided_crossings():
 
 def test_c05_upper_branch_no_crossing():
     sr = sweep(DEFAULTS, np.linspace(0.01, 30.0, 1201))
-    last = sr.characters[-1]
-    upper = [k for k in range(6) if last[k].p_branch_x > 0.5]
+    p_x = level_weights(sr.vectors[-1])[0]
+    upper = [k for k in range(6) if p_x[k] > 0.5]
     ok = len(upper) == 3
     for i in range(3):
         for j in range(i + 1, 3):
@@ -121,8 +121,8 @@ def test_c06_excitation_spectra():
                       for ln in conserving))
 
     es = hermitian_eigen(build_excited_hamiltonian(DEFAULTS, strain))
-    chars = [classify_level(es.vectors[:, k]) for k in range(6)]
-    lower = {k + 1 for k in range(6) if chars[k].p_branch_x < 0.5}
+    p_x = level_weights(es.vectors)[0]
+    lower = {k + 1 for k in range(6) if p_x[k] < 0.5}
     supp_ok = True
     for ln in conserving:
         if ln.excited_index not in lower:

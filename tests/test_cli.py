@@ -679,6 +679,21 @@ class TestExitCodes:
         assert no_warning_err(capfd, recwarn) == ""
         assert (out / "odmr.csv").exists()
 
+    @pytest.mark.parametrize("argv, written", [
+        (["--temperature", "5e-324"], "odmr.csv"),
+        (["--temperature-scan", "--temp-min", "5e-324", "--temp-max", "1",
+          "--temp-points", "3"], "odmr_contrast.csv")],
+        ids=["single", "scan"])
+    def test_zero_activation_near_zero_kelvin_runs_quietly(
+            self, tmp_path, capfd, recwarn, argv, written):
+        # without activation the hop rate is the attempt rate; at a
+        # kB T that underflows to 0 the exponent was 0 / 0, so the single
+        # temperature exited 1 and the scan exited 2
+        cfg, out = make_config(tmp_path, "hop_activation_mev = 0\n")
+        assert run(["--config", cfg, "odmr", *argv]) == 0
+        assert no_warning_err(capfd, recwarn) == ""
+        assert (out / written).exists()
+
     @pytest.mark.parametrize("value", ["0", "nan"])
     def test_bad_gap_threshold_rejected(self, tmp_path, capsys, value):
         # 0 exited 1 after writing sweep.csv, without a manifest; NaN
@@ -809,17 +824,28 @@ class TestImportCost:
     @pytest.mark.parametrize("argv", [argv for argv, _ in SMALL_COMMANDS],
                              ids=command_id)
     def test_every_command_runs_in_a_fresh_process(self, tmp_path, argv):
-        # each command imports what it runs; a missing import shows only
+        # each command imports what it runs, and of the modules `import
+        # nvsim.cli` leaves out exactly those; a missing import shows only
         # in a process that has not loaded it for another command
+        loaded = {"lines": ["nvsim.photodynamics"],
+                  "excitation": ["nvsim.photodynamics"],
+                  "rabi": ["nvsim.photodynamics"],
+                  "odmr": ["nvsim.motional"],
+                  "fit": ["hashlib", "nvsim.fitting"]}.get(argv[0], [])
         src = str(Path(nvsim.__file__).resolve().parents[1])
         cfg, out = make_config(tmp_path, "strain_points = 41\n")
         if argv == ["fit"]:
             argv = ["fit", write_fixture(tmp_path, n=4)]
+        code = ("import sys\nfrom nvsim.cli import main\ntry:\n    main()\n"
+                "except SystemExit as end:\n    print(end.code, sorted(n for "
+                "n in ('nvsim.photodynamics', 'nvsim.motional', "
+                "'nvsim.fitting', 'hashlib') if n in sys.modules))")
         env = dict(os.environ, PYTHONPATH=src)
-        res = subprocess.run([sys.executable, "-m", "nvsim.cli",
-                              "--config", cfg, *argv], env=env,
-                             capture_output=True, text=True)
-        assert res.returncode == 0, res.stderr
+        res = subprocess.run([sys.executable, "-c", code, "--config", cfg,
+                              *argv], env=env, capture_output=True,
+                             text=True)
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[-1] == f"0 {loaded}"
         assert (out / "manifest.txt").exists()
 
 

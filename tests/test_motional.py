@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvsim.model import MAX_STRAIN_GHZ, FineStructureParams
 from nvsim.motional import (BranchError, ExchangeModel, TemperatureMap,
@@ -12,6 +14,13 @@ from nvsim.motional import (BranchError, ExchangeModel, TemperatureMap,
                             exchange_lineshape)
 
 PARAMS = FineStructureParams()
+
+SEEDED = settings(derandomize=True, database=None, max_examples=100,
+                  deadline=None)
+
+# every positive finite float, subnormals included
+TEMPERATURES = st.floats(0.0, exclude_min=True, allow_infinity=False,
+                         allow_subnormal=True)
 
 
 def model(hop):
@@ -147,6 +156,32 @@ class TestTemperatureMap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert TemperatureMap().hop_rate(temperature) == 0.0
+
+    @pytest.mark.parametrize("temperature", [5e-324, 1e-320, 1.0, 1e300])
+    def test_without_activation_the_rate_is_r0(self, temperature):
+        # ea = 0 at a kB T that underflows to 0 divided 0 by 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert TemperatureMap(r0=2.5, ea=0.0).hop_rate(temperature) \
+                == 2.5
+            assert TemperatureMap(r0=2.5, ea=0.0).hop_rate(
+                [temperature, 300.0]).tolist() == [2.5, 2.5]
+
+    @SEEDED
+    @given(r0=st.floats(0.0, 1e6, exclude_min=True),
+           ea=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           temps=st.lists(TEMPERATURES, min_size=2, max_size=2))
+    def test_rate_and_contrast_are_bounded_and_monotone(self, r0, ea, temps):
+        # no warning either: the suite turns every warning into an error
+        tmap, temps = TemperatureMap(r0=r0, ea=ea), sorted(temps)
+        rates = tmap.hop_rate(temps)
+        assert np.all(np.isfinite(rates))
+        assert np.all((0.0 <= rates) & (rates <= r0))
+        assert rates[0] <= rates[1]
+        assert [float(tmap.hop_rate(t)) for t in temps] == rates.tolist()
+        contrast = [c for _, c in esr_contrast_vs_temperature(
+            tmap, PARAMS, 20.0, temps)]
+        assert all(0.0 < c <= 1.0 for c in contrast)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,14 @@ import pytest
 
 from nvsim import photodynamics
 from nvsim.linalg import eigensolve, hermitian_eigen
-from nvsim.model import FineStructureParams, StrainVector, \
-    build_excited_hamiltonian, gauged, level_weights
+from nvsim.model import LEVEL_WEIGHTS, FineStructureParams, StrainVector, \
+    build_excited_hamiltonian, dominant_spins, gauged, level_weights
 from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
                                  RateModelError, RateParams,
                                  build_rate_matrix, excitation_spectrum,
                                  expm, lorentzian_peak, polarize, propagate,
                                  rabi_trace, stationary_state,
                                  transition_lines, uniform_ground)
-from nvsim.sweep import _characters
 
 PARAMS = FineStructureParams()
 RATES = RateParams()
@@ -44,12 +43,12 @@ class TestTransitionLines:
         assert all(ln.strength > 0.25 for ln in conserving)
 
     def test_spin_populations_are_the_level_characters(self):
-        # the rate model's level weights hold the LevelCharacter fields of
-        # the same eigenvectors, those of the gauged Hamiltonian, bit for
+        # the rate model's level weights are the level_weights of the
+        # same eigenvectors, those of the gauged Hamiltonian, bit for
         # bit, and a line conserves spin where its ground sublevel is the
         # level's dominant spin
         rng = np.random.default_rng(71)
-        spin_of = {"gSz": "sz", "gSx": "sx", "gSy": "sy"}
+        spin_of = {"gSz": "p_sz", "gSx": "p_sx", "gSy": "p_sy"}
         for _ in range(40):
             params = FineStructureParams(
                 lambda_z=rng.uniform(1.0, 15.0),
@@ -58,12 +57,12 @@ class TestTransitionLines:
                 e_es_coeff=rng.uniform(-0.5, 0.5))
             strain = StrainVector(*rng.uniform(-30.0, 30.0, 2))
             _, weights = photodynamics._excited_structure(params, strain)
-            chars = _characters(eigensolve(gauged(build_excited_hamiltonian(
-                params, strain)))[1][None])[0]
-            assert np.array_equal(weights.T, [
-                [c.p_branch_x, c.p_sx, c.p_sy, c.p_sz] for c in chars])
+            chars = level_weights(eigensolve(gauged(
+                build_excited_hamiltonian(params, strain)))[1])
+            assert np.array_equal(weights, chars)
+            rows = dominant_spins(chars)
             for ln in transition_lines(params, strain):
-                dominant = chars[ln.excited_index - 1].dominant_spin
+                dominant = list(LEVEL_WEIGHTS)[rows[ln.excited_index - 1]]
                 assert ln.spin_conserving == (
                     dominant == spin_of[ln.ground_sublevel])
 

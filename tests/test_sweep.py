@@ -10,11 +10,10 @@ import pytest
 from nvsim.model import LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X, \
     SX2_MINUS_SY2, FineStructureParams, StrainVector, \
     build_excited_hamiltonian, dominant_spins, greedy_match, \
-    level_weights, symmetry_states
+    level_weights, symmetry_states, zero_strain_levels
 from nvsim.linalg import eigensolve_counts, hermitian_eigen
-from nvsim.sweep import (GAP_FLOOR, LINEAR_PARAMS, LevelCharacter,
-                         SweepError, _characters, averaged_splitting,
-                         classify_level, detect_crossings,
+from nvsim.sweep import (GAP_FLOOR, LINEAR_PARAMS, SweepError,
+                         averaged_splitting, detect_crossings,
                          nv2_condition_strain, parameter_operators,
                          strain_family, strain_hamiltonians, strain_slopes,
                          sweep)
@@ -66,20 +65,13 @@ class TestClassify:
     def test_populations_sum_to_one(self):
         es = hermitian_eigen(build_excited_hamiltonian(
             DEFAULTS, StrainVector(4.0, 0.0)))
+        p_x, p_sx, p_sy, p_sz = level_weights(es.vectors)
         for k in range(6):
-            c = classify_level(es.vectors[:, k])
-            assert c.p_sx + c.p_sy + c.p_sz == pytest.approx(1.0)
-            assert 0.0 <= c.p_branch_x <= 1.0
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            classify_level(np.ones(6))
+            assert p_sx[k] + p_sy[k] + p_sz[k] == pytest.approx(1.0)
+            assert 0.0 <= p_x[k] <= 1.0
 
     def test_zero_strain_symmetry_tags(self):
-        es = hermitian_eigen(build_excited_hamiltonian(
-            DECOUPLED, StrainVector()))
-        tags = {classify_level(es.vectors[:, k]).symmetry_tag
-                for k in range(6)}
+        tags = {label for _, label in zero_strain_levels(DECOUPLED)}
         assert tags == {"E1", "E2", "E'x", "E'y", "A1", "A2"}
 
 
@@ -115,28 +107,30 @@ class TestRealGauge:
             assert np.max(np.abs(gauged - direct)) <= 1e-12
 
     def test_classify_level_in_either_basis(self):
-        # photodynamics classifies eigenvectors of build_excited_hamiltonian,
-        # the strain core those of the gauged family: the same levels
-        # must get the same characters and tags
+        # zero_strain_levels labels eigenvectors of
+        # build_excited_hamiltonian, the strain core diagonalises the
+        # gauged family: each label's energy is that of its symmetry
+        # state in either basis, and the same levels get the same weights
         gauge = np.array([1, 1j, 1, 1j, 1, 1j])
         h = build_excited_hamiltonian(DECOUPLED, StrainVector())
+        h0 = strain_family(DECOUPLED)[0]
+        labelled = {label: e for e, label in zero_strain_levels(DECOUPLED)}
         for name, state in symmetry_states().items():
             energy = np.vdot(state, h @ state).real
             assert np.max(np.abs(h @ state - energy * state)) <= 1e-12
-            assert classify_level(state).symmetry_tag == name
-            assert classify_level(gauge.conj() * state).symmetry_tag == name
+            assert labelled[name] == pytest.approx(energy, abs=1e-12)
+            gauged_state = gauge.conj() * state
+            assert np.max(np.abs(h0 @ gauged_state
+                                 - labelled[name] * gauged_state)) <= 1e-12
         rng = np.random.default_rng(62)
         for _ in range(20):
             params = self.random_params(rng)
             delta = rng.uniform(-10.0, 10.0)
             vectors = np.linalg.eigh(build_excited_hamiltonian(
                 params, StrainVector(delta, 0.0)))[1]
-            for v in vectors.T:
-                a, b = classify_level(v), classify_level(gauge.conj() * v)
-                assert a.symmetry_tag == b.symmetry_tag
-                assert [a.p_branch_x, a.p_sx, a.p_sy, a.p_sz] == \
-                    pytest.approx([b.p_branch_x, b.p_sx, b.p_sy, b.p_sz],
-                                  abs=1e-15)
+            a = level_weights(vectors)
+            b = level_weights(gauge.conj()[:, None] * vectors)
+            assert np.max(np.abs(a - b)) <= 1e-15
 
     def test_parameter_operators_rebuild_the_family(self):
         # the zero-strain family member is the sum of the linear terms,
@@ -347,15 +341,11 @@ class TestTracking:
 
 
 class TestCharacters:
-    def test_characters_of_the_tracked_vectors(self):
-        sr = coarse_sweep(DEFAULTS, n=201)
-        assert sr.characters == _characters(sr.vectors)
-        assert sr.characters is sr.characters     # built once
-
     def test_level_weights_are_the_character_fields(self):
         # the table's sums, written out from the basis order Ex*Sx, Ex*Sy,
         # Ex*Sz, Ey*Sx, Ey*Sy, Ey*Sz, against level_weights on a stack
-        # and classify_level per column, bit for bit
+        # and per column, bit for bit; the dominant spin is the first
+        # largest of the spin sums
         rng = np.random.default_rng(31)
         for trial in range(20):
             params = FineStructureParams(
@@ -374,11 +364,10 @@ class TestCharacters:
             assert np.array_equal(weights[:, 0], oracle)
             assert np.array_equal(weights[:, 1], weights[:, 0, ::-1])
             for k in range(6):
-                c = classify_level(vectors[:, k])
-                assert weights[:, 0, k].tolist() == [
-                    c.p_branch_x, c.p_sx, c.p_sy, c.p_sz]
-                row = dominant_spins(weights[:, 0, k])
-                assert list(LEVEL_WEIGHTS)[row] == "p_" + c.dominant_spin
+                column = level_weights(vectors[:, k:k + 1])[:, 0]
+                assert column.tolist() == [o[k] for o in oracle]
+                spins = [o[k] for o in oracle[1:]]
+                assert dominant_spins(column) == 1 + spins.index(max(spins))
 
     def test_dominant_spin_ties_go_to_sx_then_sy(self):
         # columns: Sx = Sy, Sy = Sz, all three equal, Sz alone largest
@@ -387,13 +376,20 @@ class TestCharacters:
                             [0.4, 0.4, 0.3, 0.1],
                             [0.2, 0.4, 0.3, 0.8]])
         assert dominant_spins(weights).tolist() == [1, 2, 1, 3]
-        for column, spin in zip(weights.T, ("sx", "sy", "sx", "sz")):
-            assert LevelCharacter(*column).dominant_spin == spin
+        names = [list(LEVEL_WEIGHTS)[row] for row in dominant_spins(weights)]
+        assert names == ["p_sx", "p_sy", "p_sx", "p_sz"]
 
-    def test_crossing_detection_builds_no_characters(self):
+    def test_crossing_detection_builds_no_characters(self, monkeypatch):
+        # the verdict reads level weights at the two strains of each
+        # event, in one stack, and never those of the sweep's vectors
         sr = coarse_sweep(DEFAULTS, n=1201)
+        shapes = []
+        monkeypatch.setattr(importlib.import_module("nvsim.sweep"),
+                            "level_weights",
+                            lambda v: shapes.append(v.shape)
+                            or level_weights(v))
         events = detect_crossings(sr, 0.5)
-        assert "characters" not in vars(sr)
+        assert shapes == [(2, len(events), 6, 6)]
         assert sum(e.avoided for e in events) == 2
 
 
@@ -475,7 +471,7 @@ class TestCrossings:
         # strain x lies in the minimum's bracket; the width rule written
         # out from the sorted ranks (lo, hi) the tracks hold at the minimum,
         # g their gap at x, c from the curvatures of `strain_slopes`, and
-        # LevelCharacter.dominant_spin of both ranks at x -+ 3 sqrt(g / c)
+        # the dominant spins of both ranks at x -+ 3 sqrt(g / c)
         # from the complex Hamiltonian; no exchange is read where
         # g <= 1e-6 GHz or c <= 0. The grid reaches below zero strain,
         # where the seed draws minima whose ranks hold one dominant spin
@@ -517,8 +513,8 @@ class TestCrossings:
                         vectors = hermitian_eigen(build_excited_hamiltonian(
                             params, StrainVector(
                                 x + side * 3.0 * np.sqrt(g / c), 0.0))).vectors
-                        spins.append([classify_level(vectors[:, k])
-                                      .dominant_spin for k in (lo, hi)])
+                        spins.append(dominant_spins(
+                            level_weights(vectors))[[lo, hi]].tolist())
                     (lo0, hi0), (lo1, hi1) = spins
                     expected = lo0 == hi1 and hi0 == lo1 and lo0 != hi0
                     why = "one spin" if lo0 == hi0 == lo1 == hi1 else "read"
@@ -643,8 +639,8 @@ class TestCrossings:
 
     def test_upper_branch_has_no_crossing(self):
         sr = coarse_sweep(DEFAULTS, n=1201)
-        last = sr.characters[-1]
-        upper = [k for k in range(6) if last[k].p_branch_x > 0.5]
+        p_x = level_weights(sr.vectors[-1])[0]
+        upper = [k for k in range(6) if p_x[k] > 0.5]
         assert len(upper) == 3
         for i in range(3):
             for j in range(i + 1, 3):
