@@ -30,7 +30,7 @@ _SOURCES = {
     "config": ("Config", "RunManifest", "load_config", "parse_config",
                "write_csv"),
     "fitting": ("FitResult", "ObservedDefect", "fit"),
-    "linalg": ("EigenSystem", "hermitian_eigen"),
+    "linalg": ("eigensolve",),
     "model": ("FineStructureParams", "RateParams", "StrainVector",
               "build_excited_hamiltonian", "ground_levels",
               "zero_strain_levels"),

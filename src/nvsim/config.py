@@ -2,8 +2,8 @@
 bit-stable CSV output.
 
 A config file is plain text: one `key = value` per line, `#` comments,
-blank lines ignored. Unknown keys are rejected so typos cannot silently
-fall back to defaults. All energies are GHz, times ns, temperatures K.
+blank lines ignored. Unknown and repeated keys are rejected, so a typo
+cannot pass silently. All energies are GHz, times ns, temperatures K.
 """
 
 from dataclasses import dataclass, field, fields
@@ -94,6 +94,7 @@ def linear_grid(lo, hi, points, bounds, count):
 def parse_config(text):
     """Parse key=value text over the defaults."""
     cfg = Config(_defaults())
+    seen = {}       # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -106,6 +107,10 @@ def parse_config(text):
         value = value.strip()
         if key not in cfg.values:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on "
+                              f"line {seen[key]}")
+        seen[key] = lineno
         old = cfg.values[key]
         try:
             if isinstance(old, int) and not isinstance(old, bool):

@@ -315,10 +315,11 @@ def fit(data, params=None, free_lambda_perp=False):
     so does a global other than lambda_perp that ends exactly on an end
     of its BOUNDS, listed in `bound_names`.
     1 sigma errors of the globals come from the final Jacobian,
-    (J^T J)^-1 cost / (lines - free). A cost not finite at the start
-    raises FitError before LAPACK sees it."""
+    (J^T J)^-1 cost / (lines - free). No defects, or fewer lines than
+    free parameters, is an input error (ValueError); a cost not finite at
+    the start raises FitError before LAPACK sees it."""
     if not data:
-        raise FitError("no defects supplied")
+        raise ValueError("no defects supplied")
     start = FineStructureParams() if params is None else params
     names = ["lambda_z", "d_es", "delta_cap"]
     if free_lambda_perp:
@@ -326,7 +327,7 @@ def fit(data, params=None, free_lambda_perp=False):
     n_lines = sum(len(d.lines) for d in data)
     n_free = len(names) + 2 * len(data)
     if n_lines < n_free:
-        raise FitError(
+        raise ValueError(
             f"under-determined: {n_lines} lines for {n_free} free "
             f"parameters ({len(names)} global + 2 per defect)")
 

@@ -5,10 +5,6 @@ eigensolvers. It serves any stack of real-symmetric or complex-Hermitian
 matrices, checks every member's eigenvalues against the trace identity
 and counts what it solves in `eigensolve_counts`. Every spectrum in
 nvsim, the rate model's included, goes through it.
-
-`hermitian_eigen` is the public single-matrix entry point: it checks its
-input, diagonalises through `eigensolve` and fixes each eigenvector's
-phase. No command calls it.
 """
 
 import math
@@ -23,8 +19,6 @@ import numpy as np
 TRACE_ULPS = 64
 _TOL = TRACE_ULPS * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-HERMITICITY_TOL = 1e-10
-MAX_DIM = 64
 
 # What `eigensolve` has served in this process: the calls and the
 # matrices they solved. A reader counts a stretch of work by difference.
@@ -32,7 +26,7 @@ eigensolve_counts = {"calls": 0, "matrices": 0}
 
 
 class EigenError(ArithmeticError):
-    """Raised on invalid eigensolver input or non-convergence."""
+    """Raised when a spectrum fails the trace identity."""
 
 
 def eigensolve(h, vectors=True):
@@ -69,54 +63,3 @@ def eigensolve(h, vectors=True):
             f"{bound.flat[k]:.3e}")
     return out
 
-
-class EigenSystem:
-    """Sorted spectral decomposition of a Hermitian matrix.
-
-    values : real eigenvalues, ascending
-    vectors: unitary matrix whose k-th column is the eigenvector of values[k]
-    """
-
-    __slots__ = ("values", "vectors")
-
-    def __init__(self, values, vectors):
-        self.values = values
-        self.vectors = vectors
-
-
-def _phase_normalize(vectors):
-    """Rotate each column's global phase so its first non-negligible
-    component is real positive. Makes degenerate output reproducible."""
-    v = vectors.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-8)
-        if nz.size:
-            lead = col[nz[0]]
-            col *= np.conj(lead) / np.abs(lead)
-    return v
-
-
-def hermitian_eigen(m):
-    """EigenSystem of one Hermitian matrix, from `eigensolve` of its
-    symmetrised copy, each eigenvector's phase fixed by _phase_normalize.
-
-    Raises EigenError for non-square input, a dimension above MAX_DIM or
-    a matrix that is not Hermitian (tolerance HERMITICITY_TOL relative to
-    the largest entry), and where `eigensolve` does.
-    """
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise EigenError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise EigenError(f"dimension {n} exceeds supported maximum {MAX_DIM}")
-    scale = max(np.max(np.abs(a)), 1e-300)
-    herm_defect = np.max(np.abs(a - a.conj().T))
-    if herm_defect > HERMITICITY_TOL * scale:
-        raise EigenError(
-            f"matrix not Hermitian: max|M - M^dag| = {herm_defect:.3e} "
-            f"(allowed {HERMITICITY_TOL * scale:.3e})"
-        )
-    values, vectors = eigensolve(0.5 * (a + a.conj().T))
-    return EigenSystem(values, _phase_normalize(vectors))

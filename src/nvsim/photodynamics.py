@@ -6,17 +6,15 @@ metastable singlet. Populations are classical (no optical coherences);
 the only coherent element is the microwave rotation inside the Rabi
 pulse sequence. Rates in 1/ns, energies/detunings in GHz.
 
-The excited structure is diagonalised by `linalg.eigensolve` in
+Each call solves the excited structure anew by `linalg.eigensolve` in
 `model.gauged`'s gauge: real at strain along x, complex off that axis.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .linalg import eigensolve
-from .model import RateParams  # noqa: F401, re-exported here
 from .model import (LEVEL_WEIGHTS, build_excited_hamiltonian,
                     dominant_spins, gauged, ground_levels, level_weights)
 
@@ -51,14 +49,11 @@ class RateModelError(ArithmeticError):
                          else f"generator {index}: {reason}")
 
 
-@lru_cache(maxsize=64)
 def _excited_structure(params, strain):
     """Excited eigenvalues (6,) and their `level_weights` (4, 6)."""
     values, vectors = eigensolve(
         gauged(build_excited_hamiltonian(params, strain)))
-    weights = level_weights(vectors)
-    weights.flags.writeable = False
-    return values, weights
+    return values, level_weights(vectors)
 
 
 def transition_lines(params, strain):

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import nvsim
-from nvsim import cli, fitting, motional, photodynamics
+from nvsim import cli, fitting, motional
 from nvsim.cli import run
 from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
                           format_number, parse_config, write_csv)
 from nvsim.fitting import synthesize_dataset
-from nvsim.linalg import hermitian_eigen
 from nvsim.model import FineStructureParams
 
 
@@ -83,6 +82,11 @@ class TestConfig:
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config("lambda_z = five\n")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"line 3: key 'd_es' already "
+                                              r"set on line 1"):
+            parse_config("d_es = 1.5\n\n  d_es=1.5 # again\n")
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# a comment\n\nd_es = 1.5  # inline\n")
@@ -287,6 +291,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("nvsim: error: ")
         assert "defect a: 7 lines, need 2 to 6" in err
+        assert not out.exists()
+
+    def test_fit_under_determined(self, tmp_path, capsys):
+        # one defect's 3 lines cannot fix 3 globals plus its strain and
+        # offset: an input error, found before any solve
+        cfg, out = make_config(tmp_path)
+        bad = tmp_path / "three.csv"
+        bad.write_text("defect_id,line_ghz\n"
+                       + "".join(f"a,{x}\n" for x in range(3)))
+        assert run(["--config", cfg, "fit", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("nvsim: error: under-determined: 3 lines for 5 free "
+                       "parameters (3 global + 2 per defect)\n")
+        assert not out.exists()
+
+    def test_repeated_config_key(self, tmp_path, capsys):
+        # the last value won silently, with exit 0
+        cfg, out = make_config(tmp_path, "lambda_z = 5.0\nlambda_z = 6.0\n")
+        assert run(["--config", cfg, "levels"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("nvsim: error: ")
+        assert "'lambda_z'" in err and "line 2" in err and "line 3" in err
         assert not out.exists()
 
     def test_output_dir_under_a_file(self, tmp_path):
@@ -740,33 +766,6 @@ class TestExitCodes:
                     "--freq-min", "1.0"]) == 2
         assert "singular" in capsys.readouterr().err
         assert not (out / "odmr.csv").exists()
-
-
-class TestSpectralPath:
-    def test_no_command_calls_hermitian_eigen(self, tmp_path, monkeypatch,
-                                              capsys):
-        # every command, the rate model's included, diagonalises through
-        # linalg.eigensolve; the structure cache is cleared so that the
-        # rate model does solve
-        def forbidden(*args, **kwargs):
-            raise AssertionError("hermitian_eigen called")
-
-        patched = []
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] != "nvsim" or module is None:
-                continue
-            for attr, value in list(vars(module).items()):
-                if value is hermitian_eigen:
-                    monkeypatch.setattr(module, attr, forbidden)
-                    patched.append(f"{name}.{attr}")
-        assert "nvsim.linalg.hermitian_eigen" in patched
-        photodynamics._excited_structure.cache_clear()
-        cfg, out = make_config(tmp_path)
-        fixture = write_fixture(tmp_path, n=4)
-        for argv, _ in SMALL_COMMANDS:
-            argv = ["fit", fixture] if argv == ["fit"] else argv
-            assert run(["--config", cfg, *argv]) == 0, argv
-        assert photodynamics._excited_structure.cache_info().misses
 
 
 class TestImportCost:

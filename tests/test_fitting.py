@@ -407,11 +407,11 @@ class TestFit:
 
     def test_under_determined_raises(self):
         data = [ObservedDefect(id="a", lines=(0.0, 1.0))]
-        with pytest.raises(FitError, match="under-determined"):
+        with pytest.raises(ValueError, match="under-determined"):
             fit(data)
 
     def test_empty_data_raises(self):
-        with pytest.raises(FitError):
+        with pytest.raises(ValueError, match="no defects supplied"):
             fit([])
 
     def test_noiseless_recovery_small(self):
