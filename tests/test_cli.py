@@ -835,16 +835,19 @@ class TestImportCost:
         cfg, out = make_config(tmp_path, "strain_points = 41\n")
         if argv == ["fit"]:
             argv = ["fit", write_fixture(tmp_path, n=4)]
-        code = ("import sys\nfrom nvsim.cli import main\ntry:\n    main()\n"
-                "except SystemExit as end:\n    print(end.code, sorted(n for "
-                "n in ('nvsim.photodynamics', 'nvsim.motional', "
-                "'nvsim.fitting', 'hashlib') if n in sys.modules))")
+        # main() ends the process itself, so an atexit handler reads the
+        # loaded modules
+        code = ("import atexit, sys\nfrom nvsim.cli import main\n"
+                "atexit.register(lambda: print(sorted(n for n in "
+                "('nvsim.photodynamics', 'nvsim.motional', 'nvsim.fitting', "
+                "'hashlib') if n in sys.modules)))\nmain()")
         env = dict(os.environ, PYTHONPATH=src)
         res = subprocess.run([sys.executable, "-c", code, "--config", cfg,
                               *argv], env=env, capture_output=True,
                              text=True)
+        assert res.returncode == 0
         assert res.stderr == ""
-        assert res.stdout.splitlines()[-1] == f"0 {loaded}"
+        assert res.stdout.splitlines()[-1] == str(loaded)
         assert (out / "manifest.txt").exists()
 
 
@@ -903,9 +906,23 @@ class TestOneWriter:
                            ["fit_report.txt", "fit_strains.csv"])
 
 
+# a command that exits 0, one that exits 1 and one that exits 2, with the
+# config line each needs and its stderr
+EXIT_CASES = [
+    (["levels"], "", 0, ""),
+    (["rabi", "--tau-points", "0"], "", 1,
+     "nvsim: error: --tau-points must be >= 2\n"),
+    (["excitation", "--detuning-points", "21"], "mw_mix_rate = 1e308\n", 2,
+     "nvsim: numerical failure: at detuning -10.0 GHz: generator not "
+     "finite\n")]
+
+
 class TestProcessEntry:
-    """`main()`, the process entry, freezes the GC before the interpreter
-    exits; `run()`, which tests and library callers use, leaves it alone."""
+    """`main()`, the process entry, ends the process once `run()` returns:
+    atexit handlers, a flush of stdout and stderr, then `os._exit` with
+    `run()`'s code. It is only run in fresh processes here; `run()`, which
+    tests and library callers use, returns and leaves the collector
+    alone."""
 
     def test_run_leaves_gc_unfrozen(self, tmp_path, capsys):
         cfg, _ = make_config(tmp_path)
@@ -914,28 +931,37 @@ class TestProcessEntry:
         assert run(["--config", cfg, "rabi", "--tau-points", "0"]) == 1
         assert gc.get_freeze_count() == before
 
-    def test_main_freezes_before_exit(self, tmp_path, capsys, monkeypatch):
-        cfg, _ = make_config(tmp_path)
-        monkeypatch.setattr(sys, "argv", ["nvsim", "--config", cfg, "levels"])
-        assert gc.get_freeze_count() == 0
-        try:
-            with pytest.raises(SystemExit) as exit_:
-                cli.main()
-            assert exit_.value.code == 0
-            assert gc.get_freeze_count() > 0
-        finally:
-            gc.unfreeze()
+    @pytest.mark.parametrize("argv, extra, code, err", EXIT_CASES,
+                             ids=["0", "1", "2"])
+    def test_atexit_handler_runs_after_the_command(self, tmp_path, argv,
+                                                   extra, code, err):
+        # the handler writes to block-buffered stdout and, without a
+        # newline, to stderr: only the flush after it delivers either
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"output_dir = out\n{extra}", encoding="utf-8")
+        script = ("import atexit, sys\nfrom nvsim.cli import main\n"
+                  "atexit.register(lambda: (print('atexit ran'), "
+                  "sys.stderr.write('atexit ran')))\nmain()")
+        env = dict(os.environ, PYTHONUNBUFFERED="",
+                   PYTHONPATH=str(Path(nvsim.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-c", script, "--config",
+                              str(cfg), *argv], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == code
+        assert res.stderr == err + "atexit ran"
+        lines = res.stdout.splitlines()
+        assert lines[-1] == "atexit ran"
+        if code == 0:
+            assert lines[-2] == "wrote out/manifest.txt"
+        else:
+            assert len(lines) == 1
 
-    @pytest.mark.parametrize("argv, extra, code, err", [
-        (["levels"], "", 0, ""),
-        (["rabi", "--tau-points", "0"], "", 1,
-         "nvsim: error: --tau-points must be >= 2\n"),
-        (["excitation", "--detuning-points", "21"], "mw_mix_rate = 1e308\n",
-         2, "nvsim: numerical failure: at detuning -10.0 GHz: generator not "
-            "finite\n")])
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv, extra, code, err", EXIT_CASES,
+                             ids=["0", "1", "2"])
     def test_process_matches_in_process_run(self, tmp_path, capsys,
                                             monkeypatch, argv, extra, code,
-                                            err):
+                                            err, unbuffered):
         # a relative output_dir keeps the manifests of both runs equal
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"output_dir = out\n{extra}", encoding="utf-8")
@@ -943,7 +969,7 @@ class TestProcessEntry:
         proc_dir, run_dir = tmp_path / "proc", tmp_path / "run"
         proc_dir.mkdir()
         run_dir.mkdir()
-        env = dict(os.environ,
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
                    PYTHONPATH=str(Path(nvsim.__file__).resolve().parents[1]))
         res = subprocess.run([sys.executable, "-m", "nvsim.cli", *argv],
                              cwd=proc_dir, env=env, stdout=subprocess.PIPE,
@@ -965,6 +991,30 @@ class TestProcessEntry:
         assert files(proc_dir) == files(run_dir)
         assert bool(files(proc_dir)) == (code == 0)
 
+    def test_help_from_a_fresh_process(self, tmp_path):
+        env = dict(os.environ, PYTHONUNBUFFERED="",
+                   PYTHONPATH=str(Path(nvsim.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-m", "nvsim.cli",
+                              "excitation", "-h"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True)
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: nvsim excitation")
+        assert res.stderr == ""
+
+    def test_stdout_closed_at_start(self, tmp_path):
+        # `nvsim levels >&-`: Python sets sys.stdout to None, so there is
+        # nothing to print and nothing to flush
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("output_dir = out\n", encoding="utf-8")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(nvsim.__file__).resolve().parents[1]))
+        res = subprocess.run([sys.executable, "-m", "nvsim.cli", "--config",
+                              str(cfg), "levels"], cwd=tmp_path, env=env,
+                             stderr=subprocess.PIPE, text=True,
+                             preexec_fn=lambda: os.close(1))
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("unbuffered", ["1", ""])
     @pytest.mark.parametrize("argv", [["levels"], ["sweep"], ["fit"]])
