@@ -58,7 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
-    p = _Parser(prog="nvsim", description=__doc__)
+    p = _Parser(prog="nvsim", description=(
+        "NV- excited-state fine structure, photodynamics and ESR versus "
+        "transverse strain. Each subcommand writes its CSV tables and a "
+        "run manifest into the configured output directory. Exit codes: "
+        "0 success, 1 usage or configuration error, 2 numerical failure."))
     p.add_argument("--config", default=None,
                    help="flat key=value config file "
                         "(default: $NVSIM_CONFIG if set)")

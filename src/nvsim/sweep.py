@@ -14,7 +14,7 @@ every strain Hamiltonian is real symmetric, so LAPACK runs its faster
 real solvers; nothing read off the eigenvectors depends on D.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -242,24 +242,17 @@ def detect_crossings(sr, gap_threshold):
 
 def averaged_splitting(params, dperp):
     """Mean of the four ms=+-1-character eigenvalues minus the mean of
-    the two ms=0-character ones (the orbit-averaged ESR splitting). A
-    scalar strain gives a float; a grid of strains gives an array, from
-    one stacked eigensolve."""
+    the two ms=0-character ones (the orbit-averaged ESR splitting). The
+    ms=0 pair at each strain is the two levels of largest Sz weight, the
+    one rule also where an avoided crossing mixes the characters; at
+    lambda_perp = 0 it gives D_es to rounding. A scalar strain gives a
+    float, a grid an array, from one stacked eigensolve."""
     deltas = checked_strains(dperp).reshape(-1)
     values, vectors = eigensolve(
         strain_hamiltonians(strain_family(params), deltas))
-    ms0 = level_weights(vectors)[-1] > 0.5     # the ms=0 (Sz) weight
-    mixed = np.flatnonzero(ms0.sum(axis=1) != 2)
-    if mixed.size:
-        # near an avoided crossing characters mix; fall back on the
-        # sorted-position partition of the decoupled lambda_perp = 0
-        # reference at the same strains
-        ref = strain_family(replace(params, lambda_perp=0.0))
-        _, ref_vectors = eigensolve(
-            strain_hamiltonians(ref, deltas[mixed]))
-        top2 = np.argsort(level_weights(ref_vectors)[-1], axis=1)[:, -2:]
-        ms0[mixed] = False
-        ms0[mixed[:, None], top2] = True
+    top2 = np.argsort(level_weights(vectors)[-1], axis=1)[:, -2:]
+    ms0 = np.zeros(values.shape, dtype=bool)
+    np.put_along_axis(ms0, top2, True, axis=1)
     n = deltas.size
     split = (values[~ms0].reshape(n, 4).mean(axis=1)
              - values[ms0].reshape(n, 2).mean(axis=1))

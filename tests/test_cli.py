@@ -265,6 +265,18 @@ class TestCliCommands:
 
 
 class TestExitCodes:
+    def test_help_describes_the_commands_not_the_code(self):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        res = subprocess.run([sys.executable, "-m", "nvsim.cli", "-h"],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert res.returncode == 0
+        assert res.stdout.startswith("usage: nvsim")
+        assert "Exit codes" in res.stdout
+        for internal in ("_finish", "os._exit", "collector"):
+            assert internal not in res.stdout
+        assert res.stderr == ""
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 
@@ -439,6 +451,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "defects at the strain-grid edge: nv04, nv05;" in err
         assert "iteration limit" not in err
+
+    def test_fit_edge_alone_exits_2(self, tmp_path, capsys):
+        # the fit neither stalls nor ends on a bound: only nv05, past the
+        # strain grid, keeps it from converging
+        init = "lambda_z = 5.0\nd_es = 1.3\ndelta_cap = 1.4\n"
+        cfg, out = make_config(tmp_path, init)
+        rows = ["defect_id,line_ghz"]
+        for d in synthesize_dataset(FineStructureParams(),
+                                    [3.0, 8.0, 14.0, 20.0, 31.0], seed=0):
+            rows.extend(f"{d.id},{float(x)!r}" for x in d.lines)
+        fixture = tmp_path / "edge.csv"
+        fixture.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert run(["--config", cfg, "fit", str(fixture)]) == 2
+        err = capsys.readouterr().err
+        assert "defects at the strain-grid edge: nv05;" in err
+        assert "converged = False" in (out / "fit_report.txt").read_text()
 
     def test_fit_on_a_bound_exits_2_and_names_it(self, tmp_path, capsys):
         # the highest three lines of each defect: the fit ends with

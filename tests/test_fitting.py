@@ -491,6 +491,17 @@ class TestFit:
                                                           abs=0.01)
         assert res.edge_ids == ("nv04", "nv05")
 
+    def test_edge_alone_keeps_the_fit_from_converging(self):
+        # nv05 at 31 GHz, past STRAIN_MAX: the fit neither stalls nor ends
+        # on a bound, so the edge is its one reason not to converge
+        data = synthesize_dataset(TRUTH, [3.0, 8.0, 14.0, 20.0, 31.0],
+                                  seed=0)
+        res = fit(data, self.INIT)
+        assert res.edge_ids == ("nv05",)
+        assert not res.stalled and res.bound_names == ()
+        assert res.iterations == 2
+        assert not res.converged
+
     def test_converged_fit_has_no_edge_ids(self):
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
         assert fit(data, self.INIT).edge_ids == ()

@@ -157,6 +157,20 @@ class TestRateMatrix:
         with pytest.raises(RateModelError, match="conservation"):
             propagate(uniform_ground(), g, 1.0)
 
+    def test_propagation_rejects_a_leaking_generator(self):
+        # columns summing to -0.01: exp(-1) of the population is lost
+        with pytest.raises(RateModelError, match="probability conservation "
+                           r"by 6\.321e-01"):
+            propagate(uniform_ground(), -0.01 * np.eye(N_LEVELS), 100.0)
+
+    def test_stationary_state_rejects_a_matrix_without_null_vector(self):
+        # a full-rank matrix that is no generator: the bordered system has
+        # a least-squares solution, but it does not solve G p = 0
+        g = np.random.default_rng(0).uniform(0.0, 1.0, (N_LEVELS, N_LEVELS))
+        with pytest.raises(RateModelError,
+                           match=r"not found \(residual 1\.640e-01\)"):
+            stationary_state(g)
+
     def test_stationary_state_is_stationary(self):
         g = build_rate_matrix(PARAMS, STRAIN, RATES, laser_detuning=4.0,
                               mw_on=True)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nvsim.model import LEVEL_WEIGHTS, PARAMETER_TERMS, STRAIN_X, \
     SX2_MINUS_SY2, FineStructureParams, StrainVector, \
@@ -17,6 +19,9 @@ from nvsim.sweep import (GAP_FLOOR, LINEAR_PARAMS, SweepError,
                          nv2_condition_strain, parameter_operators,
                          strain_family, strain_hamiltonians, strain_slopes,
                          sweep)
+
+SEEDED = settings(derandomize=True, database=None, max_examples=100,
+                  deadline=None)
 
 DEFAULTS = FineStructureParams()
 DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
@@ -657,24 +662,16 @@ class TestAveragedSplitting:
 
     @staticmethod
     def per_point_splitting(params, d):
-        """One Hamiltonian per strain: the ms=0 pair is the levels of
-        ms=0 weight above 1/2, or else the two sorted positions of most
-        ms=0 weight in the lambda_perp = 0 reference."""
-        def eig(p):
-            return np.linalg.eigh(build_excited_hamiltonian(
-                p, StrainVector(d, 0.0)))
-
-        def psz(vectors):
-            return np.abs(vectors[2]) ** 2 + np.abs(vectors[5]) ** 2
-
-        values, vectors = eig(params)
-        ms0 = np.flatnonzero(psz(vectors) > 0.5)
-        fallback = ms0.size != 2
-        if fallback:
-            ref_vectors = eig(replace(params, lambda_perp=0.0))[1]
-            ms0 = np.argsort(psz(ref_vectors))[-2:]
+        """One Hamiltonian per strain: the ms=0 pair is the two levels of
+        largest ms=0 weight. Also whether the point is mixed, that is,
+        does not have exactly two levels of ms=0 weight above 1/2."""
+        values, vectors = np.linalg.eigh(build_excited_hamiltonian(
+            params, StrainVector(d, 0.0)))
+        psz = np.abs(vectors[2]) ** 2 + np.abs(vectors[5]) ** 2
+        ms0 = np.argsort(psz)[-2:]
         ms1 = np.setdiff1d(np.arange(6), ms0)
-        return values[ms1].mean() - values[ms0].mean(), fallback
+        return (values[ms1].mean() - values[ms0].mean(),
+                np.count_nonzero(psz > 0.5) != 2)
 
     @pytest.mark.parametrize("params", [DEFAULTS, DECOUPLED,
                                         replace(DEFAULTS, e_es_coeff=0.05)])
@@ -682,12 +679,32 @@ class TestAveragedSplitting:
         # plus points at which the default couplings mix the ms=0 characters
         grid = np.union1d(np.linspace(-20.0, 30.0, 501),
                           [-15.536, -7.319, 7.312, 15.52])
-        batched = averaged_splitting(params, grid)
+        batched, calls = eigensolve_calls(averaged_splitting, params, grid)
         ref = [self.per_point_splitting(params, d) for d in grid]
         assert batched.shape == grid.shape
+        assert calls == 1
         assert np.max(np.abs(batched - [r[0] for r in ref])) <= 1e-10
         if params is DEFAULTS:
-            assert sum(r[1] for r in ref) >= 4   # the fallback ran
+            assert sum(r[1] for r in ref) >= 4   # mixed points are covered
+
+    @SEEDED
+    @given(lambda_z=st.floats(0.5, 15.0), d_es=st.floats(0.1, 5.0),
+           delta_cap=st.floats(0.0, 5.0), e_es_coeff=st.floats(-0.5, 0.5),
+           delta_z=st.floats(-2.0, 2.0), zpl_offset=st.floats(-3.0, 3.0),
+           strains=st.lists(st.floats(-50.0, 50.0), min_size=1,
+                            max_size=20))
+    def test_decoupled_splitting_is_d_es(self, lambda_z, d_es, delta_cap,
+                                         e_es_coeff, delta_z, zpl_offset,
+                                         strains):
+        # tr H = 6 (zpl_offset + delta_z) and the ms=0 pair's diagonal sums
+        # to 2 (zpl_offset + delta_z) - 4/3 D_es; at lambda_perp = 0 that
+        # pair is an eigenspace, so the split is D_es at any strain
+        params = FineStructureParams(
+            lambda_z=lambda_z, lambda_perp=0.0, d_es=d_es,
+            delta_cap=delta_cap, e_es_coeff=e_es_coeff, delta_z=delta_z,
+            zpl_offset=zpl_offset)
+        split = averaged_splitting(params, strains)
+        assert np.max(np.abs(split - d_es)) <= 1e-9
 
     def test_scalar_strain_gives_float(self):
         assert isinstance(averaged_splitting(DEFAULTS, 3.0), float)
