@@ -338,19 +338,8 @@ def _cmd_fit(cfg, args, command):
                               result.offsets[d.id]) for d in data])},
         "\n".join(report), inputs=[args.input])
     if not result.converged:
-        flagged = [f"{what}: {', '.join(names)}" for what, names in (
-            ("defects at the strain-grid edge", result.edge_ids),
-            ("globals on an end of their fit bounds", result.bound_names))
-            if names]
-        if flagged:
-            why = "; ".join(flagged)
-        elif result.stalled:
-            why = ("no step the optimizer tried lowered the cost "
-                   f"(iteration {result.iterations})")
-        else:
-            why = ("the optimizer stopped at its iteration limit "
-                   f"({result.iterations} iterations)")
-        raise FitError(f"fit did not converge: {why}; result flagged")
+        raise FitError(f"fit did not converge: {result.reason}; "
+                       "result flagged")
 
 
 _COMMANDS = {

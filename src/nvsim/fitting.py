@@ -83,21 +83,24 @@ class FitResult:
     offsets: dict
     residual_rms: float
     iterations: int
-    converged: bool
     assignments: dict = field(default_factory=dict)
     edge_ids: tuple = ()    # defects whose best grid strain is STRAIN_MAX
     bound_names: tuple = ()  # lambda_z, d_es, delta_cap on a BOUNDS end
     errors: dict = field(default_factory=dict)  # global -> 1 sigma, GHz
     stalled: bool = False   # no damped step lowered the cost
+    reason: str = ""        # why the fit did not converge; "" if it did
+
+    @property
+    def converged(self):
+        return not self.reason
 
 
-def predicted_lines(params, delta_perp):
-    """The six excited eigenvalues (GHz), sorted along the last axis:
-    line positions up to the per-defect offset, with the ground
-    sublevels collapsed. Strains of any shape (...) give (..., 6), from
-    one stacked solve."""
-    return eigensolve(strain_hamiltonians(strain_family(params),
-                                          delta_perp), vectors=False)
+def predicted_lines(family, delta_perp):
+    """The six excited eigenvalues (GHz) of a `strain_family`, sorted
+    along the last axis: line positions up to the per-defect offset,
+    with the ground sublevels collapsed. Strains of any shape (...) give
+    (..., 6), from one stacked solve."""
+    return eigensolve(strain_hamiltonians(family, delta_perp), vectors=False)
 
 
 def _mean(x):
@@ -162,7 +165,7 @@ def _groups(data):
     return [(idx, np.sort([data[i].lines for i in idx])) for idx in idxs]
 
 
-def _newton_strains(params, grid, costs, meas, start=None):
+def _newton_strains(family, grid, costs, meas, start=None):
     """Per-defect strain minimization for any line count, batched across
     defects and kept in the bracket of grid points around the coarse-grid
     minimum. Full line lists start from the strains start where they lie
@@ -181,7 +184,6 @@ def _newton_strains(params, grid, costs, meas, start=None):
     point; after NEWTON_STEPS steps it is the last point evaluated.
     Returns it with the last cost evaluated, or the start where that
     costs less."""
-    family = strain_family(params)
     rows = np.arange(costs.shape[0])
     k = np.argmin(costs, axis=1)
     kb = np.clip(k, 1, grid.size - 2)
@@ -192,7 +194,7 @@ def _newton_strains(params, grid, costs, meas, start=None):
     if meas.shape[1] < N_LINES:
         spacing = (hi - lo) / (RESCAN + 1)
         scan = lo[:, None] + spacing[:, None] * np.arange(1, RESCAN + 1)
-        scan_costs = _cost(predicted_lines(params, scan), meas[:, None, :])
+        scan_costs = _cost(predicted_lines(family, scan), meas[:, None, :])
         j = np.argmin(scan_costs, axis=1)
         better = scan_costs[rows, j] < cost0
         x = x0 = np.where(better, scan[rows, j], x0)
@@ -221,27 +223,28 @@ def _newton_strains(params, grid, costs, meas, start=None):
     return np.where(kept, x, x0), np.where(kept, cost, cost0)
 
 
-def _solve_strains(params, groups, guess=None):
-    """Every defect's best strain at params and its cost, in data
-    order: a scan of STRAIN_GRID, then `_newton_strains`; full line lists
-    start from the strains guess (data order) where given. Also flags the
-    defects whose best grid strain is STRAIN_MAX."""
+def _solve_strains(family, groups, guess=None):
+    """Every defect's best strain in a parameter point's family and its
+    cost, in data order: a scan of STRAIN_GRID, then `_newton_strains`;
+    full line lists start from the strains guess (data order) where
+    given. Also flags the defects whose best grid strain is STRAIN_MAX."""
     n = sum(idx.size for idx, _ in groups)
-    grid_pred = predicted_lines(params, STRAIN_GRID)
+    grid_pred = predicted_lines(family, STRAIN_GRID)
     strains, costs = np.empty(n), np.empty(n)
     at_edge = np.empty(n, dtype=bool)
     for idx, meas in groups:
         grid_costs = _cost(grid_pred, meas[:, None, :])
         strains[idx], costs[idx] = _newton_strains(
-            params, STRAIN_GRID, grid_costs, meas,
+            family, STRAIN_GRID, grid_costs, meas,
             None if guess is None else guess[idx])
         at_edge[idx] = np.argmin(grid_costs, axis=1) == STRAIN_GRID.size - 1
     return strains, costs, at_edge
 
 
-def _linearize(params, names, strains, groups):
-    """The matched residuals at the strains and their reduced Jacobian in
-    the globals names, from one eigensolve per group of `_groups`.
+def _linearize(params, family, ops, strains, groups):
+    """The matched residuals at the strains in params' family and their
+    reduced Jacobian in the globals of the `parameter_operators` ops,
+    from one eigensolve per group of `_groups`.
     Returns the residuals r and the Jacobian J (rows, p), group after
     group, then per defect in data order: the offsets, the squared
     residuals, the matched rows of _INJECTIONS and the strains'
@@ -257,11 +260,9 @@ def _linearize(params, names, strains, groups):
     (J_delta . J_delta), as the strain is re-minimized at every point;
     to the same (Gauss-Newton) order that strain moves by -coef per unit
     of each global."""
-    family = strain_family(params)
-    ops = parameter_operators(tuple(names))
-    n = strains.size
+    n, p = strains.size, ops.shape[0]
     offsets, sq = np.empty(n), np.empty(n)
-    rows, d_strain = [None] * n, np.empty((n, len(names)))
+    rows, d_strain = [None] * n, np.empty((n, p))
     r, jacs = [], []
     for idx, meas in groups:
         values, d_delta, d_theta = strain_slopes(family, strains[idx], ops)
@@ -287,7 +288,7 @@ def _linearize(params, names, strains, groups):
         coef = np.where(np.isfinite(coef), coef, 0.0)
         jac = j_theta - coef * j_delta[:, None, :]
         r.append(diff.ravel())
-        jacs.append(jac.transpose(0, 2, 1).reshape(-1, len(names)))
+        jacs.append(jac.transpose(0, 2, 1).reshape(-1, p))
         d_strain[idx] = -coef[..., 0]
     return np.concatenate(r), np.concatenate(jacs), offsets, sq, rows, \
         d_strain
@@ -313,7 +314,8 @@ def fit(data, params=None, free_lambda_perp=False):
     free, is kept at least PERP_FLOOR. A defect whose best grid point is
     STRAIN_MAX flags the fit not converged and is listed in `edge_ids`;
     so does a global other than lambda_perp that ends exactly on an end
-    of its BOUNDS, listed in `bound_names`.
+    of its BOUNDS, listed in `bound_names`. `reason` names those, else
+    the stall, else the iteration limit; it is empty once converged.
     1 sigma errors of the globals come from the final Jacobian,
     (J^T J)^-1 cost / (lines - free). No defects, or fewer lines than
     free parameters, is an input error (ValueError); a cost not finite at
@@ -338,21 +340,23 @@ def fit(data, params=None, free_lambda_perp=False):
         # the cost's gradient vanish, and no step would leave 0
         lo[-1] = max(lo[-1], PERP_FLOOR)
     groups = _groups(data)
+    ops = parameter_operators(names)
 
     # a trial whose cost overflows is merely rejected
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(theta, guess=None):
         params = replace(start, **dict(zip(names, theta)))
-        strains, costs, at_edge = _solve_strains(params, groups, guess)
-        return params, strains, at_edge, float(costs.sum())
+        family = strain_family(params)
+        strains, costs, at_edge = _solve_strains(family, groups, guess)
+        return params, family, strains, at_edge, float(costs.sum())
 
     theta = np.clip([getattr(start, n) for n in names], lo, hi)
-    params, strains, at_edge, cost = evaluate(theta)
+    params, family, strains, at_edge, cost = evaluate(theta)
     if not np.isfinite(cost):
         raise FitError(f"the cost at the starting parameters is not finite "
                        f"({cost:g}): line positions out of range")
     # linearized once per accepted point, the last one reused below
-    lin = _linearize(params, names, strains, groups)
+    lin = _linearize(params, family, ops, strains, groups)
     mu, nit, converged, stalled = MU_START, 0, False, False
     while not (converged or stalled) and nit < MAX_ITER:
         nit += 1
@@ -382,10 +386,10 @@ def fit(data, params=None, free_lambda_perp=False):
             # each defect's strain there, to first order, starts its
             # Newton refinement
             state = evaluate(trial, strains + d_strain @ (trial - theta))
-            if state[3] < cost:
-                converged = cost - state[3] <= TOL * cost
-                theta, (params, strains, at_edge, cost) = trial, state
-                lin = _linearize(params, names, strains, groups)
+            if state[-1] < cost:
+                converged = cost - state[-1] <= TOL * cost
+                theta, (params, family, strains, at_edge, cost) = trial, state
+                lin = _linearize(params, family, ops, strains, groups)
                 mu /= 10.0
                 break
             mu *= 10.0
@@ -395,6 +399,15 @@ def fit(data, params=None, free_lambda_perp=False):
 
     on_bound = tuple(n for n, t in zip(names, theta.tolist())
                      if n != "lambda_perp" and t in BOUNDS[n])
+    edge_ids = tuple(d.id for d, e in zip(data, at_edge) if e)
+    reason = "; ".join(f"{what}: {', '.join(ids)}" for what, ids in (
+        ("defects at the strain-grid edge", edge_ids),
+        ("globals on an end of their fit bounds", on_bound)) if ids)
+    if not (reason or converged):
+        reason = ("no step the optimizer tried lowered the cost "
+                  f"(iteration {nit})" if stalled else
+                  "the optimizer stopped at its iteration limit "
+                  f"({nit} iterations)")
     _, jac, offsets, sq, rows, _ = lin
     dof = n_lines - n_free
     errors = {}
@@ -411,13 +424,13 @@ def fit(data, params=None, free_lambda_perp=False):
         offsets={d.id: float(x) for d, x in zip(data, offsets)},
         residual_rms=float(np.sqrt(sq.sum() / n_lines)),
         iterations=nit,
-        converged=converged and not (at_edge.any() or on_bound),
         stalled=stalled,
         assignments={d.id: list(enumerate(row))
                      for d, row in zip(data, rows)},
-        edge_ids=tuple(d.id for d, e in zip(data, at_edge) if e),
+        edge_ids=edge_ids,
         bound_names=on_bound,
         errors=errors,
+        reason=reason,
     )
 
 
@@ -428,7 +441,7 @@ def synthesize_dataset(params, strains, offsets=None, noise=0.0, seed=0):
     if offsets is None:
         offsets = rng.uniform(-5.0, 5.0, size=len(strains))
     defects = []
-    for i, lines in enumerate(predicted_lines(params, strains)
+    for i, lines in enumerate(predicted_lines(strain_family(params), strains)
                               + np.asarray(offsets)[:, None]):
         if noise > 0:
             lines = lines + rng.normal(0.0, noise, size=lines.size)

@@ -151,16 +151,14 @@ GAUGE = np.array([1, 1j, 1, 1j, 1, 1j])
 
 def gauged(m):
     """D^dagger m D of each 6x6 operator in m (..., 6, 6), D = diag(GAUGE),
-    contiguous and read-only: real where its imaginary part is exactly
-    zero (each term of H, and H at strain along x: multiplying by +-i is
-    exact), complex otherwise. Nothing read off eigenvectors depends on
-    D: populations, overlaps between gauged eigenvectors and
-    Hellmann-Feynman slopes do not, and each symmetry state lies on the
-    even or on the odd basis indices only, where D is one phase."""
+    contiguous: real where its imaginary part is exactly zero (each term
+    of H, and H at strain along x: multiplying by +-i is exact), complex
+    otherwise. Nothing read off eigenvectors depends on D: populations,
+    overlaps between gauged eigenvectors and Hellmann-Feynman slopes do
+    not, and each symmetry state lies on the even or on the odd basis
+    indices only, where D is one phase."""
     m = GAUGE.conj()[:, None] * m * GAUGE
-    m = np.ascontiguousarray(m if m.imag.any() else m.real)
-    m.flags.writeable = False
-    return m
+    return np.ascontiguousarray(m if m.imag.any() else m.real)
 
 
 def _ket(index):

@@ -174,8 +174,9 @@ def expm(a):
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            r = r @ r
     return r
 
 
@@ -192,7 +193,8 @@ def propagate(pop, generator, duration):
     pop = np.asarray(pop, dtype=float)
     if duration == 0:
         return pop.copy()
-    out = expm(generator * duration) @ pop
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm(generator * duration) @ pop
     err = abs(out.sum() - pop.sum())
     if not err <= 1e-9:   # also catches NaN
         raise RateModelError(
@@ -289,7 +291,8 @@ READOUT_NS = 1000.0
 def polarize(params, strain, rp):
     """Green initialization pulse (GREEN_INIT_NS) followed by a dark
     interval (SETTLE_NS) letting the excited and metastable populations
-    relax back to the ground manifold."""
+    relax back to the ground manifold. Known fault: both also run the
+    resonant laser at detuning 0, `build_rate_matrix`'s default."""
     g_on = build_rate_matrix(params, strain, rp, green_on=True)
     pop = propagate(uniform_ground(), g_on, GREEN_INIT_NS)
     g_off = build_rate_matrix(params, strain, rp)

@@ -15,7 +15,6 @@ real solvers; nothing read off the eigenvectors depends on D.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,27 +53,24 @@ class SweepResult:
     ambiguous_points: list            # grid indices where tracking overlap^2 < 0.5
 
 
-@lru_cache(maxsize=16)
 def strain_family(params):
     """(h0, hd, hd_neg): the Hamiltonian at transverse strain (delta, 0)
     is h0 + delta * hd for delta >= 0 and h0 + delta * hd_neg below, with
     the slopes STRAIN_X +- e_es_coeff * SX2_MINUS_SY2 read off the model's
     terms: the e_es term follows |delta|. Sweeps run along x; off that
     axis the levels also depend on the strain's direction. All three
-    are real, in the gauge of `model.gauged`. Cached read-only: the fit
-    asks for the same params once per strain refinement step."""
+    are real, in the gauge of `model.gauged`; built anew at each call."""
     e_es = params.e_es_coeff * SX2_MINUS_SY2
     return tuple(gauged(np.stack([
         build_excited_hamiltonian(params, StrainVector(0.0, 0.0)),
         STRAIN_X + e_es, STRAIN_X - e_es])))
 
 
-@lru_cache(maxsize=4)
 def parameter_operators(names):
-    """dH/d(name) for each of the tuple names, stacked (p, 6, 6) and in
-    the gauge of `strain_family`: the operator each of LINEAR_PARAMS
-    multiplies in the model's term table, the same at every parameter
-    value and strain."""
+    """dH/d(name) for each of names, stacked (p, 6, 6) and in the gauge
+    of `strain_family`: the operator each of LINEAR_PARAMS multiplies in
+    the model's term table, the same at every parameter value and
+    strain."""
     if not set(names) <= set(LINEAR_PARAMS):
         raise ValueError(f"the Hamiltonian is linear only in "
                          f"{', '.join(LINEAR_PARAMS)}")

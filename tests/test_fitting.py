@@ -17,7 +17,7 @@ from nvsim.fitting import (_INJECTIONS, BOUNDS, COARSE_STEP, NEWTON_STEPS,
 from nvsim.linalg import eigensolve_counts
 from nvsim.model import (FineStructureParams, StrainVector,
                          build_excited_hamiltonian)
-from nvsim.sweep import strain_family, strain_slopes
+from nvsim.sweep import parameter_operators, strain_family, strain_slopes
 
 TRUTH = FineStructureParams()
 # c11's starting point, 0.1-0.3 GHz off the truth
@@ -153,7 +153,7 @@ class TestMatch:
                        "all six predicted lines, so a defect missing an "
                        "outer line is matched to the wrong lines")
     def test_recovers_lines_missing_an_outer_one(self):
-        pred = predicted_lines(TRUTH, 10.0)
+        pred = predicted_lines(strain_family(TRUTH), 10.0)
         diff, _, _ = _match(pred, pred[:5] + 1.7)
         assert np.max(np.abs(diff)) < 1e-9
 
@@ -171,10 +171,11 @@ class TestGaussNewtonStrains:
         h = 1e-5
         assume(abs(delta) > 10 * h)    # the e_es term kinks at zero strain
         params = replace(TRUTH, lambda_perp=lambda_perp, e_es_coeff=e_es)
-        values, slopes = strain_slopes(strain_family(params), delta)
+        family = strain_family(params)
+        values, slopes = strain_slopes(family, delta)
         assume(np.min(np.diff(values)) > 0.01)     # non-degenerate
-        central = (predicted_lines(params, delta + h)
-                   - predicted_lines(params, delta - h)) / (2 * h)
+        central = (predicted_lines(family, delta + h)
+                   - predicted_lines(family, delta - h)) / (2 * h)
         assert np.all(np.abs(slopes - central) <= 1e-6 * np.abs(slopes))
 
     # the draws of test_slopes_match_central_differences
@@ -209,23 +210,21 @@ class TestGaussNewtonStrains:
         # grid's end
         strains = [0.3, 1.1, 4.0, 7.31, 12.0, 15.5, 21.0, 26.0, 29.8]
         data = synthesize_dataset(TRUTH, strains, noise=0.01, seed=12)
-        params = replace(TRUTH, lambda_z=TRUTH.lambda_z + shift,
-                         d_es=TRUTH.d_es + shift,
-                         delta_cap=TRUTH.delta_cap + shift)
+        family = strain_family(shifted(shift))
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
         (_, meas), = _groups(data)
-        grid_costs = _cost(predicted_lines(params, grid), meas[:, None, :])
-        x_gn, cost_gn = _newton_strains(params, grid, grid_costs, meas)
+        grid_costs = _cost(predicted_lines(family, grid), meas[:, None, :])
+        x_gn, cost_gn = _newton_strains(family, grid, grid_costs, meas)
         # 5001 points across each defect's grid bracket
         k = np.clip(np.argmin(grid_costs, axis=1), 1, grid.size - 2)
         scan = grid[k - 1, None] + np.linspace(0.0, 2 * COARSE_STEP, 5001)
-        scan_min = _cost(predicted_lines(params, scan),
+        scan_min = _cost(predicted_lines(family, scan),
                          meas[:, None, :]).min(axis=1)
         assert np.all(cost_gn <= scan_min * (1 + 1e-9) + 1e-16)
         assert np.all(cost_gn <= grid_costs.min(axis=1))
         # the reported cost is the cost at the reported strain
         assert cost_gn == pytest.approx(
-            _cost(predicted_lines(params, x_gn), meas),
+            _cost(predicted_lines(family, x_gn), meas),
             rel=1e-9, abs=1e-16)
 
 
@@ -238,9 +237,10 @@ class TestGaussNewtonStrains:
                                        if i not in drop)) for d in full]
         (_, meas), = _groups(data)
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
-        grid_costs = _cost(predicted_lines(TRUTH, grid), meas[:, None, :])
+        family = strain_family(TRUTH)
+        grid_costs = _cost(predicted_lines(family, grid), meas[:, None, :])
         assert np.argmin(grid_costs) == grid.size - 1
-        x, cost = _newton_strains(TRUTH, grid, grid_costs, meas)
+        x, cost = _newton_strains(family, grid, grid_costs, meas)
         assert x[0] == STRAIN_MAX
         assert cost[0] <= grid_costs.min()
 
@@ -300,16 +300,16 @@ class TestStoppedSearches:
             reason="the strain of defect 3 ends at 12.9375 GHz, off a "
                    "minimum, where the L1 matching rule kinks the cost"))])
     def test_ends_at_a_minimum_below_the_grid(self, shift, kind):
-        params = shifted(shift)
+        family = strain_family(shifted(shift))
         groups = _groups(stop_ensemble(kind))
-        strains, costs, _ = _solve_strains(params, groups)
+        strains, costs, _ = _solve_strains(family, groups)
         (_, meas), = groups
-        grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
+        grid_costs = _cost(predicted_lines(family, STRAIN_GRID),
                            meas[:, None, :])
         assert np.all(costs <= grid_costs.min(axis=1))
         # 21 points 1e-7 GHz apart, the refined strain in the middle
         scan = strains[:, None] + np.arange(-10, 11) * 1e-7
-        scan_costs = _cost(predicted_lines(params, scan), meas[:, None, :])
+        scan_costs = _cost(predicted_lines(family, scan), meas[:, None, :])
         assert np.all(scan_costs.min(axis=1)
                       >= scan_costs[:, 10] * (1 - 1e-12))
 
@@ -351,30 +351,30 @@ class TestStoppedSearches:
         # lines with lambda_perp = 1 GHz read at lambda_perp = 1 MHz: near
         # the 7.314 GHz anticrossing r.E'' outweighs J.J, and Newton steps
         # from there climb to a maximum
-        meas = predicted_lines(replace(TRUTH, lambda_perp=1.0), [7.314])
-        params = replace(TRUTH, lambda_perp=1e-3)
+        meas = predicted_lines(
+            strain_family(replace(TRUTH, lambda_perp=1.0)), [7.314])
+        family = strain_family(replace(TRUTH, lambda_perp=1e-3))
         start = np.array([7.309])
-        values, slopes, curv = strain_slopes(strain_family(params), start,
-                                             curvatures=True)
+        values, slopes, curv = strain_slopes(family, start, curvatures=True)
         r = _match(values, meas)[0]
         jac = slopes - slopes.mean()
         assert (jac * jac).sum() + (r * curv).sum() < 0
-        grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
+        grid_costs = _cost(predicted_lines(family, STRAIN_GRID),
                            meas[:, None, :])
-        _, cost = _newton_strains(params, STRAIN_GRID, grid_costs, meas,
+        _, cost = _newton_strains(family, STRAIN_GRID, grid_costs, meas,
                                   start)
         scan = np.linspace(7.0, 7.5, 5001)      # the grid bracket
-        assert cost[0] <= _cost(predicted_lines(params, scan),
+        assert cost[0] <= _cost(predicted_lines(family, scan),
                                 meas).min() * (1 + 1e-9)
 
     @pytest.mark.parametrize("offset", [1e-3, -0.1, 0.3])
     def test_gauss_newton_starts_inside_the_bracket(self, offset,
                                                     monkeypatch):
-        params = shifted(0.4)
+        family = strain_family(shifted(0.4))
         (_, meas), = _groups(stop_ensemble("full"))
-        grid_costs = _cost(predicted_lines(params, STRAIN_GRID),
+        grid_costs = _cost(predicted_lines(family, STRAIN_GRID),
                            meas[:, None, :])
-        x_grid, cost_grid = _newton_strains(params, STRAIN_GRID,
+        x_grid, cost_grid = _newton_strains(family, STRAIN_GRID,
                                             grid_costs, meas)
         start = x_grid + offset
         first = []
@@ -383,7 +383,7 @@ class TestStoppedSearches:
                             lambda family, x, **kwargs: (
                                 first.append(np.copy(x)),
                                 slopes(family, x, **kwargs))[1])
-        x, cost = _newton_strains(params, STRAIN_GRID, grid_costs, meas,
+        x, cost = _newton_strains(family, STRAIN_GRID, grid_costs, meas,
                                   start)
         # the bracket is the grid points either side of the grid minimum
         k = np.argmin(grid_costs, axis=1)
@@ -502,6 +502,14 @@ class TestFit:
         assert res.iterations == 2
         assert not res.converged
 
+    def test_reason_names_what_kept_the_fit_from_converging(self):
+        data = synthesize_dataset(TRUTH, [3.0, 8.0, 14.0, 20.0, 31.0],
+                                  seed=0)
+        res = fit(data, self.INIT)
+        assert res.reason == "defects at the strain-grid edge: nv05"
+        assert not res.converged
+        assert fit(data[:4], self.INIT).reason == ""
+
     def test_converged_fit_has_no_edge_ids(self):
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
         assert fit(data, self.INIT).edge_ids == ()
@@ -530,14 +538,14 @@ class TestFit:
             replace(data[0], lines=data[0].lines + (30.0,))
 
     def test_predicted_lines_sorted(self):
-        vals = predicted_lines(TRUTH, 4.0)
+        vals = predicted_lines(strain_family(TRUTH), 4.0)
         assert np.all(np.diff(vals) >= 0)
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
     def test_predicted_lines_batch_any_shape(self, shape):
         params = replace(TRUTH, e_es_coeff=0.05)
         strains = np.random.default_rng(8).uniform(-25.0, 25.0, shape)
-        lines = predicted_lines(params, strains)
+        lines = predicted_lines(strain_family(params), strains)
         assert lines.shape == shape + (6,)
         direct = [np.linalg.eigvalsh(build_excited_hamiltonian(
             params, StrainVector(d, 0.0))) for d in np.ravel(strains)]
@@ -577,11 +585,12 @@ class TestVariableProjection:
 
         def cost(theta):
             params = replace(TRUTH, **dict(zip(names, theta)))
-            return _solve_strains(params, groups)[1].sum()
+            return _solve_strains(strain_family(params), groups)[1].sum()
 
         params = replace(TRUTH, **dict(zip(names, theta)))
-        strains = _solve_strains(params, groups)[0]
-        r, jac = _linearize(params, names, strains, groups)[:2]
+        strains = _solve_strains(strain_family(params), groups)[0]
+        r, jac = _linearize(params, strain_family(params),
+                            parameter_operators(names), strains, groups)[:2]
         h = 1e-5
         for j, step in enumerate(h * np.eye(len(names))):
             central = (cost(theta + step) - cost(theta - step)) / (2 * h)
@@ -657,9 +666,9 @@ class TestVariableProjection:
     def test_each_accepted_point_linearized_once(self, monkeypatch, keep):
         linearize, points = fitting._linearize, []
 
-        def recorded(params, names, strains, groups):
-            points.append(repr((params, strains.tolist())))
-            return linearize(params, names, strains, groups)
+        def recorded(params, *args):
+            points.append(repr((params, args[2].tolist())))
+            return linearize(params, *args)
 
         monkeypatch.setattr(fitting, "_linearize", recorded)
         # noise-free, so the loop ends on the step test, after which the
@@ -670,6 +679,22 @@ class TestVariableProjection:
         assert res.converged and res.iterations >= 2
         # the start, then one point per accepted step
         assert len(set(points)) == len(points) == res.iterations
+
+    def test_one_strain_family_per_parameter_point(self, monkeypatch):
+        # the family each evaluated point builds serves its strain solve
+        # and, once accepted, its linearization: 4 builds a point before
+        # they were handed down
+        full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
+                                  seed=7)
+        calls = {"strain_family": 0, "_solve_strains": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(fitting, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(fitting, name, counted)
+        assert fit([replace(d, lines=d.lines[1:5]) for d in full],
+                   START).converged
+        assert calls == {"strain_family": 5, "_solve_strains": 5}
 
     def test_no_lower_cost_is_not_convergence(self, monkeypatch):
         # a cost that never falls below the start's: each damped step is

@@ -173,7 +173,7 @@ class TestRealGauge:
         rng = np.random.default_rng(64)
         for params in [DEFAULTS] + [self.random_params(rng)
                                     for _ in range(20)]:
-            _, hd, hd_neg = strain_family.__wrapped__(params)
+            _, hd, hd_neg = strain_family(params)
             e_es = params.e_es_coeff * SX2_MINUS_SY2
             assert np.array_equal(hd, gauged(STRAIN_X + e_es))
             assert np.array_equal(hd_neg, gauged(STRAIN_X - e_es))
