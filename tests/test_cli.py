@@ -797,6 +797,44 @@ class TestExitCodes:
 
 
 class TestImportCost:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        code = ("import sys, nvsim.cli; print(sorted(n for n in sys.modules "
+                "if n.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["rabi", "fit"])
+    def test_command_loads_no_scipy(self, tmp_path, command):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        cfg, out = make_config(tmp_path)
+        argv = ["--config", cfg, command]
+        if command == "fit":
+            argv.append(write_fixture(tmp_path, n=4))
+        code = ("import sys; from nvsim.cli import run; "
+                "rc = run(sys.argv[1:]); print(rc, sorted(n for n in "
+                "sys.modules if n.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "0 []"
+        assert (out / "manifest.txt").exists()
+
+    def test_fit_loads_no_numpy_ma(self, tmp_path):
+        src = str(Path(nvsim.__file__).resolve().parents[1])
+        cfg, out = make_config(tmp_path)
+        code = ("import sys; from nvsim.cli import run; "
+                "rc = run(sys.argv[1:]); print(rc, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code, "--config", cfg,
+                              "fit", write_fixture(tmp_path, n=4)],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        assert res.stdout.splitlines()[-1] == "0 False"
+        assert (out / "fit_strains.csv").exists()
+
     def test_cli_import_loads_no_command_module(self):
         # the fit, the lineshape, the rate model, input hashing and
         # numpy.ma load only where a command uses them, and scipy nowhere
