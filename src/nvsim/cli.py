@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Every subcommand reads an optional flat config file (--config flag or
-NVSIM_CONFIG environment variable), computes its tables and hands them
-to `_finish`, the one writer: it writes them plus a run manifest into
-the configured output directory and prints a short summary once every
-file is written; a closed stdout ends that output quietly. Exit codes:
-0 success, 1 usage/configuration error (an `odmr` strain with unresolved
-branches and an output that cannot be written included), 2 numerical
-failure.
+Every subcommand reads an optional flat config file (--config), computes
+its tables and hands them to `_finish`, the one writer: it writes them
+plus a run manifest, whose command line replays by POSIX shell rules,
+into the configured output directory and prints a short summary once
+every file is written; a closed stdout ends that output quietly. Exit
+codes: 0 success, 1 usage/configuration error (a ValueError, an `odmr`
+strain with unresolved branches included) or an output that cannot be
+written, 2 numerical failure.
 
 Each command imports the modules it runs when it runs, so a process
 loads only what its subcommand uses.
@@ -30,15 +30,15 @@ import sys
 
 import numpy as np
 
-from .config import (Config, ConfigError, RunManifest, format_number,
-                     linear_grid, load_config, sha256_file, write_csv)
-from .model import GPA_TO_GHZ, StrainVector, zero_strain_levels
+from .config import (Config, RunManifest, format_number, linear_grid,
+                     load_config, sha256_file, write_csv)
+from .model import StrainVector, zero_strain_levels
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -64,8 +64,7 @@ def _build_parser():
         "run manifest into the configured output directory. Exit codes: "
         "0 success, 1 usage or configuration error, 2 numerical failure."))
     p.add_argument("--config", default=None,
-                   help="flat key=value config file "
-                        "(default: $NVSIM_CONFIG if set)")
+                   help="flat key=value config file")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("levels", help="zero-strain fine-structure table")
@@ -75,19 +74,18 @@ def _build_parser():
                     help="report gap minima below this (GHz)")
 
     sp = sub.add_parser("lines", help="optical transition table")
-    _strain_flags(sp)
+    _strain_flag(sp)
 
     sp = sub.add_parser("excitation", help="PL excitation spectrum")
-    _strain_flags(sp)
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--mw-on", dest="mw", action="store_true", default=True)
-    g.add_argument("--mw-off", dest="mw", action="store_false")
+    _strain_flag(sp)
+    sp.add_argument("--mw-off", dest="mw", action="store_false",
+                    help="no microwave drive (default: driven)")
     sp.add_argument("--detuning-min", type=float, default=-10.0)
     sp.add_argument("--detuning-max", type=float, default=10.0)
     sp.add_argument("--detuning-points", type=int, default=801)
 
     sp = sub.add_parser("rabi", help="MW nutation trace")
-    _strain_flags(sp)
+    _strain_flag(sp)
     sp.add_argument("--readout", choices=("sz", "sxy"), default="sz",
                     help="optical readout line family")
     sp.add_argument("--omega-mw", type=float, default=2.0 * np.pi / 200.0,
@@ -96,7 +94,7 @@ def _build_parser():
     sp.add_argument("--tau-points", type=int, default=81)
 
     sp = sub.add_parser("odmr", help="motional-exchange ESR lineshape")
-    _strain_flags(sp, default=20.0)
+    _strain_flag(sp, default=20.0)
     sp.add_argument("--temperature", type=float, default=300.0)
     sp.add_argument("--temperature-scan", action="store_true",
                     help="emit contrast vs temperature instead")
@@ -117,18 +115,18 @@ def _build_parser():
     return p
 
 
-def _strain_flags(sp, default=3.0):
-    g = sp.add_mutually_exclusive_group()
-    g.add_argument("--strain", type=float, default=default,
-                   help=f"transverse strain, GHz (default {default})")
-    g.add_argument("--gpa", type=float, default=None,
-                   help="transverse stress, GPa (converted at "
-                        f"{GPA_TO_GHZ:g} GHz/GPa)")
+def _strain_flag(sp, default=3.0):
+    # its consumers check the value (`model.checked_strains`)
+    sp.add_argument("--strain", type=float, default=default,
+                    help=f"transverse strain, GHz (default {default})")
 
 
-def _resolve_strain(args):
-    """The strain in GHz; its consumers check it (`model.checked_strains`)."""
-    return args.strain if args.gpa is None else args.gpa * GPA_TO_GHZ
+def _shell_quote(token):
+    """`token` as one POSIX shell word, as `shlex.quote` gives it (without
+    importing shlex in every command's process)."""
+    if token and not re.search(r"[^\w@%+=:,./-]", token, re.ASCII):
+        return token
+    return "'" + token.replace("'", "'\"'\"'") + "'"
 
 
 def _finish(cfg, command, files, summary, inputs=()):
@@ -136,9 +134,11 @@ def _finish(cfg, command, files, summary, inputs=()):
     name, in write order, to its content: a CSV `(header, rows)` pair
     (`write_csv`) or text, written as is. Creates output_dir, writes each
     file, then manifest.txt (the hashes of the input paths `inputs`
-    included), then prints the summary and a `wrote` line per file,
-    manifest.txt last. A closed stdout (`nvsim sweep | head -1`) ends
-    that output quietly."""
+    included, taken before any output is written, so an output cannot
+    overwrite an input first), then prints the summary and a `wrote`
+    line per file, manifest.txt last. A closed stdout (`nvsim sweep |
+    head -1`) ends that output quietly."""
+    hashes = {p: sha256_file(p) for p in inputs}
     os.makedirs(cfg["output_dir"], exist_ok=True)
     paths = [os.path.join(cfg["output_dir"], name)
              for name in [*files, "manifest.txt"]]
@@ -148,8 +148,7 @@ def _finish(cfg, command, files, summary, inputs=()):
                 fh.write(content)
         else:
             write_csv(path, *content)
-    RunManifest(command=command, config=cfg,
-                inputs={p: sha256_file(p) for p in inputs},
+    RunManifest(command=command, config=cfg, inputs=hashes,
                 outputs=list(files)).write(paths[-1])
     try:
         print("\n".join([summary] + [f"wrote {p}" for p in paths]),
@@ -190,7 +189,7 @@ def _cmd_sweep(cfg, args, command):
 
 def _cmd_lines(cfg, args, command):
     from .photodynamics import transition_lines
-    strain = StrainVector(_resolve_strain(args), 0.0)
+    strain = StrainVector(args.strain, 0.0)
     lines = transition_lines(cfg.fine_structure(), strain)
     strong = sum(1 for ln in lines if not ln.weak)
     _finish(cfg, command, {"lines.csv": (
@@ -204,7 +203,7 @@ def _cmd_lines(cfg, args, command):
 
 def _cmd_excitation(cfg, args, command):
     from .photodynamics import excitation_spectrum
-    strain = StrainVector(_resolve_strain(args), 0.0)
+    strain = StrainVector(args.strain, 0.0)
     grid = linear_grid(args.detuning_min, args.detuning_max,
                        args.detuning_points,
                        "--detuning-min and --detuning-max",
@@ -229,7 +228,7 @@ def _pick_readout_line(lines, family):
 
 def _cmd_rabi(cfg, args, command):
     from .photodynamics import rabi_trace, transition_lines
-    strain = StrainVector(_resolve_strain(args), 0.0)
+    strain = StrainVector(args.strain, 0.0)
     params, rp = cfg.fine_structure(), cfg.rates()
     line = _pick_readout_line(transition_lines(params, strain),
                               args.readout)
@@ -245,7 +244,7 @@ def _cmd_odmr(cfg, args, command):
     from .motional import (ExchangeModel, branch_esr_frequencies,
                            esr_contrast_vs_temperature, exchange_lineshape)
     params = cfg.fine_structure()
-    dperp = _resolve_strain(args)
+    dperp = args.strain
     tmap = cfg.temperature_map()
     linewidth_0 = cfg.rates().linewidth * 5     # ESR intrinsic width, GHz
     if args.temperature_scan:
@@ -358,9 +357,9 @@ def run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg_path = args.config or os.environ.get("NVSIM_CONFIG")
-        cfg = load_config(cfg_path) if cfg_path else Config()
-        _COMMANDS[args.command](cfg, args, " ".join(["nvsim"] + list(argv)))
+        cfg = load_config(args.config) if args.config else Config()
+        _COMMANDS[args.command](cfg, args, " ".join(
+            map(_shell_quote, ["nvsim", *argv])))
         return 0
     # every nvsim numerical error subclasses ArithmeticError, so this
     # needs no module a command did not import; LinAlgError subclasses
@@ -368,9 +367,10 @@ def run(argv):
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"nvsim: numerical failure: {err}", file=sys.stderr)
         return NUMERICAL_EXIT
-    # inputs report their own read errors, so an OSError here is an output
-    # directory or file that cannot be written
-    except (UsageError, ConfigError, ValueError, OSError) as err:
+    # UsageError and ConfigError are ValueErrors; inputs report their own
+    # read errors, so an OSError here is an output directory or file that
+    # cannot be written
+    except (ValueError, OSError) as err:
         print(f"nvsim: error: {err}", file=sys.stderr)
         return USAGE_EXIT
     # an allocation too large for the host comes from the requested sizes

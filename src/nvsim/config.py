@@ -16,7 +16,7 @@ from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
 ARTIFACT_VERSION = "0.1.0"
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 

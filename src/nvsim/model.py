@@ -8,8 +8,7 @@ spin operators take the Cartesian angular-momentum form (S_k)_{ij} =
 
     0: Ex*Sx  1: Ex*Sy  2: Ex*Sz  3: Ey*Sx  4: Ey*Sy  5: Ey*Sz
 
-Energies are in GHz throughout; 1 GPa of external stress corresponds to
-roughly 10^3 GHz of orbital splitting (GPA_TO_GHZ).
+Energies, the transverse strain included, are in GHz throughout.
 
 The Hamiltonian is linear in each parameter and in the strain, and each
 term is stated once: PARAMETER_TERMS (parameter -> operator), STRAIN_X,
@@ -28,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigensolve
-
-GPA_TO_GHZ = 1.0e3
 
 # Largest magnitude of any strain or fine-structure parameter accepted
 # from input, GHz (1 TPa of strain); `checked_strains` is its one check.

@@ -2,7 +2,9 @@
 
 import ast
 import gc
+import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ from nvsim.cli import run
 from nvsim.config import (ARTIFACT_VERSION, Config, ConfigError, RunManifest,
                           format_number, parse_config, write_csv)
 from nvsim.fitting import synthesize_dataset
+from nvsim.linalg import eigensolve_counts
 from nvsim.model import FineStructureParams
 
 
@@ -36,13 +39,13 @@ def no_warning_err(capfd, recwarn):
     return err
 
 
-def write_fixture(tmp_path, n=8, noise=0.0, strains=None):
+def write_fixture(tmp_path, n=8, noise=0.0, strains=None, seed=18):
     if strains is None:
         rng = np.random.default_rng(17)
         strains = np.sort(rng.uniform(0.5, 20.0, n))
     rows = ["defect_id,line_ghz"]
     for d in synthesize_dataset(FineStructureParams(), strains,
-                                noise=noise, seed=18):
+                                noise=noise, seed=seed):
         rows.extend(f"{d.id},{x:.9f}" for x in d.lines)
     path = tmp_path / "fixture.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
@@ -172,6 +175,40 @@ class TestManifest:
         assert meta["tool"]["setuptools"]["dynamic"]["version"] == \
             {"attr": "nvsim.config.ARTIFACT_VERSION"}
 
+    def test_command_words_quoted_as_shlex_quotes_them(self):
+        for token in ["", "fit", "-2e6", "--strain=-1", "a b", "it's",
+                      "my lines 'v2'.csv", "$HOME", "*.csv", "x\ny", "\u00e9",
+                      "a@b%c+d=e:f,g./h-i_j"]:
+            assert cli._shell_quote(token) == shlex.quote(token), token
+
+    def test_recorded_command_replays(self, tmp_path, monkeypatch):
+        # a path with a space and a quote stays one word of the recorded
+        # line; the line, run in a fresh directory, gives the same files
+        data = tmp_path / "my lines 'v2'.csv"
+        os.replace(write_fixture(tmp_path, n=4), data)
+        first, again = tmp_path / "first", tmp_path / "again"
+        first.mkdir()
+        again.mkdir()
+        monkeypatch.chdir(first)
+        assert run(["fit", str(data)]) == 0
+        line = (first / "manifest.txt").read_text().splitlines()[0]
+        argv = shlex.split(line.split(" = ", 1)[1])
+        assert argv == ["nvsim", "fit", str(data)]
+        monkeypatch.chdir(again)
+        assert run(argv[1:]) == 0
+        assert {p.name: p.read_bytes() for p in again.iterdir()} == \
+            {p.name: p.read_bytes() for p in first.iterdir()}
+
+    def test_input_hashed_before_outputs_are_written(self, tmp_path,
+                                                      monkeypatch):
+        # an input that an output overwrites is recorded as it was read
+        monkeypatch.chdir(tmp_path)
+        os.replace(write_fixture(tmp_path, n=4), "fit_report.txt")
+        digest = hashlib.sha256(Path("fit_report.txt").read_bytes())
+        assert run(["fit", "fit_report.txt"]) == 0
+        assert f"input fit_report.txt sha256 {digest.hexdigest()}\n" in \
+            Path("manifest.txt").read_text()
+
 
 class TestCliCommands:
     def test_levels(self, tmp_path, capsys):
@@ -201,13 +238,6 @@ class TestCliCommands:
         rows = (out / "levels.csv").read_text().splitlines()[1:]
         assert sorted(r.split(",")[0] for r in rows) == sorted(
             ["E1", "E2", "E'x", "E'y", "A1", "A2"])
-
-    def test_gpa_flag_matches_strain_flag(self, tmp_path):
-        cfg, out = make_config(tmp_path)
-        assert run(["--config", cfg, "lines", "--gpa", "0.004"]) == 0
-        a = (out / "lines.csv").read_bytes()
-        assert run(["--config", cfg, "lines", "--strain", "4"]) == 0
-        assert (out / "lines.csv").read_bytes() == a
 
     def test_avg_within_band(self, tmp_path):
         cfg, out = make_config(tmp_path)
@@ -257,11 +287,12 @@ class TestCliCommands:
                                                                  abs=1e-6)
         assert "lambda_perp_err_ghz" in report
 
-    def test_env_config(self, tmp_path, monkeypatch):
-        cfg, out = make_config(tmp_path)
+    def test_config_named_by_the_flag_alone(self, tmp_path, monkeypatch):
+        cfg, _ = make_config(tmp_path, "lambda_z = 6\n")
         monkeypatch.setenv("NVSIM_CONFIG", cfg)
+        monkeypatch.chdir(tmp_path)
         assert run(["levels"]) == 0
-        assert (out / "levels.csv").exists()
+        assert "\nlambda_z = 5.3\n" in (tmp_path / "manifest.txt").read_text()
 
 
 class TestExitCodes:
@@ -283,6 +314,16 @@ class TestExitCodes:
     def test_unknown_flag(self, tmp_path, capsys):
         cfg, _ = make_config(tmp_path)
         assert run(["--config", cfg, "levels", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("argv", [["lines", "--gpa", "1"],
+                                      ["excitation", "--mw-on"]])
+    def test_each_input_has_one_flag(self, tmp_path, capsys, argv):
+        # strain is given in GHz (--strain), and the MW drive is on unless
+        # --mw-off
+        cfg, out = make_config(tmp_path)
+        assert run(["--config", cfg, *argv]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config(self, capsys):
         assert run(["--config", "/nonexistent/cfg", "levels"]) == 1
@@ -553,7 +594,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["avg", "--max-strain", "1e14"], ["avg", "--max-strain", "1e308"],
-        ["lines", "--strain", "2e6"], ["lines", "--gpa", "1001"],
+        ["lines", "--strain", "2e6"], ["excitation", "--strain", "-2e6"],
         ["rabi", "--strain=-1e16"], ["odmr", "--strain", "1e7"],
         ["sweep", "strain_max = 1e14\n"],
         ["sweep", "strain_min = -2e6\n"],
@@ -1074,6 +1115,31 @@ class TestProcessEntry:
                   if line.startswith("output ")]
         assert listed and sorted(p.name for p in out.iterdir()) \
             == sorted(listed + ["manifest.txt"])
+
+
+# eigensolve calls and matrices of each command at its default size
+# (`fit` on CI's 8-defect fixture): a change that moves this work shows here
+EIGENSOLVE_WORK = [
+    (["levels"], 1, 1), (["sweep"], 29, 863), (["lines"], 1, 1),
+    (["excitation"], 1, 1), (["rabi"], 4, 4), (["odmr"], 1, 1),
+    (["odmr", "--temperature-scan"], 1, 1), (["avg"], 1, 301),
+    (["fit"], 6, 161)]
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("argv, calls, matrices", EIGENSOLVE_WORK,
+                             ids=[command_id(w[0]) for w in EIGENSOLVE_WORK])
+    def test_eigensolve_work_per_command(self, tmp_path, capsys, argv, calls,
+                                         matrices):
+        cfg, _ = make_config(tmp_path)
+        if argv == ["fit"]:
+            argv = ["fit", write_fixture(
+                tmp_path, strains=np.linspace(2.0, 20.0, 8), seed=1)]
+        before = dict(eigensolve_counts)
+        assert run(["--config", cfg, *argv]) == 0
+        assert (eigensolve_counts["calls"] - before["calls"],
+                eigensolve_counts["matrices"] - before["matrices"]) == \
+            (calls, matrices)
 
 
 class TestDeterminism:

@@ -46,17 +46,17 @@ CONFIG_KEYS = {
     "strain_points": st.integers(2, MAX_POINTS),
 }
 
-STRAIN = {"--strain": VALUES, "--gpa": VALUES}
 FLAGS = {
     "levels": {},
     "sweep": {"--gap-threshold": VALUES},
-    "lines": STRAIN,
-    "excitation": {**STRAIN, "--mw-off": SWITCH, "--detuning-min": VALUES,
-                   "--detuning-max": VALUES, "--detuning-points": COUNTS},
-    "rabi": {**STRAIN, "--readout": st.sampled_from(["sz", "sxy"]),
+    "lines": {"--strain": VALUES},
+    "excitation": {"--strain": VALUES, "--mw-off": SWITCH,
+                   "--detuning-min": VALUES, "--detuning-max": VALUES,
+                   "--detuning-points": COUNTS},
+    "rabi": {"--strain": VALUES, "--readout": st.sampled_from(["sz", "sxy"]),
              "--omega-mw": VALUES, "--tau-max": VALUES,
              "--tau-points": COUNTS},
-    "odmr": {"--strain": ODMR_STRAINS, "--gpa": VALUES,
+    "odmr": {"--strain": ODMR_STRAINS,
              "--temperature": VALUES, "--temperature-scan": SWITCH,
              "--temp-min": VALUES, "--temp-max": VALUES,
              "--temp-points": COUNTS, "--freq-min": VALUES,

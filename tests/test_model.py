@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nvsim.linalg import eigensolve
-from nvsim.model import (GPA_TO_GHZ, PARAMETER_TERMS, STRAIN_X, STRAIN_Y,
+from nvsim.model import (PARAMETER_TERMS, STRAIN_X, STRAIN_Y,
                          TRANSVERSE_SO_SCALE, FineStructureParams,
                          StrainVector, build_excited_hamiltonian,
                          ground_levels, symmetry_states, zero_strain_levels)
@@ -86,9 +86,6 @@ class TestParams:
     def test_strain_norm(self):
         sv = StrainVector(3.0, 4.0)
         assert sv.delta_perp == 5.0
-
-    def test_gpa_conversion_constant(self):
-        assert GPA_TO_GHZ == 1.0e3
 
 
 class TestHamiltonian:
