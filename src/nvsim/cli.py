@@ -284,7 +284,7 @@ def _cmd_avg(cfg, args, command):
 def _read_defects(path):
     from .fitting import ObservedDefect
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw = fh.read().splitlines()
     except OSError as err:
         raise UsageError(f"cannot read {path}: {err}") from err

@@ -127,7 +127,7 @@ def parse_config(text):
 
 def load_config(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_config(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err

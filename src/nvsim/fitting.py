@@ -269,9 +269,9 @@ def _linearize(params, family, ops, strains, groups):
         diff, k, k_first = _match(values, meas)
         inj = _INJECTIONS[meas.shape[1]]
         if meas.shape[1] == N_LINES:
-            # the six lines' mean is tr H / 6 = zpl_offset + delta_z at
-            # every strain: the offset without the eigenvalues' rounding
-            offsets[idx] = _mean(meas) - (params.zpl_offset + params.delta_z)
+            # the six lines' mean is tr H / 6 = zpl_offset (axial strain
+            # included) at every strain: no eigenvalue rounding
+            offsets[idx] = _mean(meas) - params.zpl_offset
         else:
             offsets[idx] = _mean(meas - _take(values[:, inj], k_first))
         sq[idx] = (diff * diff).sum(axis=1)

@@ -105,13 +105,12 @@ class FineStructureParams:
     delta_cap: float = 1.55
     d_gs: float = 2.88
     e_es_coeff: float = 0.0  # Ees = e_es_coeff * delta_perp
-    delta_z: float = 0.0     # axial strain: rigid shift of all six levels
-    zpl_offset: float = 0.0  # optical reference shift relative to 1.945 eV
+    zpl_offset: float = 0.0  # rigid shift vs 1.945 eV, axial strain included
 
     def __post_init__(self):
         checked_strains((self.lambda_z, self.lambda_perp, self.d_es,
                          self.delta_cap, self.d_gs, self.e_es_coeff,
-                         self.delta_z, self.zpl_offset))
+                         self.zpl_offset))
         if self.d_gs <= 0:
             raise ValueError("d_gs must be positive")
         if self.lambda_perp < 0:
@@ -258,7 +257,7 @@ def build_excited_hamiltonian(params, strain):
     (A1, A2) pair sits at the top of the zero-strain diagram and the E
     doublet at the bottom.
     """
-    h = (params.zpl_offset + params.delta_z) * np.eye(6, dtype=complex)
+    h = params.zpl_offset * np.eye(6, dtype=complex)
     for name, op in PARAMETER_TERMS.items():
         h += getattr(params, name) * op
     h += strain.delta_x * STRAIN_X + strain.delta_y * STRAIN_Y

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,49 @@ class TestCliCommands:
         monkeypatch.chdir(tmp_path)
         assert run(["levels"]) == 0
         assert "\nlambda_z = 5.3\n" in (tmp_path / "manifest.txt").read_text()
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # spreadsheet and editor exports may start with U+FEFF; it is not
+        # part of the first key
+        cfg, out = make_config(tmp_path)
+        Path(cfg).write_text(f"lambda_z = 6\noutput_dir = {out}\n",
+                             encoding="utf-8-sig")
+        assert run(["--config", cfg, "levels"]) == 0
+        assert "\nlambda_z = 6.0\n" in (out / "manifest.txt").read_text()
+
+    def test_fit_csv_with_byte_order_mark(self, tmp_path, monkeypatch):
+        # the mark is not part of the header, and the manifest hashes the
+        # input's bytes as they are on disk
+        plain = Path(write_fixture(tmp_path, n=4))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, marked):
+            out = tmp_path / f"out_{path.stem}"
+            out.mkdir()
+            monkeypatch.chdir(out)
+            assert run(["fit", str(path)]) == 0
+            outputs.append({name: (out / name).read_bytes() for name in
+                            ("fit_report.txt", "fit_strains.csv")})
+        assert outputs[0] == outputs[1]
+        digest = hashlib.sha256(marked.read_bytes()).hexdigest()
+        assert f"input {marked} sha256 {digest}\n" in \
+            (out / "manifest.txt").read_text()
+
+    def test_axial_strain_enters_through_zpl_offset(self, tmp_path, capsys):
+        # an axial strain shifts all six levels alike, which zpl_offset
+        # does; no second key takes the same shift
+        cfg, out = make_config(tmp_path, "delta_z = 0.1\n")
+        assert run(["--config", cfg, "levels"]) == 1
+        assert "unknown key 'delta_z'" in capsys.readouterr().err
+        assert not out.exists()
+        energies = []
+        for extra in ("", "zpl_offset = 0.1\n"):
+            cfg, out = make_config(tmp_path, extra)
+            assert run(["--config", cfg, "levels"]) == 0
+            rows = (out / "levels.csv").read_text().splitlines()[1:]
+            energies.append([float(r.split(",")[1]) for r in rows])
+        assert np.max(np.abs(np.subtract(*energies[::-1]) - 0.1)) <= 2e-8
 
 
 class TestExitCodes:
@@ -1125,6 +1169,13 @@ EIGENSOLVE_WORK = [
     (["odmr", "--temperature-scan"], 1, 1), (["avg"], 1, 301),
     (["fit"], 6, 161)]
 
+# the same for three 5 x k fits: five noise-free defects at 3, 7, 12, 17
+# and 21 GHz that each report k of their six lines, from the start
+# (lambda_z, d_es, delta_cap) = (5.0, 1.3, 1.4)
+PARTIAL_FIT_WORK = [("middle_four", slice(1, 5), 27, 1065),
+                    ("lowest_three", slice(0, 3), 127, 4913),
+                    ("highest_three", slice(3, 6), 296, 10408)]
+
 
 class TestWorkCounts:
     @pytest.mark.parametrize("argv, calls, matrices", EIGENSOLVE_WORK,
@@ -1137,6 +1188,20 @@ class TestWorkCounts:
                 tmp_path, strains=np.linspace(2.0, 20.0, 8), seed=1)]
         before = dict(eigensolve_counts)
         assert run(["--config", cfg, *argv]) == 0
+        assert (eigensolve_counts["calls"] - before["calls"],
+                eigensolve_counts["matrices"] - before["matrices"]) == \
+            (calls, matrices)
+
+    @pytest.mark.parametrize("lines, calls, matrices",
+                             [w[1:] for w in PARTIAL_FIT_WORK],
+                             ids=[w[0] for w in PARTIAL_FIT_WORK])
+    def test_eigensolve_work_per_partial_fit(self, lines, calls, matrices):
+        full = synthesize_dataset(FineStructureParams(),
+                                  [3.0, 7.0, 12.0, 17.0, 21.0], seed=0)
+        data = [replace(d, lines=d.lines[lines]) for d in full]
+        before = dict(eigensolve_counts)
+        fitting.fit(data, FineStructureParams(lambda_z=5.0, d_es=1.3,
+                                              delta_cap=1.4))
         assert (eigensolve_counts["calls"] - before["calls"],
                 eigensolve_counts["matrices"] - before["matrices"]) == \
             (calls, matrices)

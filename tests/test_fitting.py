@@ -437,18 +437,18 @@ class TestFit:
             pytest.approx(3.0, abs=1e-5)
 
     def test_full_line_offsets_in_closed_form(self):
-        # tr H = 6 (zpl_offset + delta_z) at every strain, so a six-line
-        # defect's offset is its mean line less that, to the last bit;
-        # the partial defects' offsets come from their matched lines
-        start = replace(self.INIT, zpl_offset=0.7, delta_z=-0.25)
-        truth = replace(TRUTH, zpl_offset=0.7, delta_z=-0.25)
+        # tr H = 6 zpl_offset at every strain, so a six-line defect's
+        # offset is its mean line less zpl_offset, to the last bit; the
+        # partial defects' offsets come from their matched lines
+        start = replace(self.INIT, zpl_offset=0.45)
+        truth = replace(TRUTH, zpl_offset=0.45)
         full = synthesize_dataset(truth, [2.0, 6.0, 11.0, 16.0, 21.0],
                                   noise=0.01, seed=6)
         data = full[:3] + [replace(d, lines=d.lines[1:5]) for d in full[3:]]
         res = fit(data, start)
         for d in data[:3]:
             assert res.offsets[d.id] == \
-                np.sort(d.lines).sum() / 6 - (0.7 + -0.25)
+                np.sort(d.lines).sum() / 6 - 0.45
         for d in full[3:]:
             assert res.offsets[d.id] == pytest.approx(
                 np.mean(d.lines) - 0.45, abs=0.05)

@@ -187,7 +187,7 @@ class TestEigensolve:
             params = FineStructureParams(
                 lambda_z=draw(), lambda_perp=draw(signed=False),
                 d_es=draw(), delta_cap=draw(), d_gs=draw(signed=False),
-                e_es_coeff=draw(), delta_z=draw(), zpl_offset=draw())
+                e_es_coeff=draw(), zpl_offset=draw())
             reach = 10.0 ** rng.uniform(0.0, 6.0)
             h = strain_hamiltonians(strain_family(params),
                                     np.linspace(-reach, reach, 801))

@@ -42,7 +42,6 @@ def fine_structure(draw):
         d_es=draw(st.floats(0.1, 5.0)),
         delta_cap=draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
         e_es_coeff=draw(st.floats(-0.5, 0.5)),
-        delta_z=draw(st.floats(-2.0, 2.0)),
         zpl_offset=draw(st.floats(-3.0, 3.0)))
 
 

@@ -89,7 +89,7 @@ class TestRealGauge:
         return FineStructureParams(
             lambda_z=rng.uniform(1.0, 15.0), lambda_perp=rng.uniform(0.0, 1.0),
             d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
-            e_es_coeff=rng.uniform(-0.5, 0.5), delta_z=rng.uniform(-2.0, 2.0),
+            e_es_coeff=rng.uniform(-0.5, 0.5),
             zpl_offset=rng.uniform(-3.0, 3.0))
 
     def test_family_is_real(self):
@@ -139,7 +139,7 @@ class TestRealGauge:
 
     def test_parameter_operators_rebuild_the_family(self):
         # the zero-strain family member is the sum of the linear terms,
-        # plus the identity shift of the two offsets
+        # plus the identity shift of zpl_offset
         rng = np.random.default_rng(63)
         ops = parameter_operators(LINEAR_PARAMS)
         assert ops.dtype == np.float64 and ops.shape == (4, 6, 6)
@@ -147,7 +147,7 @@ class TestRealGauge:
             params = self.random_params(rng)
             linear = np.tensordot(
                 [getattr(params, n) for n in LINEAR_PARAMS], ops, axes=1)
-            shift = (params.zpl_offset + params.delta_z) * np.eye(6)
+            shift = params.zpl_offset * np.eye(6)
             assert np.max(np.abs(strain_family(params)[0] - linear - shift)) \
                 <= 1e-12
         with pytest.raises(ValueError, match="linear only"):
@@ -690,19 +690,17 @@ class TestAveragedSplitting:
     @SEEDED
     @given(lambda_z=st.floats(0.5, 15.0), d_es=st.floats(0.1, 5.0),
            delta_cap=st.floats(0.0, 5.0), e_es_coeff=st.floats(-0.5, 0.5),
-           delta_z=st.floats(-2.0, 2.0), zpl_offset=st.floats(-3.0, 3.0),
+           zpl_offset=st.floats(-3.0, 3.0),
            strains=st.lists(st.floats(-50.0, 50.0), min_size=1,
                             max_size=20))
     def test_decoupled_splitting_is_d_es(self, lambda_z, d_es, delta_cap,
-                                         e_es_coeff, delta_z, zpl_offset,
-                                         strains):
-        # tr H = 6 (zpl_offset + delta_z) and the ms=0 pair's diagonal sums
-        # to 2 (zpl_offset + delta_z) - 4/3 D_es; at lambda_perp = 0 that
-        # pair is an eigenspace, so the split is D_es at any strain
+                                         e_es_coeff, zpl_offset, strains):
+        # tr H = 6 zpl_offset and the ms=0 pair's diagonal sums to
+        # 2 zpl_offset - 4/3 D_es; at lambda_perp = 0 that pair is an
+        # eigenspace, so the split is D_es at any strain
         params = FineStructureParams(
             lambda_z=lambda_z, lambda_perp=0.0, d_es=d_es,
-            delta_cap=delta_cap, e_es_coeff=e_es_coeff, delta_z=delta_z,
-            zpl_offset=zpl_offset)
+            delta_cap=delta_cap, e_es_coeff=e_es_coeff, zpl_offset=zpl_offset)
         split = averaged_splitting(params, strains)
         assert np.max(np.abs(split - d_es)) <= 1e-9
 
