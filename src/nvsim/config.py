@@ -6,8 +6,6 @@ blank lines ignored. Unknown and repeated keys are rejected, so a typo
 cannot pass silently. All energies are GHz, times ns, temperatures K.
 """
 
-from dataclasses import dataclass, field, fields
-
 import numpy as np
 
 from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
@@ -22,10 +20,9 @@ class ConfigError(ValueError):
 
 def _defaults():
     out = {}
-    for f in fields(FineStructureParams):
-        out[f.name] = float(f.default)
-    for f in fields(RateParams):
-        out[f.name] = float(f.default)
+    for record in (FineStructureParams, RateParams):
+        for name, value in record._field_defaults.items():
+            out[name] = float(value)
     out["hop_attempt_rate"] = DEFAULT_ATTEMPT_RATE
     out["hop_activation_mev"] = DEFAULT_ACTIVATION_MEV
     out["strain_min"] = 0.0
@@ -35,23 +32,22 @@ def _defaults():
     return out
 
 
-@dataclass
 class Config:
     """Resolved configuration: model parameters, photodynamics rates,
     hop-rate Arrhenius map, sweep grid and output directory."""
 
-    values: dict = field(default_factory=_defaults)
+    def __init__(self, values=None):
+        self.values = _defaults() if values is None else values
 
     def __getitem__(self, key):
         return self.values[key]
 
     def fine_structure(self):
-        names = {f.name for f in fields(FineStructureParams)}
-        return FineStructureParams(**{k: self.values[k] for k in names})
+        return FineStructureParams._make(
+            self.values[k] for k in FineStructureParams._fields)
 
     def rates(self):
-        names = {f.name for f in fields(RateParams)}
-        return RateParams(**{k: self.values[k] for k in names})
+        return RateParams._make(self.values[k] for k in RateParams._fields)
 
     def temperature_map(self):
         from .motional import TemperatureMap
@@ -170,14 +166,14 @@ def sha256_file(path):
     return h.hexdigest()
 
 
-@dataclass
 class RunManifest:
     """Reproducibility record emitted next to every output set."""
 
-    command: str
-    config: Config
-    inputs: dict = field(default_factory=dict)    # path -> sha256
-    outputs: list = field(default_factory=list)
+    def __init__(self, command, config, inputs=None, outputs=None):
+        self.command = command
+        self.config = config
+        self.inputs = {} if inputs is None else inputs     # path -> sha256
+        self.outputs = [] if outputs is None else outputs
 
     def render(self):
         lines = [f"command = {self.command}",

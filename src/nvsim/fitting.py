@@ -25,13 +25,13 @@ steps stop once they fall to STRAIN_TOL, or at NEWTON_STEPS.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
 
 from .linalg import eigensolve
-from .model import FineStructureParams
+from .model import FineStructureParams, Validated
 from .sweep import (parameter_operators, strain_family, strain_hamiltonians,
                     strain_slopes)
 
@@ -63,12 +63,12 @@ class FitError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class ObservedDefect:
-    id: str
-    lines: tuple            # detunings, GHz
+class ObservedDefect(Validated, namedtuple("ObservedDefect", [
+        "id",
+        "lines"])):           # detunings, GHz
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not 2 <= len(self.lines) <= N_LINES:
             raise ValueError(f"defect {self.id}: {len(self.lines)} lines, "
                              f"need 2 to {N_LINES}")
@@ -76,19 +76,15 @@ class ObservedDefect:
             raise ValueError(f"defect {self.id}: non-finite line position")
 
 
-@dataclass
-class FitResult:
-    params: FineStructureParams
-    strains: dict
-    offsets: dict
-    residual_rms: float
-    iterations: int
-    assignments: dict = field(default_factory=dict)
-    edge_ids: tuple = ()    # defects whose best grid strain is STRAIN_MAX
-    bound_names: tuple = ()  # lambda_z, d_es, delta_cap on a BOUNDS end
-    errors: dict = field(default_factory=dict)  # global -> 1 sigma, GHz
-    stalled: bool = False   # no damped step lowered the cost
-    reason: str = ""        # why the fit did not converge; "" if it did
+class FitResult(namedtuple("FitResult", [
+        "params",             # FineStructureParams
+        "strains", "offsets", "residual_rms", "iterations", "assignments",
+        "edge_ids",           # defects whose best grid strain is STRAIN_MAX
+        "bound_names",        # lambda_z, d_es, delta_cap on a BOUNDS end
+        "errors",             # global -> 1 sigma, GHz
+        "stalled",            # no damped step lowered the cost
+        "reason"])):          # why the fit did not converge; "" if it did
+    __slots__ = ()
 
     @property
     def converged(self):
@@ -345,7 +341,7 @@ def fit(data, params=None, free_lambda_perp=False):
     # a trial whose cost overflows is merely rejected
     @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def evaluate(theta, guess=None):
-        params = replace(start, **dict(zip(names, theta)))
+        params = start._replace(**dict(zip(names, theta)))
         family = strain_family(params)
         strains, costs, at_edge = _solve_strains(family, groups, guess)
         return params, family, strains, at_edge, float(costs.sum())

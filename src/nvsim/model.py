@@ -22,7 +22,7 @@ sweep tracker's steps, and zero_strain_levels' eigenvectors (one solve
 for any lambda_perp) with their symmetry labels.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -56,25 +56,39 @@ def checked_strains(values):
     return values
 
 
-@dataclass(frozen=True)
-class RateParams:
+class Validated:
+    """Mixin, first base of a namedtuple record whose `_check` validates
+    its fields: construction and `_replace` (which builds through
+    `_make`) both run the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class RateParams(Validated, namedtuple("RateParams", [
+        "gamma_rad", "k_isc_xy", "k_isc_z", "gamma_singlet", "beta_z",
+        "pump_green", "pump_res_max",
+        "linewidth",        # optical FWHM, GHz
+        "mw_mix_rate"],
+        defaults=[1.0 / 12.0, 0.05, 0.004, 1.0 / 300.0, 0.9, 0.02, 0.02,
+                  0.02, 0.01])):
     """Decay, shelving and drive rates (1/ns) of the rate model in
     `photodynamics`, defined here so that the config defaults do not load
     that module. The magnitudes are artifact defaults, not measured
     values; only the orderings k_isc_z << k_isc_xy and beta_z -> gSz are
     physically mandated."""
 
-    gamma_rad: float = 1.0 / 12.0
-    k_isc_xy: float = 0.05
-    k_isc_z: float = 0.004
-    gamma_singlet: float = 1.0 / 300.0
-    beta_z: float = 0.9
-    pump_green: float = 0.02
-    pump_res_max: float = 0.02
-    linewidth: float = 0.02       # optical FWHM, GHz
-    mw_mix_rate: float = 0.01
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         rates = (self.gamma_rad, self.k_isc_xy, self.k_isc_z,
                  self.gamma_singlet, self.pump_green, self.pump_res_max,
                  self.linewidth, self.mw_mix_rate)
@@ -90,8 +104,11 @@ class RateParams:
             raise ValueError("k_isc_z must not exceed k_isc_xy")
 
 
-@dataclass(frozen=True)
-class FineStructureParams:
+class FineStructureParams(Validated, namedtuple("FineStructureParams", [
+        "lambda_z", "lambda_perp", "d_es", "delta_cap", "d_gs",
+        "e_es_coeff",       # Ees = e_es_coeff * delta_perp
+        "zpl_offset"],      # rigid shift vs 1.945 eV, axial strain included
+        defaults=[5.3, 0.2, 1.42, 1.55, 2.88, 0.0, 0.0])):
     """Zero-strain energies of the excited-state fine structure (GHz).
 
     Defaults are the fitted low-strain values: axial spin-orbit 5.3,
@@ -99,36 +116,28 @@ class FineStructureParams:
     spin-orbit 0.2, ground-state splitting 2.88.
     """
 
-    lambda_z: float = 5.3
-    lambda_perp: float = 0.2
-    d_es: float = 1.42
-    delta_cap: float = 1.55
-    d_gs: float = 2.88
-    e_es_coeff: float = 0.0  # Ees = e_es_coeff * delta_perp
-    zpl_offset: float = 0.0  # rigid shift vs 1.945 eV, axial strain included
+    __slots__ = ()
 
-    def __post_init__(self):
-        checked_strains((self.lambda_z, self.lambda_perp, self.d_es,
-                         self.delta_cap, self.d_gs, self.e_es_coeff,
-                         self.zpl_offset))
+    def _check(self):
+        checked_strains(self)       # every field is an energy
         if self.d_gs <= 0:
             raise ValueError("d_gs must be positive")
         if self.lambda_perp < 0:
             raise ValueError("lambda_perp must be >= 0")
 
 
-@dataclass(frozen=True)
-class StrainVector:
+class StrainVector(Validated, namedtuple("StrainVector",
+                                         ["delta_x", "delta_y"],
+                                         defaults=[0.0, 0.0])):
     """Transverse strain components in GHz. Sweeps, the fit and every
     CLI command put the strain along x. Off that axis the levels also
     depend on its direction: by up to 0.03 GHz at the defaults, and by
     1.9 GHz at 20 GHz with lambda_perp = 0 and e_es_coeff = 0.1."""
 
-    delta_x: float = 0.0
-    delta_y: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        checked_strains((self.delta_x, self.delta_y))
+    def _check(self):
+        checked_strains(self)
 
     @property
     def delta_perp(self):

@@ -6,13 +6,13 @@ frequency; stochastic hopping between the branches at `hop_rate`
 frequency. Temperature enters through an Arrhenius map for the hop rate.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .linalg import eigensolve
 from .model import (DEFAULT_ACTIVATION_MEV, DEFAULT_ATTEMPT_RATE,
-                    checked_strains, level_weights)
+                    Validated, checked_strains, level_weights)
 from .sweep import strain_family, strain_hamiltonians
 
 KB_MEV_PER_K = 0.08617333  # Boltzmann constant, meV/K
@@ -22,16 +22,16 @@ class BranchError(ValueError):
     """No within-branch ESR frequency at this strain: a domain error."""
 
 
-@dataclass(frozen=True)
-class ExchangeModel:
-    freq_a: float                 # GHz, branch-a ESR frequency
-    freq_b: float                 # GHz, branch-b ESR frequency
-    linewidth_0: float = 0.1      # GHz, intrinsic FWHM
-    hop_rate: float = 0.0         # GHz, symmetric a<->b exchange
+class ExchangeModel(Validated, namedtuple("ExchangeModel", [
+        "freq_a",             # GHz, branch-a ESR frequency
+        "freq_b",             # GHz, branch-b ESR frequency
+        "linewidth_0",        # GHz, intrinsic FWHM
+        "hop_rate"],          # GHz, symmetric a<->b exchange
+        defaults=[0.1, 0.0])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.freq_a, self.freq_b, self.linewidth_0, self.hop_rate)
-        if not all(np.isfinite(v) for v in vals):
+    def _check(self):
+        if not all(np.isfinite(v) for v in self):
             raise ValueError("exchange-model parameters must be finite")
         if self.freq_a <= 0 or self.freq_b <= 0:
             raise ValueError("ESR frequencies must be positive")
@@ -46,14 +46,15 @@ class ExchangeModel:
         return 0.5 * self.freq_a + 0.5 * self.freq_b
 
 
-@dataclass(frozen=True)
-class TemperatureMap:
+class TemperatureMap(Validated, namedtuple("TemperatureMap", [
+        "r0",                 # GHz
+        "ea"],                # meV
+        defaults=[DEFAULT_ATTEMPT_RATE, DEFAULT_ACTIVATION_MEV])):
     """Arrhenius hop rate r0 * exp(-ea / kB T)."""
 
-    r0: float = DEFAULT_ATTEMPT_RATE       # GHz
-    ea: float = DEFAULT_ACTIVATION_MEV     # meV
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not (np.isfinite(self.r0) and np.isfinite(self.ea)):
             raise ValueError("r0 and ea must be finite")
         if self.r0 <= 0 or self.ea < 0:

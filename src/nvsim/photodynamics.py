@@ -10,7 +10,7 @@ Each call solves the excited structure anew by `linalg.eigensolve` in
 `model.gauged`'s gauge: real at strain along x, complex off that axis.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,14 +28,13 @@ IDX_META = 9
 WEAK_LINE_FLOOR = 1e-4
 
 
-@dataclass(frozen=True)
-class TransitionLine:
-    ground_sublevel: str          # gSz | gSx | gSy
-    excited_index: int            # 1..6, ascending energy
-    detuning: float               # GHz, relative to the optical reference
-    strength: float               # in [0, 1]; sums to 1 per ground sublevel
-    spin_conserving: bool
-    weak: bool = False
+class TransitionLine(namedtuple("TransitionLine", [
+        "ground_sublevel",    # gSz | gSx | gSy
+        "excited_index",      # 1..6, ascending energy
+        "detuning",           # GHz, relative to the optical reference
+        "strength",           # in [0, 1]; sums to 1 per ground sublevel
+        "spin_conserving", "weak"], defaults=[False])):
+    __slots__ = ()
 
 
 class RateModelError(ArithmeticError):

@@ -14,13 +14,12 @@ every strain Hamiltonian is real symmetric, so LAPACK runs its faster
 real solvers; nothing read off the eigenvectors depends on D.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .linalg import eigensolve
-from .model import (PARAMETER_TERMS, STRAIN_X, SX2_MINUS_SY2,
-                    FineStructureParams, StrainVector,
+from .model import (PARAMETER_TERMS, STRAIN_X, SX2_MINUS_SY2, StrainVector,
                     build_excited_hamiltonian, checked_strains,
                     dominant_spins, gauged, greedy_match, level_weights)
 
@@ -35,22 +34,18 @@ class SweepError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
-    strain_at_min_gap: float
-    track_a: int
-    track_b: int
-    min_gap: float
-    avoided: bool
+class CrossingEvent(namedtuple("CrossingEvent", [
+        "strain_at_min_gap", "track_a", "track_b", "min_gap", "avoided"])):
+    __slots__ = ()
 
 
-@dataclass
-class SweepResult:
-    grid: np.ndarray                  # ascending delta_perp values (GHz)
-    energies: np.ndarray              # (npoints, 6), track-ordered
-    vectors: np.ndarray               # (npoints, 6, 6), track-ordered columns
-    params: FineStructureParams
-    ambiguous_points: list            # grid indices where tracking overlap^2 < 0.5
+class SweepResult(namedtuple("SweepResult", [
+        "grid",               # ascending delta_perp values (GHz)
+        "energies",           # (npoints, 6), track-ordered
+        "vectors",            # (npoints, 6, 6), track-ordered columns
+        "params",             # FineStructureParams
+        "ambiguous_points"])):  # grid indices where tracking overlap^2 < 0.5
+    __slots__ = ()
 
 
 def strain_family(params):

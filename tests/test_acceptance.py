@@ -7,7 +7,6 @@ failing run).
 
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from nvsim.sweep import (averaged_splitting, detect_crossings,
                          nv2_condition_strain, sweep)
 
 DEFAULTS = FineStructureParams()
-DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
+DECOUPLED = DEFAULTS._replace(lambda_perp=0.0)
 RATES = RateParams()
 
 
@@ -152,8 +151,8 @@ def test_c07_spin_polarization():
     strain = StrainVector(3.0, 0.0)
     pop = polarize(DEFAULTS, strain, RATES)
     polarized_ok = pop[0] >= 0.8
-    blind = replace(RATES, k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
-                    pump_res_max=0.0)
+    blind = RATES._replace(k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
+                           pump_res_max=0.0)
     g = build_rate_matrix(DEFAULTS, strain, blind, green_on=True)
     pb = propagate(uniform_ground(), g, 200000.0)
     ground = pb[:3] / pb[:3].sum()
@@ -187,12 +186,12 @@ def test_c09_motional_averaging():
     grid = np.linspace(0.2, 2.6, 4801)
     slow = exchange_lineshape(m0, grid)
     slow_peaks, _ = local_maxima(grid, slow)
-    fast = exchange_lineshape(replace(m0, hop_rate=1e4), grid)
+    fast = exchange_lineshape(m0._replace(hop_rate=1e4), grid)
     fast_peaks, _ = local_maxima(grid, fast)
     shape_ok = (len(slow_peaks) == 2 and len(fast_peaks) == 1
                 and abs(fast_peaks[0] - m0.mean_frequency) <= 0.02)
     areas = [np.trapezoid(
-        exchange_lineshape(replace(m0, hop_rate=h), grid), grid)
+        exchange_lineshape(m0._replace(hop_rate=h), grid), grid)
         for h in (1e-3, 1e-2, 1e-1, 1.0, 10.0, 1e2, 1e3)]
     area_ok = (max(areas) - min(areas)) / areas[0] <= 0.01
 
@@ -237,7 +236,7 @@ def test_c11_fit_round_trip():
     t0 = time.time()
     rng = np.random.default_rng(1)
     strains = np.sort(rng.uniform(0.5, 20.0, 27))
-    init = replace(DEFAULTS, lambda_z=5.0, d_es=1.3, delta_cap=1.4)
+    init = DEFAULTS._replace(lambda_z=5.0, d_es=1.3, delta_cap=1.4)
     data = synthesize_dataset(DEFAULTS, strains, noise=0.0, seed=2)
     res = fit(data, init)
     clean_ok = (abs(res.params.lambda_z - 5.3) <= 1e-4

@@ -1,13 +1,13 @@
 """Tests for configuration parsing, CSV emission and the CLI."""
 
 import ast
+import functools
 import gc
 import hashlib
 import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,16 @@ def write_fixture(tmp_path, n=8, noise=0.0, strains=None, seed=18):
     path = tmp_path / "fixture.csv"
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return str(path)
+
+
+@functools.cache
+def numpy_loads(*names):
+    """Those of names that a bare `import numpy` loads on this host."""
+    code = (f"import sys, numpy; print([n for n in {names} "
+            "if n in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    return tuple(ast.literal_eval(out))
 
 
 # every subcommand at a small size (`fit` gets a 4-defect fixture) and the
@@ -922,17 +932,19 @@ class TestImportCost:
 
     def test_cli_import_loads_no_command_module(self):
         # the fit, the lineshape, the rate model, input hashing and
-        # numpy.ma load only where a command uses them, and scipy nowhere
+        # numpy.ma load only where a command uses them, scipy nowhere, and
+        # dataclasses only where numpy itself loads it
         src = str(Path(nvsim.__file__).resolve().parents[1])
         code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
                 "'nvsim.motional', 'hashlib', 'numpy.ma', "
-                "'nvsim.photodynamics') "
+                "'nvsim.photodynamics', 'dataclasses') "
                 "if n in sys.modules], sorted(n for n in sys.modules "
                 "if n.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[] []"
+        assert out.stdout.strip() == \
+            f"{list(numpy_loads('dataclasses'))} []"
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in SMALL_COMMANDS],
                              ids=command_id)
@@ -949,13 +961,16 @@ class TestImportCost:
         cfg, out = make_config(tmp_path, "strain_points = 41\n")
         if argv == ["fit"]:
             argv = ["fit", write_fixture(tmp_path, n=4)]
+        loaded = sorted([*loaded, *numpy_loads("dataclasses")])
         # main() ends the process itself, so an atexit handler reads the
-        # loaded modules; no command loads scipy or numpy.ma
+        # loaded modules; no command loads scipy or numpy.ma, nor
+        # dataclasses unless numpy does
         code = ("import atexit, sys\nfrom nvsim.cli import main\n"
                 "atexit.register(lambda: print(sorted(n for n in "
                 "('nvsim.photodynamics', 'nvsim.motional', 'nvsim.fitting', "
-                "'hashlib', 'numpy.ma') if n in sys.modules), sorted(n for "
-                "n in sys.modules if n.split('.')[0] == 'scipy')))\nmain()")
+                "'hashlib', 'numpy.ma', 'dataclasses') if n in sys.modules), "
+                "sorted(n for n in sys.modules if n.split('.')[0] == "
+                "'scipy')))\nmain()")
         env = dict(os.environ, PYTHONPATH=src)
         res = subprocess.run([sys.executable, "-c", code, "--config", cfg,
                               *argv], env=env, capture_output=True,
@@ -1198,7 +1213,7 @@ class TestWorkCounts:
     def test_eigensolve_work_per_partial_fit(self, lines, calls, matrices):
         full = synthesize_dataset(FineStructureParams(),
                                   [3.0, 7.0, 12.0, 17.0, 21.0], seed=0)
-        data = [replace(d, lines=d.lines[lines]) for d in full]
+        data = [d._replace(lines=d.lines[lines]) for d in full]
         before = dict(eigensolve_counts)
         fitting.fit(data, FineStructureParams(lambda_z=5.0, d_es=1.3,
                                               delta_cap=1.4))

@@ -1,6 +1,5 @@
 """Tests for line assignment and parameter fitting."""
 
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -21,7 +20,7 @@ from nvsim.sweep import parameter_operators, strain_family, strain_slopes
 
 TRUTH = FineStructureParams()
 # c11's starting point, 0.1-0.3 GHz off the truth
-START = replace(TRUTH, lambda_z=5.0, d_es=1.3, delta_cap=1.4)
+START = TRUTH._replace(lambda_z=5.0, d_es=1.3, delta_cap=1.4)
 
 
 def brute_force_cost(pred, meas):
@@ -170,7 +169,7 @@ class TestGaussNewtonStrains:
                                               e_es):
         h = 1e-5
         assume(abs(delta) > 10 * h)    # the e_es term kinks at zero strain
-        params = replace(TRUTH, lambda_perp=lambda_perp, e_es_coeff=e_es)
+        params = TRUTH._replace(lambda_perp=lambda_perp, e_es_coeff=e_es)
         family = strain_family(params)
         values, slopes = strain_slopes(family, delta)
         assume(np.min(np.diff(values)) > 0.01)     # non-degenerate
@@ -187,8 +186,8 @@ class TestGaussNewtonStrains:
             self, delta, lambda_perp, e_es):
         h = 1e-5
         assume(abs(delta) > 10 * h)    # the e_es term kinks at zero strain
-        family = strain_family(replace(TRUTH, lambda_perp=lambda_perp,
-                                       e_es_coeff=e_es))
+        family = strain_family(TRUTH._replace(lambda_perp=lambda_perp,
+                                              e_es_coeff=e_es))
         values, slopes, curv = strain_slopes(family, delta, curvatures=True)
         assume(np.min(np.diff(values)) > 0.01)     # non-degenerate
         assert np.array_equal(slopes, strain_slopes(family, delta)[1])
@@ -199,7 +198,7 @@ class TestGaussNewtonStrains:
 
     def test_curvature_of_an_exact_degeneracy_is_finite(self):
         # at zero strain and lambda_perp = 0 the E pairs are degenerate
-        family = strain_family(replace(TRUTH, lambda_perp=0.0))
+        family = strain_family(TRUTH._replace(lambda_perp=0.0))
         values, _, curv = strain_slopes(family, [0.0, 1.0], curvatures=True)
         assert np.any(np.diff(values[0]) == 0.0)
         assert curv.shape == (2, 6) and np.all(np.isfinite(curv))
@@ -233,7 +232,7 @@ class TestGaussNewtonStrains:
         # a partial-line defect beyond the grid: its bracket is clipped
         # to [29.5, 30], and every point inside costs more than 30 GHz
         full = synthesize_dataset(TRUTH, [40.0], seed=9)
-        data = [replace(d, lines=tuple(x for i, x in enumerate(d.lines)
+        data = [d._replace(lines=tuple(x for i, x in enumerate(d.lines)
                                        if i not in drop)) for d in full]
         (_, meas), = _groups(data)
         grid = np.arange(0.0, STRAIN_MAX + COARSE_STEP, COARSE_STEP)
@@ -247,9 +246,9 @@ class TestGaussNewtonStrains:
 
 def shifted(shift):
     """The truth with lambda_z, d_es and delta_cap moved by shift GHz."""
-    return replace(TRUTH, lambda_z=TRUTH.lambda_z + shift,
-                   d_es=TRUTH.d_es + shift,
-                   delta_cap=TRUTH.delta_cap + shift)
+    return TRUTH._replace(lambda_z=TRUTH.lambda_z + shift,
+                          d_es=TRUTH.d_es + shift,
+                          delta_cap=TRUTH.delta_cap + shift)
 
 
 def stop_ensemble(kind):
@@ -262,14 +261,14 @@ def stop_ensemble(kind):
     if kind == "kinked":
         strains = np.sort(np.random.default_rng(6).uniform(0.5, 25.0, 6))
         full = synthesize_dataset(TRUTH, strains, seed=6)
-        return [replace(d, lines=d.lines[1:5]) for d in full]
+        return [d._replace(lines=d.lines[1:5]) for d in full]
     if kind == "full":
         return synthesize_dataset(TRUTH, strains, noise=0.01, seed=31)
     if kind == "crossing":
         strains = np.add.outer([7.314, 15.501], [-0.01, 0.0, 0.01]).ravel()
         return synthesize_dataset(TRUTH, strains, noise=0.01, seed=33)
     full = synthesize_dataset(TRUTH, strains, seed=32)
-    return [replace(d, lines=d.lines[1:5]) for d in full]
+    return [d._replace(lines=d.lines[1:5]) for d in full]
 
 
 def count_eigensolves(monkeypatch):
@@ -352,8 +351,8 @@ class TestStoppedSearches:
         # the 7.314 GHz anticrossing r.E'' outweighs J.J, and Newton steps
         # from there climb to a maximum
         meas = predicted_lines(
-            strain_family(replace(TRUTH, lambda_perp=1.0)), [7.314])
-        family = strain_family(replace(TRUTH, lambda_perp=1e-3))
+            strain_family(TRUTH._replace(lambda_perp=1.0)), [7.314])
+        family = strain_family(TRUTH._replace(lambda_perp=1e-3))
         start = np.array([7.309])
         values, slopes, curv = strain_slopes(family, start, curvatures=True)
         r = _match(values, meas)[0]
@@ -427,8 +426,8 @@ class TestFit:
     def test_fit_gauge_invariance(self):
         data = synthesize_dataset(TRUTH, [2.0, 6.0, 11.0, 16.0], seed=6)
         res_a = fit(data, self.INIT)
-        shifted = [replace(data[0],
-                           lines=tuple(x + 3.0 for x in data[0].lines))] \
+        shifted = [data[0]._replace(
+            lines=tuple(x + 3.0 for x in data[0].lines))] \
             + list(data[1:])
         res_b = fit(shifted, self.INIT)
         assert res_b.residual_rms == pytest.approx(res_a.residual_rms,
@@ -440,11 +439,11 @@ class TestFit:
         # tr H = 6 zpl_offset at every strain, so a six-line defect's
         # offset is its mean line less zpl_offset, to the last bit; the
         # partial defects' offsets come from their matched lines
-        start = replace(self.INIT, zpl_offset=0.45)
-        truth = replace(TRUTH, zpl_offset=0.45)
+        start = self.INIT._replace(zpl_offset=0.45)
+        truth = TRUTH._replace(zpl_offset=0.45)
         full = synthesize_dataset(truth, [2.0, 6.0, 11.0, 16.0, 21.0],
                                   noise=0.01, seed=6)
-        data = full[:3] + [replace(d, lines=d.lines[1:5]) for d in full[3:]]
+        data = full[:3] + [d._replace(lines=d.lines[1:5]) for d in full[3:]]
         res = fit(data, start)
         for d in data[:3]:
             assert res.offsets[d.id] == \
@@ -457,7 +456,7 @@ class TestFit:
         # every defect reports only its middle four lines
         full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
                                   seed=7)
-        data = [replace(d, lines=d.lines[1:5]) for d in full]
+        data = [d._replace(lines=d.lines[1:5]) for d in full]
         res = fit(data, self.INIT)
         assert res.params.lambda_z == pytest.approx(5.3, abs=1e-3)
         assert res.params.d_es == pytest.approx(1.42, abs=1e-3)
@@ -469,7 +468,7 @@ class TestFit:
         full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
                                   seed=11)
         drops = [(), (2,), (3,), (0, 5), (0, 5)]
-        data = [replace(d, lines=tuple(x for i, x in enumerate(d.lines)
+        data = [d._replace(lines=tuple(x for i, x in enumerate(d.lines)
                                        if i not in drop))
                 for d, drop in zip(full, drops)]
         res = fit(data, self.INIT)
@@ -521,7 +520,7 @@ class TestFit:
         # with these globals exactly on an end of their BOUNDS
         full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
                                   seed=0)
-        res = fit([replace(d, lines=d.lines[keep]) for d in full],
+        res = fit([d._replace(lines=d.lines[keep]) for d in full],
                   self.INIT)
         assert not res.converged and not res.stalled
         assert res.edge_ids == ()
@@ -535,7 +534,7 @@ class TestFit:
     def test_too_many_lines_raises(self):
         data = synthesize_dataset(TRUTH, [2.0, 8.0, 15.0], seed=3)
         with pytest.raises(ValueError, match="7 lines, need 2 to 6"):
-            replace(data[0], lines=data[0].lines + (30.0,))
+            data[0]._replace(lines=data[0].lines + (30.0,))
 
     def test_predicted_lines_sorted(self):
         vals = predicted_lines(strain_family(TRUTH), 4.0)
@@ -543,7 +542,7 @@ class TestFit:
 
     @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
     def test_predicted_lines_batch_any_shape(self, shape):
-        params = replace(TRUTH, e_es_coeff=0.05)
+        params = TRUTH._replace(e_es_coeff=0.05)
         strains = np.random.default_rng(8).uniform(-25.0, 25.0, shape)
         lines = predicted_lines(strain_family(params), strains)
         assert lines.shape == shape + (6,)
@@ -568,7 +567,7 @@ class TestVariableProjection:
         strains = np.array([3.0, 7.0, 12.0, 17.0, 21.0]) \
             + rng.uniform(-0.5, 0.5, 5)
         full = synthesize_dataset(TRUTH, strains, seed=seed)
-        res = fit([replace(d, lines=d.lines[1:5]) for d in full], START)
+        res = fit([d._replace(lines=d.lines[1:5]) for d in full], START)
         assert res.converged
         for name in ("lambda_z", "d_es", "delta_cap"):
             assert getattr(res.params, name) == pytest.approx(
@@ -584,10 +583,10 @@ class TestVariableProjection:
         theta = np.array([5.36, 1.38, 1.58, 0.23])
 
         def cost(theta):
-            params = replace(TRUTH, **dict(zip(names, theta)))
+            params = TRUTH._replace(**dict(zip(names, theta)))
             return _solve_strains(strain_family(params), groups)[1].sum()
 
-        params = replace(TRUTH, **dict(zip(names, theta)))
+        params = TRUTH._replace(**dict(zip(names, theta)))
         strains = _solve_strains(strain_family(params), groups)[0]
         r, jac = _linearize(params, strain_family(params),
                             parameter_operators(names), strains, groups)[:2]
@@ -616,7 +615,7 @@ class TestVariableProjection:
             "lambda_z", "d_es", "delta_cap", "lambda_perp"}
         # one defect missing an inner line: 5 lines for 5 free parameters
         lines = data[1].lines
-        single = [replace(data[1], lines=lines[:2] + lines[3:])]
+        single = [data[1]._replace(lines=lines[:2] + lines[3:])]
         assert fit(single, START).errors == {}
 
     def test_huge_lines_fit_without_a_warning(self, recwarn):
@@ -641,7 +640,7 @@ class TestVariableProjection:
         # vanishes at 0: a fit started there must still step off it
         strains = np.sort(np.random.default_rng(1).uniform(0.5, 20.0, 27))
         data = synthesize_dataset(TRUTH, strains, noise=noise, seed=3)
-        res = fit(data, replace(START, lambda_perp=0.0),
+        res = fit(data, START._replace(lambda_perp=0.0),
                   free_lambda_perp=True)
         assert res.converged
         assert set(res.errors) == {"lambda_z", "d_es", "delta_cap",
@@ -652,7 +651,7 @@ class TestVariableProjection:
 
     def test_lambda_perp_truth_zero(self):
         strains = np.sort(np.random.default_rng(1).uniform(0.5, 20.0, 27))
-        data = synthesize_dataset(replace(TRUTH, lambda_perp=0.0), strains,
+        data = synthesize_dataset(TRUTH._replace(lambda_perp=0.0), strains,
                                   seed=3)
         res = fit(data, START, free_lambda_perp=True)
         assert res.converged
@@ -675,7 +674,7 @@ class TestVariableProjection:
         # final point used to be linearized a second time
         full = synthesize_dataset(TRUTH, [3.0, 7.0, 12.0, 17.0, 21.0],
                                   seed=7)
-        res = fit([replace(d, lines=d.lines[keep]) for d in full], START)
+        res = fit([d._replace(lines=d.lines[keep]) for d in full], START)
         assert res.converged and res.iterations >= 2
         # the start, then one point per accepted step
         assert len(set(points)) == len(points) == res.iterations
@@ -692,7 +691,7 @@ class TestVariableProjection:
                 calls[name] += 1
                 return fn(*args)
             monkeypatch.setattr(fitting, name, counted)
-        assert fit([replace(d, lines=d.lines[1:5]) for d in full],
+        assert fit([d._replace(lines=d.lines[1:5]) for d in full],
                    START).converged
         assert calls == {"strain_family": 5, "_solve_strains": 5}
 

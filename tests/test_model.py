@@ -1,24 +1,34 @@
 """Tests for the excited-state Hamiltonian construction."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
+from nvsim.fitting import ObservedDefect
 from nvsim.linalg import eigensolve
 from nvsim.model import (PARAMETER_TERMS, STRAIN_X, STRAIN_Y,
                          TRANSVERSE_SO_SCALE, FineStructureParams,
-                         StrainVector, build_excited_hamiltonian,
+                         RateParams, StrainVector, build_excited_hamiltonian,
                          ground_levels, symmetry_states, zero_strain_levels)
+from nvsim.motional import ExchangeModel, TemperatureMap
 
 DEFAULTS = FineStructureParams()
-DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
+DECOUPLED = DEFAULTS._replace(lambda_perp=0.0)
 LABELS = ["E1", "E2", "E'x", "E'y", "A1", "A2"]
 # a per-level argmax over the symmetry states labels two of these levels
 # A1 and none E'y
 SHARED_ARGMAX = FineStructureParams(
     lambda_z=1.6131365190189433, lambda_perp=0.5374671513261948,
     d_es=1.0756563538067068, delta_cap=2.669178381874575)
+# each record with a field check: a valid record, a field and a value its
+# check rejects, and the message
+VALIDATED = [
+    (RateParams(), "linewidth", 0.0, "linewidth must be positive"),
+    (DEFAULTS, "d_gs", 0.0, "d_gs must be positive"),
+    (StrainVector(), "delta_y", np.nan, "finite and within"),
+    (ObservedDefect("nv01", (1.0, 2.0)), "lines", (1.0,),
+     "1 lines, need 2 to 6"),
+    (ExchangeModel(2.0, 3.0), "hop_rate", -1.0, "hop_rate must be"),
+    (TemperatureMap(), "r0", 0.0, "need r0 > 0")]
 
 
 def argmax_labels(params):
@@ -87,6 +97,21 @@ class TestParams:
         sv = StrainVector(3.0, 4.0)
         assert sv.delta_perp == 5.0
 
+    @pytest.mark.parametrize("record, name, bad, message", VALIDATED,
+                             ids=[type(r).__name__ for r, *_ in VALIDATED])
+    def test_validated_record_checks_and_is_immutable(self, record, name,
+                                                     bad, message):
+        # _replace builds through _make, so it runs the check too
+        with pytest.raises(ValueError, match=message):
+            type(record)(**{**record._asdict(), name: bad})
+        with pytest.raises(ValueError, match=message):
+            record._replace(**{name: bad})
+        with pytest.raises(AttributeError):
+            setattr(record, name, bad)
+        with pytest.raises(AttributeError):
+            record.note = "no such field"
+        assert record == tuple(getattr(record, f) for f in record._fields)
+
 
 class TestHamiltonian:
     def test_hermitian(self):
@@ -94,7 +119,7 @@ class TestHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
     def test_trace_is_six_times_shift(self):
-        p = replace(DEFAULTS, zpl_offset=0.9)
+        p = DEFAULTS._replace(zpl_offset=0.9)
         h = build_excited_hamiltonian(p, StrainVector(5.0, 1.0))
         assert abs(np.trace(h).real - 6.0 * 0.9) < 1e-10
 
@@ -135,12 +160,12 @@ class TestHamiltonian:
         a, _ = eigensolve(build_excited_hamiltonian(
             DEFAULTS, StrainVector(2.0, 0.0)))
         b, _ = eigensolve(build_excited_hamiltonian(
-            replace(DEFAULTS, zpl_offset=0.7), StrainVector(2.0, 0.0)))
+            DEFAULTS._replace(zpl_offset=0.7), StrainVector(2.0, 0.0)))
         assert np.allclose(b - a, 0.7, atol=1e-10)
 
     def test_e_es_term_splits_ms1_diagonal(self):
-        p = replace(DECOUPLED, lambda_z=0.0, d_es=0.0, delta_cap=0.0,
-                    e_es_coeff=0.5)
+        p = DECOUPLED._replace(lambda_z=0.0, d_es=0.0, delta_cap=0.0,
+                               e_es_coeff=0.5)
         h = build_excited_hamiltonian(p, StrainVector(0.0, 0.0))
         assert np.allclose(h, 0.0)
         # only the norm of the strain enters the extra diagonal

@@ -1,7 +1,5 @@
 """Tests for transition lines and the 10-level rate model."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -195,7 +193,7 @@ class TestRateMatrix:
         # chain is nearly reducible, and the least-squares null vector
         # comes out with a ground population below -1e-8 at a residual
         # near 1e-15
-        rates = replace(RATES, gamma_singlet=1e-301, k_isc_xy=5.0)
+        rates = RATES._replace(gamma_singlet=1e-301, k_isc_xy=5.0)
         g = build_rate_matrix(PARAMS, StrainVector(27.0, 0.0), rates,
                               laser_detuning=1.0)
         with pytest.raises(RateModelError, match=r"not found \(level \d "
@@ -248,7 +246,7 @@ class TestStationaryOracle:
 
     @pytest.mark.parametrize("rates", [
         pytest.param(RATES, id="defaults"),
-        pytest.param(replace(RATES, pump_res_max=2e-8), id="weak_drive",
+        pytest.param(RATES._replace(pump_res_max=2e-8), id="weak_drive",
                      marks=WEAK_DRIVE)])
     def test_pl_matches_an_exact_solve(self, rates):
         # `nvsim excitation --mw-off` at -8.5 GHz
@@ -261,7 +259,7 @@ class TestStationaryOracle:
         # at gamma_rad = 1e9 lstsq's excited population is 34% off; only
         # the absolute residual test rejects it, which a residual taken
         # relative to the generator's scale would not
-        g = build_rate_matrix(PARAMS, STRAIN, replace(RATES, gamma_rad=1e9),
+        g = build_rate_matrix(PARAMS, STRAIN, RATES._replace(gamma_rad=1e9),
                               laser_detuning=-10.0, mw_on=True)
         with pytest.raises(RateModelError, match=r"residual 8\.73\de-08"):
             stationary_state(g)
@@ -338,7 +336,7 @@ class TestStacked:
         with pytest.raises(RateModelError, match=r"^at detuning -10.0 GHz: "
                                                  r"generator not finite$"):
             excitation_spectrum(PARAMS, STRAIN,
-                                replace(RATES, mw_mix_rate=1e308), grid)
+                                RATES._replace(mw_mix_rate=1e308), grid)
 
         def third_zero(*args, **kwargs):
             g = build_rate_matrix(*args, **kwargs)
@@ -357,7 +355,7 @@ class TestStacked:
         with pytest.raises(RateModelError,
                            match=f"not finite at detuning {line.detuning}"):
             # the squared half-width underflows to 0
-            build_rate_matrix(PARAMS, STRAIN, replace(RATES, linewidth=1e-200),
+            build_rate_matrix(PARAMS, STRAIN, RATES._replace(linewidth=1e-200),
                               laser_detuning=grid)
 
 
@@ -406,8 +404,8 @@ class TestPolarization:
         assert not generators[1][IDX_EXC, :3].any()
 
     def test_spin_blind_rates_leave_uniform(self):
-        blind = replace(RATES, k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
-                        pump_res_max=0.0)
+        blind = RATES._replace(k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
+                               pump_res_max=0.0)
         g = build_rate_matrix(PARAMS, STRAIN, blind, green_on=True)
         pop = propagate(uniform_ground(), g, 200000.0)
         ground = pop[:3] / pop[:3].sum()
@@ -431,10 +429,9 @@ class TestSpectrum:
         lines = strong_lines()
         nus = np.unique([ln.detuning for ln in lines])
         full = excitation_spectrum(PARAMS, STRAIN, RATES, nus)[:, 1]
-        half_rp = replace(RATES, pump_res_max=RATES.pump_res_max / 32.0)
+        half_rp = RATES._replace(pump_res_max=RATES.pump_res_max / 32.0)
         half = excitation_spectrum(PARAMS, STRAIN, half_rp, nus)[:, 1]
-        quarter_rp = replace(RATES,
-                             pump_res_max=RATES.pump_res_max / 64.0)
+        quarter_rp = RATES._replace(pump_res_max=RATES.pump_res_max / 64.0)
         quarter = excitation_spectrum(PARAMS, STRAIN, quarter_rp,
                                       nus)[:, 1]
         # below saturation, halving the pump halves every peak
@@ -442,8 +439,8 @@ class TestSpectrum:
         assert np.all(full > half)
 
     def test_peak_positions_independent_of_rates(self):
-        other = replace(RATES, gamma_rad=RATES.gamma_rad * 2.0,
-                        k_isc_xy=RATES.k_isc_xy / 2.0)
+        other = RATES._replace(gamma_rad=RATES.gamma_rad * 2.0,
+                               k_isc_xy=RATES.k_isc_xy / 2.0)
         grid = np.linspace(3.5, 4.5, 401)
         a = excitation_spectrum(PARAMS, STRAIN, RATES, grid)[:, 1]
         b = excitation_spectrum(PARAMS, STRAIN, other, grid)[:, 1]
@@ -470,7 +467,7 @@ class TestRabi:
         # RuntimeWarning first
         line = strong_lines()[0]
         with pytest.raises(RateModelError, match="probability conservation"):
-            rabi_trace(PARAMS, STRAIN, replace(RATES, pump_res_max=1e188),
+            rabi_trace(PARAMS, STRAIN, RATES._replace(pump_res_max=1e188),
                        2.0 * np.pi / 200.0, line, [0.0, 100.0])
 
     def test_rejects_bad_inputs(self):

@@ -2,7 +2,6 @@
 
 import importlib
 from itertools import combinations
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ SEEDED = settings(derandomize=True, database=None, max_examples=100,
                   deadline=None)
 
 DEFAULTS = FineStructureParams()
-DECOUPLED = replace(DEFAULTS, lambda_perp=0.0)
+DECOUPLED = DEFAULTS._replace(lambda_perp=0.0)
 # tracks 1 and 2 reach a gap minimum at 1.35 GHz on a 0.05 GHz grid while
 # holding the sorted ranks 0 and 2: a third level lies between them
 NON_ADJACENT = FineStructureParams(
@@ -296,7 +295,7 @@ class TestTracking:
     def test_equals_greedy_matching_on_random_models(self):
         rng = np.random.default_rng(3)
         models = [random_tracking_model(rng) for _ in range(600)]
-        models.append((replace(DEFAULTS, delta_cap=0.0),
+        models.append((DEFAULTS._replace(delta_cap=0.0),
                        np.linspace(-20.0, 20.0, 2001)))
         ambiguous = 0
         for params, grid in models:
@@ -674,7 +673,7 @@ class TestAveragedSplitting:
                 np.count_nonzero(psz > 0.5) != 2)
 
     @pytest.mark.parametrize("params", [DEFAULTS, DECOUPLED,
-                                        replace(DEFAULTS, e_es_coeff=0.05)])
+                                        DEFAULTS._replace(e_es_coeff=0.05)])
     def test_grid_form_equals_per_point_reference(self, params):
         # plus points at which the default couplings mix the ms=0 characters
         grid = np.union1d(np.linspace(-20.0, 30.0, 501),
