@@ -37,8 +37,9 @@ _SOURCES = {
     "motional": ("ExchangeModel", "TemperatureMap", "branch_esr_frequencies",
                  "esr_contrast_vs_temperature", "exchange_lineshape"),
     "photodynamics": ("TransitionLine", "build_rate_matrix",
-                      "excitation_spectrum", "polarize", "propagate",
-                      "rabi_trace", "stationary_state", "transition_lines"),
+                      "excitation_spectrum", "excited_structure",
+                      "polarize", "propagate", "rabi_trace",
+                      "stationary_state", "transition_lines"),
     "sweep": ("CrossingEvent", "SweepResult", "averaged_splitting",
               "detect_crossings", "nv2_condition_strain", "sweep"),
 }

@@ -188,9 +188,9 @@ def _cmd_sweep(cfg, args, command):
 
 
 def _cmd_lines(cfg, args, command):
-    from .photodynamics import transition_lines
+    from .photodynamics import excited_structure, transition_lines
     strain = StrainVector(args.strain, 0.0)
-    lines = transition_lines(cfg.fine_structure(), strain)
+    lines = transition_lines(excited_structure(cfg.fine_structure(), strain))
     strong = sum(1 for ln in lines if not ln.weak)
     _finish(cfg, command, {"lines.csv": (
         ["ground", "excited_index", "detuning_ghz", "strength",
@@ -202,14 +202,15 @@ def _cmd_lines(cfg, args, command):
 
 
 def _cmd_excitation(cfg, args, command):
-    from .photodynamics import excitation_spectrum
+    from .photodynamics import excitation_spectrum, excited_structure
     strain = StrainVector(args.strain, 0.0)
     grid = linear_grid(args.detuning_min, args.detuning_max,
                        args.detuning_points,
                        "--detuning-min and --detuning-max",
                        "--detuning-points")
-    spec = excitation_spectrum(cfg.fine_structure(), strain, cfg.rates(),
-                               grid, mw_on=args.mw)
+    params, rp = cfg.fine_structure(), cfg.rates()
+    spec = excitation_spectrum(excited_structure(params, strain), rp, grid,
+                               mw_on=args.mw)
     _finish(cfg, command,
             {"excitation.csv": (["detuning_ghz", "pl_rate"], spec.tolist())},
             f"spectrum over [{args.detuning_min}, {args.detuning_max}] GHz, "
@@ -227,14 +228,14 @@ def _pick_readout_line(lines, family):
 
 
 def _cmd_rabi(cfg, args, command):
-    from .photodynamics import rabi_trace, transition_lines
+    from .photodynamics import excited_structure, rabi_trace, transition_lines
     strain = StrainVector(args.strain, 0.0)
     params, rp = cfg.fine_structure(), cfg.rates()
-    line = _pick_readout_line(transition_lines(params, strain),
-                              args.readout)
+    structure = excited_structure(params, strain)
+    line = _pick_readout_line(transition_lines(structure), args.readout)
     taus = linear_grid(0.0, args.tau_max, args.tau_points, "--tau-max",
                        "--tau-points")
-    rows = rabi_trace(params, strain, rp, args.omega_mw, line, taus)
+    rows = rabi_trace(structure, rp, args.omega_mw, line, taus)
     _finish(cfg, command, {"rabi.csv": (["tau_ns", "counts"], rows)},
             f"rabi trace via {args.readout} line "
             f"(excited level {line.excited_index})")

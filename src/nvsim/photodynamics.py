@@ -6,8 +6,8 @@ metastable singlet. Populations are classical (no optical coherences);
 the only coherent element is the microwave rotation inside the Rabi
 pulse sequence. Rates in 1/ns, energies/detunings in GHz.
 
-Each call solves the excited structure anew by `linalg.eigensolve` in
-`model.gauged`'s gauge: real at strain along x, complex off that axis.
+A command solves the excited structure once, by `excited_structure`
+(`linalg.eigensolve` in `model.gauged`'s gauge), and hands it down.
 """
 
 from collections import namedtuple
@@ -33,7 +33,7 @@ class TransitionLine(namedtuple("TransitionLine", [
         "excited_index",      # 1..6, ascending energy
         "detuning",           # GHz, relative to the optical reference
         "strength",           # in [0, 1]; sums to 1 per ground sublevel
-        "spin_conserving", "weak"], defaults=[False])):
+        "spin_conserving", "weak"])):
     __slots__ = ()
 
 
@@ -48,23 +48,23 @@ class RateModelError(ArithmeticError):
                          else f"generator {index}: {reason}")
 
 
-def _excited_structure(params, strain):
-    """Excited eigenvalues (6,) and their `level_weights` (4, 6)."""
+def excited_structure(params, strain):
+    """(excited eigenvalues (6,), their `level_weights` (4, 6), ground
+    energies (3,) as gSz, gSx, gSy) at one strain."""
     values, vectors = eigensolve(
         gauged(build_excited_hamiltonian(params, strain)))
-    return values, level_weights(vectors)
+    return values, level_weights(vectors), np.array(ground_levels(params))
 
 
-def transition_lines(params, strain):
+def transition_lines(structure):
     """All 18 ground-to-excited lines. Line strength is the spin
     population of the excited eigenstate matching the ground sublevel
     (the optical dipole is spin-blind), halved so that the strengths per
     ground sublevel sum to one over the two orbital branches."""
-    values, weights = _excited_structure(params, strain)
+    values, weights, ground = structure
     dominant = dominant_spins(weights).tolist()
     lines = []
-    for row, gname, ge in zip((SZ, SX, SY), ("gSz", "gSx", "gSy"),
-                              ground_levels(params)):
+    for row, gname, ge in zip((SZ, SX, SY), ("gSz", "gSx", "gSy"), ground):
         for k in range(6):
             strength = weights[row, k].item() / 2.0
             lines.append(TransitionLine(
@@ -87,19 +87,19 @@ def lorentzian_peak(detuning, fwhm):
 # A rate that overflows leaves a non-finite generator, which
 # stationary_state and propagate reject; numpy need not warn about it.
 @np.errstate(over="ignore", invalid="ignore")
-def build_rate_matrix(params, strain, rp, laser_detuning=0.0,
-                      mw_on=False, green_on=False):
+def build_rate_matrix(structure, rp, laser_detuning, mw_on=False,
+                      green_on=False):
     """Population-rate generator G with dP/dt = G P: (10, 10) for a
     scalar laser_detuning, (n, 10, 10) for n detunings.
 
     Columns sum to zero. The resonant laser drives every optical line at
     pump_res_max * strength * profile(laser offset); optical pumping is
     bidirectional (absorption and stimulated emission at equal rates).
-    Each entry of a stack gets the same sequence of operations as the
-    single matrix at its detuning, so the two agree bit for bit.
+    laser_detuning inf (or -inf) drives no line, bit for bit as at
+    pump_res_max 0: every profile is exactly 0. A stack's entries get the
+    operations of single builds at their detunings, bit for bit.
     """
-    values, weights = _excited_structure(params, strain)  # (6,), (4, 6)
-    g_energies = np.array(ground_levels(params))  # gSz, gSx, gSy
+    values, weights, g_energies = structure
     laser_detuning = np.asarray(laser_detuning, dtype=float)
     g = np.zeros(laser_detuning.shape + (N_LEVELS, N_LEVELS))
 
@@ -253,14 +253,13 @@ def stationary_state(generator):
         shape + (N_LEVELS,))
 
 
-def excitation_spectrum(params, strain, rp, detunings, mw_on=True):
+def excitation_spectrum(structure, rp, detunings, mw_on=True):
     """Steady-state photoluminescence rate versus laser detuning, from one
     stacked generator build and one stacked stationary solve."""
     detunings = np.asarray(detunings, dtype=float)
     if not np.all(np.isfinite(detunings)) or np.any(np.diff(detunings) <= 0):
         raise ValueError("detuning grid must be finite and ascending")
-    gmats = build_rate_matrix(params, strain, rp, laser_detuning=detunings,
-                              mw_on=mw_on, green_on=False)
+    gmats = build_rate_matrix(structure, rp, detunings, mw_on=mw_on)
     try:
         ss = stationary_state(gmats)
     except RateModelError as err:
@@ -287,18 +286,18 @@ SETTLE_NS = 2000.0
 READOUT_NS = 1000.0
 
 
-def polarize(params, strain, rp):
+def polarize(structure, rp):
     """Green initialization pulse (GREEN_INIT_NS) followed by a dark
     interval (SETTLE_NS) letting the excited and metastable populations
-    relax back to the ground manifold. Known fault: both also run the
-    resonant laser at detuning 0, `build_rate_matrix`'s default."""
-    g_on = build_rate_matrix(params, strain, rp, green_on=True)
+    relax back to the ground manifold. Known fault: both pass laser
+    detuning 0, so both also run the resonant laser."""
+    g_on = build_rate_matrix(structure, rp, 0.0, green_on=True)
     pop = propagate(uniform_ground(), g_on, GREEN_INIT_NS)
-    g_off = build_rate_matrix(params, strain, rp)
+    g_off = build_rate_matrix(structure, rp, 0.0)
     return propagate(pop, g_off, SETTLE_NS)
 
 
-def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
+def rabi_trace(structure, rp, omega_mw, readout_line, mw_durations):
     """Initialize (green pulse plus dark settle), rotate (MW for tau),
     read out (resonant laser on `readout_line`, integrating PL).
     Returns (tau, counts) rows."""
@@ -316,10 +315,9 @@ def rabi_trace(params, strain, rp, omega_mw, readout_line, mw_durations):
     if not np.all(np.isfinite(angles)):
         raise ValueError("MW angle omega_mw * tau overflows")
 
-    init = polarize(params, strain, rp)
+    init = polarize(structure, rp)
 
-    g_read = build_rate_matrix(params, strain, rp,
-                               laser_detuning=readout_line.detuning)
+    g_read = build_rate_matrix(structure, rp, readout_line.detuning)
     # augmented generator: last row integrates gamma_rad * P_excited
     aug = np.zeros((N_LEVELS + 1, N_LEVELS + 1))
     aug[:N_LEVELS, :N_LEVELS] = g_read

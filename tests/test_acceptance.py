@@ -19,9 +19,10 @@ from nvsim.model import (FineStructureParams, RateParams, StrainVector,
 from nvsim.motional import (ExchangeModel, TemperatureMap,
                             esr_contrast_vs_temperature,
                             exchange_lineshape)
-from nvsim.photodynamics import (excitation_spectrum, polarize,
-                                 propagate, rabi_trace, build_rate_matrix,
-                                 transition_lines, uniform_ground)
+from nvsim.photodynamics import (excitation_spectrum, excited_structure,
+                                 polarize, propagate, rabi_trace,
+                                 build_rate_matrix, transition_lines,
+                                 uniform_ground)
 from nvsim.sweep import (averaged_splitting, detect_crossings,
                          nv2_condition_strain, sweep)
 
@@ -107,11 +108,11 @@ def test_c05_upper_branch_no_crossing():
 
 def test_c06_excitation_spectra():
     strain = StrainVector(3.0, 0.0)
-    lines = transition_lines(DEFAULTS, strain)
+    structure = excited_structure(DEFAULTS, strain)
+    lines = transition_lines(structure)
     conserving = [ln for ln in lines if ln.spin_conserving]
     grid = np.linspace(-8.0, 8.0, 3201)
-    on = excitation_spectrum(DEFAULTS, strain, RATES, grid,
-                             mw_on=True)[:, 1]
+    on = excitation_spectrum(structure, RATES, grid, mw_on=True)[:, 1]
     peaks, _ = local_maxima(grid, on)
     half_lw = 0.5 * RATES.linewidth
     six_ok = (len(conserving) == 6
@@ -126,19 +127,17 @@ def test_c06_excitation_spectra():
         if ln.excited_index not in lower:
             continue
         nu = np.array([ln.detuning])
-        h_on = excitation_spectrum(DEFAULTS, strain, RATES, nu,
-                                   mw_on=True)[0, 1]
-        h_off = excitation_spectrum(DEFAULTS, strain, RATES, nu,
+        h_on = excitation_spectrum(structure, RATES, nu, mw_on=True)[0, 1]
+        h_off = excitation_spectrum(structure, RATES, nu,
                                     mw_on=False)[0, 1]
         supp_ok = supp_ok and h_off <= 0.10 * h_on
 
     def sz_peak_mw_off(dperp):
-        sv = StrainVector(dperp, 0.0)
-        pool = [ln for ln in transition_lines(DEFAULTS, sv)
+        at = excited_structure(DEFAULTS, StrainVector(dperp, 0.0))
+        pool = [ln for ln in transition_lines(at)
                 if ln.ground_sublevel == "gSz" and ln.spin_conserving]
         ln = max(pool, key=lambda x: x.strength)
-        return excitation_spectrum(DEFAULTS, sv, RATES,
-                                   np.array([ln.detuning]),
+        return excitation_spectrum(at, RATES, np.array([ln.detuning]),
                                    mw_on=False)[0, 1]
 
     nv2 = nv2_condition_strain(DEFAULTS)
@@ -148,12 +147,12 @@ def test_c06_excitation_spectra():
 
 
 def test_c07_spin_polarization():
-    strain = StrainVector(3.0, 0.0)
-    pop = polarize(DEFAULTS, strain, RATES)
+    structure = excited_structure(DEFAULTS, StrainVector(3.0, 0.0))
+    pop = polarize(structure, RATES)
     polarized_ok = pop[0] >= 0.8
     blind = RATES._replace(k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
                            pump_res_max=0.0)
-    g = build_rate_matrix(DEFAULTS, strain, blind, green_on=True)
+    g = build_rate_matrix(structure, blind, 0.0, green_on=True)
     pb = propagate(uniform_ground(), g, 200000.0)
     ground = pb[:3] / pb[:3].sum()
     blind_ok = np.max(np.abs(ground - 1.0 / 3.0)) <= 1e-6
@@ -161,8 +160,8 @@ def test_c07_spin_polarization():
 
 
 def test_c08_rabi_pi_phase_shift():
-    strain = StrainVector(3.0, 0.0)
-    lines = [ln for ln in transition_lines(DEFAULTS, strain)
+    structure = excited_structure(DEFAULTS, StrainVector(3.0, 0.0))
+    lines = [ln for ln in transition_lines(structure)
              if ln.spin_conserving]
     sz_line = max((ln for ln in lines if ln.ground_sublevel == "gSz"),
                   key=lambda ln: ln.strength)
@@ -170,10 +169,10 @@ def test_c08_rabi_pi_phase_shift():
                    key=lambda ln: ln.strength)
     omega = 2.0 * np.pi / 200.0
     taus = np.linspace(0.0, 800.0, 801)
-    a = np.array([c for _, c in rabi_trace(DEFAULTS, strain, RATES,
-                                           omega, sz_line, taus)])
-    b = np.array([c for _, c in rabi_trace(DEFAULTS, strain, RATES,
-                                           omega, sxy_line, taus)])
+    a = np.array([c for _, c in rabi_trace(structure, RATES, omega, sz_line,
+                                           taus)])
+    b = np.array([c for _, c in rabi_trace(structure, RATES, omega, sxy_line,
+                                           taus)])
     pearson = np.corrcoef(a, b)[0, 1]
     peaks, _ = local_maxima(taus, a)
     period = np.mean(np.diff(peaks))

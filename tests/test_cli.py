@@ -1180,7 +1180,7 @@ class TestProcessEntry:
 # (`fit` on CI's 8-defect fixture): a change that moves this work shows here
 EIGENSOLVE_WORK = [
     (["levels"], 1, 1), (["sweep"], 29, 863), (["lines"], 1, 1),
-    (["excitation"], 1, 1), (["rabi"], 4, 4), (["odmr"], 1, 1),
+    (["excitation"], 1, 1), (["rabi"], 1, 1), (["odmr"], 1, 1),
     (["odmr", "--temperature-scan"], 1, 1), (["avg"], 1, 301),
     (["fit"], 6, 161)]
 

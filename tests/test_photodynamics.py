@@ -7,36 +7,37 @@ from nvsim import photodynamics
 from nvsim.linalg import eigensolve
 from nvsim.model import LEVEL_WEIGHTS, FineStructureParams, RateParams, \
     StrainVector, build_excited_hamiltonian, dominant_spins, gauged, \
-    level_weights
+    ground_levels, level_weights
 from nvsim.photodynamics import (IDX_EXC, IDX_GSZ, N_LEVELS,
                                  RateModelError, build_rate_matrix,
-                                 excitation_spectrum, expm, lorentzian_peak,
-                                 polarize, propagate, rabi_trace,
-                                 stationary_state, transition_lines,
-                                 uniform_ground)
+                                 excitation_spectrum, excited_structure,
+                                 expm, lorentzian_peak, polarize, propagate,
+                                 rabi_trace, stationary_state,
+                                 transition_lines, uniform_ground)
 
 PARAMS = FineStructureParams()
 RATES = RateParams()
 STRAIN = StrainVector(3.0, 0.0)
+STRUCTURE = excited_structure(PARAMS, STRAIN)
 
 
-def strong_lines(strain=STRAIN):
-    return [ln for ln in transition_lines(PARAMS, strain) if not ln.weak]
+def strong_lines():
+    return [ln for ln in transition_lines(STRUCTURE) if not ln.weak]
 
 
 class TestTransitionLines:
     def test_eighteen_lines(self):
-        assert len(transition_lines(PARAMS, STRAIN)) == 18
+        assert len(transition_lines(STRUCTURE)) == 18
 
     def test_strengths_sum_to_one_per_sublevel(self):
-        lines = transition_lines(PARAMS, STRAIN)
+        lines = transition_lines(STRUCTURE)
         for g in ("gSz", "gSx", "gSy"):
             total = sum(ln.strength for ln in lines
                         if ln.ground_sublevel == g)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_six_strong_sz_and_conserving_flags(self):
-        lines = transition_lines(PARAMS, STRAIN)
+        lines = transition_lines(STRUCTURE)
         conserving = [ln for ln in lines if ln.spin_conserving]
         assert len(conserving) == 6
         assert all(ln.strength > 0.25 for ln in conserving)
@@ -44,8 +45,9 @@ class TestTransitionLines:
     def test_spin_populations_are_the_level_characters(self):
         # the rate model's level weights are the level_weights of the
         # same eigenvectors, those of the gauged Hamiltonian, bit for
-        # bit, and a line conserves spin where its ground sublevel is the
-        # level's dominant spin
+        # bit, its ground energies are the ground triplet's, and a line
+        # conserves spin where its ground sublevel is the level's
+        # dominant spin
         rng = np.random.default_rng(71)
         spin_of = {"gSz": "p_sz", "gSx": "p_sx", "gSy": "p_sy"}
         for _ in range(40):
@@ -55,12 +57,14 @@ class TestTransitionLines:
                 d_es=rng.uniform(0.1, 5.0), delta_cap=rng.uniform(0.1, 5.0),
                 e_es_coeff=rng.uniform(-0.5, 0.5))
             strain = StrainVector(*rng.uniform(-30.0, 30.0, 2))
-            _, weights = photodynamics._excited_structure(params, strain)
+            structure = excited_structure(params, strain)
+            _, weights, ground = structure
             chars = level_weights(eigensolve(gauged(
                 build_excited_hamiltonian(params, strain)))[1])
             assert np.array_equal(weights, chars)
+            assert np.array_equal(ground, ground_levels(params))
             rows = dominant_spins(chars)
-            for ln in transition_lines(params, strain):
+            for ln in transition_lines(structure):
                 dominant = list(LEVEL_WEIGHTS)[rows[ln.excited_index - 1]]
                 assert ln.spin_conserving == (
                     dominant == spin_of[ln.ground_sublevel])
@@ -79,8 +83,7 @@ class TestTransitionLines:
                 e_es_coeff=rng.uniform(-0.5, 0.5))
             dx, dy = rng.uniform(-30.0, 30.0, 2)
             strain = StrainVector(dx, 0.0 if on_axis else dy)
-            values, weights = photodynamics._excited_structure(params,
-                                                               strain)
+            values, weights, _ = excited_structure(params, strain)
             h = build_excited_hamiltonian(params, strain)
             assert np.isrealobj(gauged(h)) == on_axis
             oracle_values, oracle_vectors = np.linalg.eigh(h)
@@ -91,12 +94,12 @@ class TestTransitionLines:
     def test_rejects_strain_beyond_limit(self):
         # returned lines of strength 0.0 after an overflow RuntimeWarning
         with pytest.raises(ValueError, match="1e\\+06 GHz"):
-            transition_lines(PARAMS, StrainVector(1e300, 0.0))
+            excited_structure(PARAMS, StrainVector(1e300, 0.0))
 
     def test_flags_are_python_bools(self):
         # a numpy bool has another repr, which the lines table would show
         for strain in (StrainVector(), STRAIN):
-            for ln in transition_lines(PARAMS, strain):
+            for ln in transition_lines(excited_structure(PARAMS, strain)):
                 assert type(ln.spin_conserving) is bool
                 assert type(ln.weak) is bool
 
@@ -104,11 +107,11 @@ class TestTransitionLines:
         # at lambda_perp = 0 and zero strain the E-pair and A1/A2 levels
         # hold Sx and Sy equally to the last bit
         params = FineStructureParams(lambda_perp=0.0)
-        _, weights = photodynamics._excited_structure(params, StrainVector())
-        p_sx, p_sy = weights[1:3]
+        structure = excited_structure(params, StrainVector())
+        p_sx, p_sy = structure[1][1:3]
         tied = np.flatnonzero((p_sx == p_sy) & (p_sx > 0.4))
         assert tied.tolist() == [0, 1, 4, 5]
-        lines = transition_lines(params, StrainVector())
+        lines = transition_lines(structure)
         for gname, conserving in (("gSx", True), ("gSy", False)):
             assert all(ln.spin_conserving == conserving for ln in lines
                        if ln.ground_sublevel == gname
@@ -117,10 +120,23 @@ class TestTransitionLines:
 
 class TestRateMatrix:
     def test_columns_sum_to_zero(self):
-        for kwargs in ({}, {"mw_on": True}, {"green_on": True},
-                       {"laser_detuning": 4.0}):
-            g = build_rate_matrix(PARAMS, STRAIN, RATES, **kwargs)
+        for detuning, kwargs in ((0.0, {}), (0.0, {"mw_on": True}),
+                                 (0.0, {"green_on": True}), (4.0, {})):
+            g = build_rate_matrix(STRUCTURE, RATES, detuning, **kwargs)
             assert np.max(np.abs(g.sum(axis=0))) < 1e-12
+
+    @pytest.mark.parametrize("kwargs", [{}, {"mw_on": True},
+                                        {"green_on": True}])
+    @pytest.mark.parametrize("detuning", [np.inf, -np.inf])
+    def test_infinite_detuning_drives_no_line(self, detuning, kwargs):
+        # every line profile is exactly 0 there: no resonant drive is a
+        # detuning, not a code path
+        g = build_rate_matrix(STRUCTURE, RATES, detuning, **kwargs)
+        dark = RATES._replace(pump_res_max=0.0)
+        assert np.array_equal(g, build_rate_matrix(STRUCTURE, dark, 0.0,
+                                                   **kwargs))
+        # no rate from a ground level into an excited one but the green's
+        assert g[IDX_EXC, :3].any() == kwargs.get("green_on", False)
 
     def test_rejects_inverted_isc_ordering(self):
         with pytest.raises(ValueError):
@@ -143,14 +159,14 @@ class TestRateMatrix:
         assert lorentzian_peak(0.05, 0.1) == pytest.approx(0.5)
 
     def test_propagation_conserves_probability(self):
-        g = build_rate_matrix(PARAMS, STRAIN, RATES, green_on=True,
+        g = build_rate_matrix(STRUCTURE, RATES, 0.0, green_on=True,
                               mw_on=True)
         pop = propagate(uniform_ground(), g, 5000.0)
         assert pop.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.min(pop) >= -1e-12
 
     def test_propagation_rejects_nan_generator(self):
-        g = build_rate_matrix(PARAMS, STRAIN, RATES, green_on=True)
+        g = build_rate_matrix(STRUCTURE, RATES, 0.0, green_on=True)
         g[4, 3] = np.nan
         with pytest.raises(RateModelError, match="conservation"):
             propagate(uniform_ground(), g, 1.0)
@@ -170,7 +186,7 @@ class TestRateMatrix:
             stationary_state(g)
 
     def test_stationary_state_is_stationary(self):
-        g = build_rate_matrix(PARAMS, STRAIN, RATES, laser_detuning=4.0,
+        g = build_rate_matrix(STRUCTURE, RATES, laser_detuning=4.0,
                               mw_on=True)
         ss = stationary_state(g)
         assert np.max(np.abs(g @ ss)) < 1e-10
@@ -194,8 +210,9 @@ class TestRateMatrix:
         # comes out with a ground population below -1e-8 at a residual
         # near 1e-15
         rates = RATES._replace(gamma_singlet=1e-301, k_isc_xy=5.0)
-        g = build_rate_matrix(PARAMS, StrainVector(27.0, 0.0), rates,
-                              laser_detuning=1.0)
+        g = build_rate_matrix(excited_structure(PARAMS,
+                                                StrainVector(27.0, 0.0)),
+                              rates, laser_detuning=1.0)
         with pytest.raises(RateModelError, match=r"not found \(level \d "
                            r"has negative population -\d\.\d{3}e-\d\d\)"
                            ) as err:
@@ -204,7 +221,7 @@ class TestRateMatrix:
 
     def test_stationary_state_rejects_non_finite_generator(self):
         # LAPACK hangs on a bordered generator holding an inf
-        g = build_rate_matrix(PARAMS, STRAIN, RATES, mw_on=True)
+        g = build_rate_matrix(STRUCTURE, RATES, 0.0, mw_on=True)
         g[0, 0] = -np.inf
         with pytest.raises(RateModelError, match="not finite"):
             stationary_state(g)
@@ -250,7 +267,7 @@ class TestStationaryOracle:
                      marks=WEAK_DRIVE)])
     def test_pl_matches_an_exact_solve(self, rates):
         # `nvsim excitation --mw-off` at -8.5 GHz
-        g = build_rate_matrix(PARAMS, STRAIN, rates, laser_detuning=-8.5)
+        g = build_rate_matrix(STRUCTURE, rates, laser_detuning=-8.5)
         pl = stationary_state(g)[IDX_EXC].sum()
         assert pl == pytest.approx(gth_stationary(g)[IDX_EXC].sum(),
                                    rel=1e-6, abs=0.0)
@@ -259,7 +276,7 @@ class TestStationaryOracle:
         # at gamma_rad = 1e9 lstsq's excited population is 34% off; only
         # the absolute residual test rejects it, which a residual taken
         # relative to the generator's scale would not
-        g = build_rate_matrix(PARAMS, STRAIN, RATES._replace(gamma_rad=1e9),
+        g = build_rate_matrix(STRUCTURE, RATES._replace(gamma_rad=1e9),
                               laser_detuning=-10.0, mw_on=True)
         with pytest.raises(RateModelError, match=r"residual 8\.73\de-08"):
             stationary_state(g)
@@ -290,12 +307,12 @@ class TestStacked:
                                         {"green_on": True, "mw_on": True}])
     def test_build_equals_per_detuning(self, kwargs):
         nus = np.linspace(-6.0, 6.0, 37)
-        stack = build_rate_matrix(PARAMS, STRAIN, RATES, laser_detuning=nus,
+        stack = build_rate_matrix(STRUCTURE, RATES, laser_detuning=nus,
                                   **kwargs)
         assert stack.shape == (nus.size, N_LEVELS, N_LEVELS)
         for nu, g in zip(nus, stack):
             assert np.array_equal(g, build_rate_matrix(
-                PARAMS, STRAIN, RATES, laser_detuning=nu, **kwargs))
+                STRUCTURE, RATES, laser_detuning=nu, **kwargs))
 
     def test_stationary_state_equals_per_matrix(self):
         gens = np.array(list(rate_generators(np.random.default_rng(5), 12)))
@@ -322,12 +339,13 @@ class TestStacked:
                                                 True)])
     def test_spectrum_equals_scalar_loop(self, strain, mw_on):
         grid = np.linspace(-10.0, 10.0, 161)
+        structure = excited_structure(PARAMS, strain)
         loop = []
         for nu in grid:
-            g = build_rate_matrix(PARAMS, strain, RATES, laser_detuning=nu,
+            g = build_rate_matrix(structure, RATES, laser_detuning=nu,
                                   mw_on=mw_on)
             loop.append(RATES.gamma_rad * stationary_state(g)[IDX_EXC].sum())
-        spec = excitation_spectrum(PARAMS, strain, RATES, grid, mw_on=mw_on)
+        spec = excitation_spectrum(structure, RATES, grid, mw_on=mw_on)
         assert np.array_equal(spec[:, 0], grid)
         assert np.array_equal(spec[:, 1], loop)
 
@@ -335,8 +353,8 @@ class TestStacked:
         grid = np.linspace(-10.0, 10.0, 5)
         with pytest.raises(RateModelError, match=r"^at detuning -10.0 GHz: "
                                                  r"generator not finite$"):
-            excitation_spectrum(PARAMS, STRAIN,
-                                RATES._replace(mw_mix_rate=1e308), grid)
+            excitation_spectrum(STRUCTURE, RATES._replace(mw_mix_rate=1e308),
+                                grid)
 
         def third_zero(*args, **kwargs):
             g = build_rate_matrix(*args, **kwargs)
@@ -346,7 +364,7 @@ class TestStacked:
         monkeypatch.setattr(photodynamics, "build_rate_matrix", third_zero)
         with pytest.raises(RateModelError, match=r"^at detuning 0.0 GHz: "
                                                  r"stationary state not uniq"):
-            excitation_spectrum(PARAMS, STRAIN, RATES, grid)
+            excitation_spectrum(STRUCTURE, RATES, grid)
 
     def test_build_names_a_non_finite_profile(self):
         line = strong_lines()[0]
@@ -355,7 +373,7 @@ class TestStacked:
         with pytest.raises(RateModelError,
                            match=f"not finite at detuning {line.detuning}"):
             # the squared half-width underflows to 0
-            build_rate_matrix(PARAMS, STRAIN, RATES._replace(linewidth=1e-200),
+            build_rate_matrix(STRUCTURE, RATES._replace(linewidth=1e-200),
                               laser_detuning=grid)
 
 
@@ -374,9 +392,10 @@ class TestExpm:
     def test_matches_scipy_on_model_propagators(self):
         from scipy.linalg import expm as scipy_expm
 
-        for kwargs, ns in (({"green_on": True}, 3000.0), ({}, 2000.0),
-                           ({"laser_detuning": 4.0, "mw_on": True}, 1000.0)):
-            a = build_rate_matrix(PARAMS, STRAIN, RATES, **kwargs) * ns
+        for detuning, kwargs, ns in ((0.0, {"green_on": True}, 3000.0),
+                                     (0.0, {}, 2000.0),
+                                     (4.0, {"mw_on": True}, 1000.0)):
+            a = build_rate_matrix(STRUCTURE, RATES, detuning, **kwargs) * ns
             assert np.max(np.abs(expm(a) - scipy_expm(a))) < 1e-12
 
     def test_zero_and_non_finite(self):
@@ -387,26 +406,26 @@ class TestExpm:
 
 class TestPolarization:
     def test_green_pumping_polarizes_into_sz(self):
-        pop = polarize(PARAMS, STRAIN, RATES)
+        pop = polarize(STRUCTURE, RATES)
         assert pop[IDX_GSZ] >= 0.8
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "CHANGES.md FOUND, polarize: the green pulse and the dark settle "
-        "both run the resonant laser at detuning 0, build_rate_matrix's "
-        "default"))
+        "both run the resonant laser, as polarize passes laser detuning 0 "
+        "to both builds"))
     def test_dark_settle_drives_no_optical_line(self, monkeypatch):
         generators = []
         monkeypatch.setattr(photodynamics, "propagate",
                             lambda pop, g, t: generators.append(g)
                             or propagate(pop, g, t))
-        polarize(PARAMS, STRAIN, RATES)
+        polarize(STRUCTURE, RATES)
         # no rate from a ground level into an excited one
         assert not generators[1][IDX_EXC, :3].any()
 
     def test_spin_blind_rates_leave_uniform(self):
         blind = RATES._replace(k_isc_z=RATES.k_isc_xy, beta_z=1.0 / 3.0,
                                pump_res_max=0.0)
-        g = build_rate_matrix(PARAMS, STRAIN, blind, green_on=True)
+        g = build_rate_matrix(STRUCTURE, blind, 0.0, green_on=True)
         pop = propagate(uniform_ground(), g, 200000.0)
         ground = pop[:3] / pop[:3].sum()
         assert np.max(np.abs(ground - 1.0 / 3.0)) < 1e-6
@@ -416,7 +435,7 @@ class TestSpectrum:
     def test_peaks_at_line_positions(self):
         lines = strong_lines()
         grid = np.linspace(-8.0, 8.0, 1601)
-        spec = excitation_spectrum(PARAMS, STRAIN, RATES, grid, mw_on=True)
+        spec = excitation_spectrum(STRUCTURE, RATES, grid, mw_on=True)
         pl = spec[:, 1]
         base = np.median(pl)
         for ln in lines:
@@ -428,11 +447,11 @@ class TestSpectrum:
     def test_weak_pump_linearity(self):
         lines = strong_lines()
         nus = np.unique([ln.detuning for ln in lines])
-        full = excitation_spectrum(PARAMS, STRAIN, RATES, nus)[:, 1]
+        full = excitation_spectrum(STRUCTURE, RATES, nus)[:, 1]
         half_rp = RATES._replace(pump_res_max=RATES.pump_res_max / 32.0)
-        half = excitation_spectrum(PARAMS, STRAIN, half_rp, nus)[:, 1]
+        half = excitation_spectrum(STRUCTURE, half_rp, nus)[:, 1]
         quarter_rp = RATES._replace(pump_res_max=RATES.pump_res_max / 64.0)
-        quarter = excitation_spectrum(PARAMS, STRAIN, quarter_rp,
+        quarter = excitation_spectrum(STRUCTURE, quarter_rp,
                                       nus)[:, 1]
         # below saturation, halving the pump halves every peak
         assert np.allclose(half / quarter, 2.0, rtol=0.02)
@@ -442,8 +461,8 @@ class TestSpectrum:
         other = RATES._replace(gamma_rad=RATES.gamma_rad * 2.0,
                                k_isc_xy=RATES.k_isc_xy / 2.0)
         grid = np.linspace(3.5, 4.5, 401)
-        a = excitation_spectrum(PARAMS, STRAIN, RATES, grid)[:, 1]
-        b = excitation_spectrum(PARAMS, STRAIN, other, grid)[:, 1]
+        a = excitation_spectrum(STRUCTURE, RATES, grid)[:, 1]
+        b = excitation_spectrum(STRUCTURE, other, grid)[:, 1]
         assert abs(grid[np.argmax(a)] - grid[np.argmax(b)]) < \
             2 * (grid[1] - grid[0])
 
@@ -454,7 +473,7 @@ class TestRabi:
                     if ln.ground_sublevel == "gSz" and ln.spin_conserving),
                    key=lambda ln: ln.strength)
         taus = np.linspace(0.0, 100.0, 11)
-        rows = rabi_trace(PARAMS, STRAIN, RATES, 2.0 * np.pi / 100.0,
+        rows = rabi_trace(STRUCTURE, RATES, 2.0 * np.pi / 100.0,
                           line, taus)
         assert len(rows) == 11
         counts = np.array([c for _, c in rows])
@@ -467,13 +486,13 @@ class TestRabi:
         # RuntimeWarning first
         line = strong_lines()[0]
         with pytest.raises(RateModelError, match="probability conservation"):
-            rabi_trace(PARAMS, STRAIN, RATES._replace(pump_res_max=1e188),
+            rabi_trace(STRUCTURE, RATES._replace(pump_res_max=1e188),
                        2.0 * np.pi / 200.0, line, [0.0, 100.0])
 
     def test_rejects_bad_inputs(self):
         line = strong_lines()[0]
         with pytest.raises(ValueError):
-            rabi_trace(PARAMS, STRAIN, RATES, 0.0, line, [0.0, 1.0])
+            rabi_trace(STRUCTURE, RATES, 0.0, line, [0.0, 1.0])
 
     @pytest.mark.parametrize("taus", [[0.0, -1.0], [-400.0, 0.0, 400.0],
                                       [-1e-300]])
@@ -482,4 +501,4 @@ class TestRabi:
         # the mirror image of the positive trace instead of an error
         line = strong_lines()[0]
         with pytest.raises(ValueError, match=">= 0"):
-            rabi_trace(PARAMS, STRAIN, RATES, 2.0 * np.pi / 100.0, line, taus)
+            rabi_trace(STRUCTURE, RATES, 2.0 * np.pi / 100.0, line, taus)

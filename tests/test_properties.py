@@ -10,7 +10,7 @@ from nvsim.config import Config, parse_config
 from nvsim.model import (GAUGE, FineStructureParams, RateParams,
                          StrainVector, build_excited_hamiltonian)
 from nvsim.photodynamics import (RateModelError, build_rate_matrix,
-                                 stationary_state)
+                                 excited_structure, stationary_state)
 from nvsim.sweep import strain_family, strain_hamiltonians
 
 SEEDED = settings(derandomize=True, database=None, max_examples=100,
@@ -53,15 +53,15 @@ class TestRateModel:
            mw_on=st.booleans(), green_on=st.booleans())
     def test_generators_and_stationary_states(self, rp, strain, detunings,
                                               mw_on, green_on):
-        sv = StrainVector(strain, 0.0)
-        params = FineStructureParams()
-        stack = build_rate_matrix(params, sv, rp, laser_detuning=detunings,
+        structure = excited_structure(FineStructureParams(),
+                                      StrainVector(strain, 0.0))
+        stack = build_rate_matrix(structure, rp, laser_detuning=detunings,
                                   mw_on=mw_on, green_on=green_on)
         assert stack.shape == (len(detunings), 10, 10)
         scale = np.abs(stack).max()
         assert np.abs(stack.sum(axis=1)).max() <= 1e-12 * scale
         for d, g in zip(detunings, stack):
-            single = build_rate_matrix(params, sv, rp, laser_detuning=d,
+            single = build_rate_matrix(structure, rp, laser_detuning=d,
                                        mw_on=mw_on, green_on=green_on)
             assert np.array_equal(single, g)
         try:
