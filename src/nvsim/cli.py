@@ -9,8 +9,11 @@ codes: 0 success, 1 usage/configuration error (a ValueError, an `odmr`
 strain with unresolved branches included) or an output that cannot be
 written, 2 numerical failure.
 
-Each command imports the modules it runs when it runs, so a process
-loads only what its subcommand uses.
+The command line is read by `_parse` from one table, `_COMMAND_LINE`,
+with argparse's grammar and error words (see README), but not argparse,
+which with gettext and locale cost ~6 ms a process; `-h` is built from
+the table. Each command imports the modules it runs when it runs, so a
+process loads only what its subcommand uses.
 
 The package import (`nvsim/__init__.py`) pauses the collector and ages
 what it allocated unscanned: one collection at start-up, not ~30. The
@@ -22,11 +25,11 @@ output file is closed before its summary is printed. `run()`, which
 tests and library callers use, returns its exit code and ends nothing.
 """
 
-import argparse
 import atexit
 import os
 import re
 import sys
+import types
 
 import numpy as np
 
@@ -42,83 +45,158 @@ class UsageError(ValueError):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that raises instead of calling sys.exit. A token
-    that starts like a negative number is a value, as every token float()
-    parses does (argparse's own pattern takes -1e3, -5. or -inf for an
-    option); the flag's type check rejects the rest."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)",
-                                                   re.IGNORECASE)
-
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser():
-    p = _Parser(prog="nvsim", description=(
-        "NV- excited-state fine structure, photodynamics and ESR versus "
-        "transverse strain. Each subcommand writes its CSV tables and a "
-        "run manifest into the configured output directory. Exit codes: "
-        "0 success, 1 usage or configuration error, 2 numerical failure."))
-    p.add_argument("--config", default=None,
-                   help="flat key=value config file")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("levels", help="zero-strain fine-structure table")
-
-    sp = sub.add_parser("sweep", help="energies vs transverse strain")
-    sp.add_argument("--gap-threshold", type=float, default=0.5,
-                    help="report gap minima below this (GHz)")
-
-    sp = sub.add_parser("lines", help="optical transition table")
-    _strain_flag(sp)
-
-    sp = sub.add_parser("excitation", help="PL excitation spectrum")
-    _strain_flag(sp)
-    sp.add_argument("--mw-off", dest="mw", action="store_false",
-                    help="no microwave drive (default: driven)")
-    sp.add_argument("--detuning-min", type=float, default=-10.0)
-    sp.add_argument("--detuning-max", type=float, default=10.0)
-    sp.add_argument("--detuning-points", type=int, default=801)
-
-    sp = sub.add_parser("rabi", help="MW nutation trace")
-    _strain_flag(sp)
-    sp.add_argument("--readout", choices=("sz", "sxy"), default="sz",
-                    help="optical readout line family")
-    sp.add_argument("--omega-mw", type=float, default=2.0 * np.pi / 200.0,
-                    help="Rabi angular frequency (rad/ns)")
-    sp.add_argument("--tau-max", type=float, default=400.0)
-    sp.add_argument("--tau-points", type=int, default=81)
-
-    sp = sub.add_parser("odmr", help="motional-exchange ESR lineshape")
-    _strain_flag(sp, default=20.0)
-    sp.add_argument("--temperature", type=float, default=300.0)
-    sp.add_argument("--temperature-scan", action="store_true",
-                    help="emit contrast vs temperature instead")
-    sp.add_argument("--temp-min", type=float, default=6.0)
-    sp.add_argument("--temp-max", type=float, default=300.0)
-    sp.add_argument("--temp-points", type=int, default=60)
-    sp.add_argument("--freq-min", type=float, default=0.4)
-    sp.add_argument("--freq-max", type=float, default=2.6)
-    sp.add_argument("--freq-points", type=int, default=441)
-
-    sp = sub.add_parser("avg", help="orbit-averaged spin splitting")
-    sp.add_argument("--max-strain", type=float, default=30.0)
-    sp.add_argument("--points", type=int, default=301)
-
-    sp = sub.add_parser("fit", help="fit parameters from a line CSV")
-    sp.add_argument("input", help="CSV with defect_id,line_ghz columns")
-    sp.add_argument("--free-lambda-perp", action="store_true")
-    return p
+_DESCRIPTION = """\
+NV- excited-state fine structure, photodynamics and ESR versus transverse
+strain. Each subcommand writes its CSV tables and a run manifest into the
+configured output directory. Exit codes: 0 success, 1 usage or
+configuration error, 2 numerical failure."""
+# An option is (flag, destination, kind, default, help). Its kind converts
+# its value (`float`, `int`, `str`), is a tuple of choices, or is None for
+# an on/off switch, which stores `not default`. A flag without a leading
+# "-" is a required positional. The strains' consumers check them.
+_HELP = ("-h/--help", None, "help", None, "show this help and exit")
+_STRAIN = ("--strain", "strain", float, 3.0, "transverse strain (GHz)")
+_COMMAND_LINE = {   # each subcommand's help line and options
+    "levels": ("zero-strain fine-structure table", ()),
+    "sweep": ("energies vs transverse strain", (
+        ("--gap-threshold", "gap_threshold", float, 0.5,
+         "report gap minima below this (GHz)"),)),
+    "lines": ("optical transition table", (_STRAIN,)),
+    "excitation": ("PL excitation spectrum", (
+        _STRAIN, ("--mw-off", "mw", None, True, "no microwave drive"),
+        ("--detuning-min", "detuning_min", float, -10.0,
+         "lowest laser detuning (GHz)"),
+        ("--detuning-max", "detuning_max", float, 10.0,
+         "highest laser detuning (GHz)"),
+        ("--detuning-points", "detuning_points", int, 801, "detunings"))),
+    "rabi": ("MW nutation trace", (
+        _STRAIN, ("--readout", "readout", ("sz", "sxy"), "sz",
+                  "optical readout line family"),
+        ("--omega-mw", "omega_mw", float, 2.0 * np.pi / 200.0,
+         "Rabi angular frequency (rad/ns)"),
+        ("--tau-max", "tau_max", float, 400.0, "longest MW pulse (ns)"),
+        ("--tau-points", "tau_points", int, 81, "pulse lengths"))),
+    "odmr": ("motional-exchange ESR lineshape", (
+        ("--strain", "strain", float, 20.0, "transverse strain (GHz)"),
+        ("--temperature", "temperature", float, 300.0, "temperature (K)"),
+        ("--temperature-scan", "temperature_scan", None, False,
+         "emit contrast vs temperature instead"),
+        ("--temp-min", "temp_min", float, 6.0, "scan start (K)"),
+        ("--temp-max", "temp_max", float, 300.0, "scan end (K)"),
+        ("--temp-points", "temp_points", int, 60, "scan points"),
+        ("--freq-min", "freq_min", float, 0.4, "lowest frequency (GHz)"),
+        ("--freq-max", "freq_max", float, 2.6, "highest frequency (GHz)"),
+        ("--freq-points", "freq_points", int, 441, "frequencies"))),
+    "avg": ("orbit-averaged spin splitting", (
+        ("--max-strain", "max_strain", float, 30.0, "largest strain (GHz)"),
+        ("--points", "points", int, 301, "strain points"))),
+    "fit": ("fit parameters from a line CSV", (
+        ("input", "input", str, None, "CSV with defect_id,line_ghz columns"),
+        ("--free-lambda-perp", "free_lambda_perp", None, False,
+         "fit lambda_perp too"))),
+}
+_TOP = (("--config", "config", str, None, "flat key=value config file"),
+        ("command", "command", tuple(_COMMAND_LINE), None, "one of these:"))
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _strain_flag(sp, default=3.0):
-    # its consumers check the value (`model.checked_strains`)
-    sp.add_argument("--strain", type=float, default=default,
-                    help=f"transverse strain, GHz (default {default})")
+def _help(command):
+    """`nvsim -h` (command None) or `nvsim <command> -h`, from the table."""
+    text, rows = _COMMAND_LINE.get(command, (_DESCRIPTION, _TOP))
+    lines = [" ".join(["usage: nvsim", *[command] * bool(command), "[-h]",
+                       "[options]", *(r[0] for r in rows if r[0][0] != "-")]),
+             "", text, ""]
+    for flag, dest, kind, default, text in (_HELP, *rows):
+        if kind not in (None, "help") and flag[0] == "-":
+            flag += " {%s}" % ",".join(kind) if isinstance(kind, tuple) \
+                else " " + dest.upper()
+            text += "" if default is None else f" (default {default})"
+        lines.append(f"  {flag:31} {text}")
+    lines += [f"    {name:30}{text}" for name, (text, _)
+              in _COMMAND_LINE.items() if command is None]
+    return "\n".join(lines)
+
+
+def _option(token, options):
+    """(option, explicit value) if `token` names one of `options`, as a
+    unique prefix does; (None, None) for an unknown option; None for a
+    value: "-", a negative number, -inf, -nan or a token with a space."""
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    hits = [name] if name in options else [
+        flag for flag in options if flag.startswith(name)]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         f"{', '.join(hits)}")
+    if hits:
+        return options[hits[0]], value if eq else None
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token \
+        else (None, None)
+
+
+def _read(tokens, rows, args, extras, command=None):
+    """Reads `tokens` into `args` by the table `rows` as argparse does:
+    unknown options, and values after the positional's, go to `extras`;
+    after the first "--" every token is a value, and that "--" is dropped
+    next to the positional's. At the top level (no `command`) the
+    positional is the subcommand, which reads the rest."""
+    options = {"-h": _HELP, "--help": _HELP, **{row[0]: row for row in rows}}
+    positional = next((row for row in rows if row[0][0] != "-"), None)
+    args.update((row[1], row[3]) for row in rows)
+    sep = tokens.index("--") if "--" in tokens else len(tokens)
+    found = [_option(t, options) for t in tokens[:sep]]
+    found += [None] * (len(tokens) - sep)
+    at, i = None, 0
+    while i < len(tokens):
+        token, hit, i = tokens[i], found[i], i + 1
+        # a top-level "--" is taken for the subcommand, unless it is last
+        if hit is None and positional and at is None and (
+                i - 1 != sep or command is None and i < len(tokens)):
+            (flag, dest, kind, _, _), value, at = positional, token, i - 1
+        elif hit is None or hit[0] is None:
+            extras.append(token)
+            continue
+        else:
+            (flag, dest, kind, default, _), value = hit
+            if kind in (None, "help") and value is not None:
+                raise UsageError(f"argument {flag}: ignored explicit "
+                                 f"argument {value!r}")
+            if kind == "help":
+                print(_help(command))
+                raise SystemExit(0)
+            if kind is None:
+                args[dest] = not default
+                continue
+            if value is None and (i >= sep or found[i] is not None):
+                raise UsageError(f"argument {flag}: expected one argument")
+            if value is None:
+                value, i = tokens[i], i + 1
+        if isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, kind))})")
+        try:
+            args[dest] = value if isinstance(kind, tuple) else kind(value)
+        except ValueError:
+            raise UsageError(f"argument {flag}: invalid {kind.__name__} "
+                             f"value: {value!r}") from None
+        if command is None and at is not None:   # the rest is the command's
+            _read(tokens[i:], _COMMAND_LINE[value][1], args, extras, value)
+            if extras:
+                raise UsageError("unrecognized arguments: " + " ".join(extras))
+            return
+    if at is not None and sep < len(tokens) and abs(sep - at) == 1:
+        extras.remove("--")
+    if positional and at is None:
+        raise UsageError("the following arguments are required: "
+                         + positional[1])
+
+
+def _parse(argv):
+    """The namespace of `argv`; every usage error raises UsageError."""
+    args = {}
+    _read(argv, _TOP, args, [])
+    return types.SimpleNamespace(**args)
 
 
 def _shell_quote(token):
@@ -355,9 +433,8 @@ _COMMANDS = {
 
 
 def run(argv):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         cfg = load_config(args.config) if args.config else Config()
         _COMMANDS[args.command](cfg, args, " ".join(
             map(_shell_quote, ["nvsim", *argv])))

@@ -53,6 +53,10 @@ def write_fixture(tmp_path, n=8, noise=0.0, strains=None, seed=18):
     return str(path)
 
 
+# modules no nvsim process loads unless a bare `import numpy` does
+HOST_LOADED = ("dataclasses", "argparse", "gettext", "locale")
+
+
 @functools.cache
 def numpy_loads(*names):
     """Those of names that a bare `import numpy` loads on this host."""
@@ -361,6 +365,11 @@ class TestExitCodes:
         for internal in ("_finish", "os._exit", "collector"):
             assert internal not in res.stdout
         assert res.stderr == ""
+        # every subcommand, with its help line
+        lines = res.stdout.splitlines()
+        for name, (text, _) in cli._COMMAND_LINE.items():
+            assert [ln for ln in lines if ln.split()[:1] == [name]
+                    and ln.rstrip().endswith(text)], name
 
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -478,11 +487,18 @@ class TestExitCodes:
                                            "and --detuning-max must be "
                                            "finite\n")
 
-    def test_help_flag_still_an_option(self, capsys):
+    @pytest.mark.parametrize("command", sorted(cli._COMMAND_LINE))
+    def test_help_flag_still_an_option(self, capsys, command):
         with pytest.raises(SystemExit) as exit_:
-            run(["excitation", "-h"])
+            run([command, "-h"])
         assert exit_.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: nvsim excitation")
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: nvsim {command} ")
+        # every flag of the table, and the positional, is named, and its
+        # help follows it apart
+        for row in cli._COMMAND_LINE[command][1]:
+            assert f" {row[0]} " in out, row[0]
+            assert f" {row[4]}" in out, row[4]
 
     def test_lapack_failure_is_numerical(self, tmp_path, capsys,
                                          monkeypatch):
@@ -933,18 +949,18 @@ class TestImportCost:
     def test_cli_import_loads_no_command_module(self):
         # the fit, the lineshape, the rate model, input hashing and
         # numpy.ma load only where a command uses them, scipy nowhere, and
-        # dataclasses only where numpy itself loads it
+        # dataclasses, argparse, gettext and locale only where numpy
+        # itself loads them
         src = str(Path(nvsim.__file__).resolve().parents[1])
         code = ("import sys, nvsim.cli; print([n for n in ('nvsim.fitting', "
                 "'nvsim.motional', 'hashlib', 'numpy.ma', "
-                "'nvsim.photodynamics', 'dataclasses') "
-                "if n in sys.modules], sorted(n for n in sys.modules "
-                "if n.split('.')[0] == 'scipy'))")
+                "'nvsim.photodynamics', 'dataclasses', 'argparse', "
+                "'gettext', 'locale') if n in sys.modules], sorted(n for n "
+                "in sys.modules if n.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == \
-            f"{list(numpy_loads('dataclasses'))} []"
+        assert out.stdout.strip() == f"{list(numpy_loads(*HOST_LOADED))} []"
 
     @pytest.mark.parametrize("argv", [argv for argv, _ in SMALL_COMMANDS],
                              ids=command_id)
@@ -961,16 +977,16 @@ class TestImportCost:
         cfg, out = make_config(tmp_path, "strain_points = 41\n")
         if argv == ["fit"]:
             argv = ["fit", write_fixture(tmp_path, n=4)]
-        loaded = sorted([*loaded, *numpy_loads("dataclasses")])
+        loaded = sorted([*loaded, *numpy_loads(*HOST_LOADED)])
         # main() ends the process itself, so an atexit handler reads the
         # loaded modules; no command loads scipy or numpy.ma, nor
-        # dataclasses unless numpy does
+        # dataclasses, argparse, gettext or locale unless numpy does
         code = ("import atexit, sys\nfrom nvsim.cli import main\n"
                 "atexit.register(lambda: print(sorted(n for n in "
                 "('nvsim.photodynamics', 'nvsim.motional', 'nvsim.fitting', "
-                "'hashlib', 'numpy.ma', 'dataclasses') if n in sys.modules), "
-                "sorted(n for n in sys.modules if n.split('.')[0] == "
-                "'scipy')))\nmain()")
+                f"'hashlib', 'numpy.ma', *{HOST_LOADED}) if n in "
+                "sys.modules), sorted(n for n in sys.modules if "
+                "n.split('.')[0] == 'scipy')))\nmain()")
         env = dict(os.environ, PYTHONPATH=src)
         res = subprocess.run([sys.executable, "-c", code, "--config", cfg,
                               *argv], env=env, capture_output=True,

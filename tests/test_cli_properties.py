@@ -2,10 +2,16 @@
 run with a drawn config file, exits 0, 1 or 2, raises nothing and lets no
 numpy warning, traceback or LAPACK message reach stderr; on exit 0 every
 number in every CSV it wrote is finite. A value parses the same after its
-flag (`--flag value`) as joined to it (`--flag=value`)."""
+flag (`--flag value`) as joined to it (`--flag=value`), and every drawn
+argv, malformed ones included, parses as the argparse parser the CLI used
+to build (kept below as the reference) parses it."""
 
+import argparse
+import contextlib
 import csv
+import io
 import math
+import re
 import shutil
 import warnings
 
@@ -14,9 +20,90 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nvsim.cli import UsageError, _build_parser, run
+from nvsim.cli import UsageError, _parse, run
 from nvsim.fitting import synthesize_dataset
 from nvsim.model import FineStructureParams
+
+
+# The CLI's argparse parser, verbatim, as the reference `_parse` must match.
+class _Parser(argparse.ArgumentParser):
+    """argparse variant that raises instead of calling sys.exit. A token
+    that starts like a negative number is a value, as every token float()
+    parses does (argparse's own pattern takes -1e3, -5. or -inf for an
+    option); the flag's type check rejects the rest."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)",
+                                                   re.IGNORECASE)
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _build_parser():
+    p = _Parser(prog="nvsim", description=(
+        "NV- excited-state fine structure, photodynamics and ESR versus "
+        "transverse strain. Each subcommand writes its CSV tables and a "
+        "run manifest into the configured output directory. Exit codes: "
+        "0 success, 1 usage or configuration error, 2 numerical failure."))
+    p.add_argument("--config", default=None,
+                   help="flat key=value config file")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    sub.add_parser("levels", help="zero-strain fine-structure table")
+
+    sp = sub.add_parser("sweep", help="energies vs transverse strain")
+    sp.add_argument("--gap-threshold", type=float, default=0.5,
+                    help="report gap minima below this (GHz)")
+
+    sp = sub.add_parser("lines", help="optical transition table")
+    _strain_flag(sp)
+
+    sp = sub.add_parser("excitation", help="PL excitation spectrum")
+    _strain_flag(sp)
+    sp.add_argument("--mw-off", dest="mw", action="store_false",
+                    help="no microwave drive (default: driven)")
+    sp.add_argument("--detuning-min", type=float, default=-10.0)
+    sp.add_argument("--detuning-max", type=float, default=10.0)
+    sp.add_argument("--detuning-points", type=int, default=801)
+
+    sp = sub.add_parser("rabi", help="MW nutation trace")
+    _strain_flag(sp)
+    sp.add_argument("--readout", choices=("sz", "sxy"), default="sz",
+                    help="optical readout line family")
+    sp.add_argument("--omega-mw", type=float, default=2.0 * np.pi / 200.0,
+                    help="Rabi angular frequency (rad/ns)")
+    sp.add_argument("--tau-max", type=float, default=400.0)
+    sp.add_argument("--tau-points", type=int, default=81)
+
+    sp = sub.add_parser("odmr", help="motional-exchange ESR lineshape")
+    _strain_flag(sp, default=20.0)
+    sp.add_argument("--temperature", type=float, default=300.0)
+    sp.add_argument("--temperature-scan", action="store_true",
+                    help="emit contrast vs temperature instead")
+    sp.add_argument("--temp-min", type=float, default=6.0)
+    sp.add_argument("--temp-max", type=float, default=300.0)
+    sp.add_argument("--temp-points", type=int, default=60)
+    sp.add_argument("--freq-min", type=float, default=0.4)
+    sp.add_argument("--freq-max", type=float, default=2.6)
+    sp.add_argument("--freq-points", type=int, default=441)
+
+    sp = sub.add_parser("avg", help="orbit-averaged spin splitting")
+    sp.add_argument("--max-strain", type=float, default=30.0)
+    sp.add_argument("--points", type=int, default=301)
+
+    sp = sub.add_parser("fit", help="fit parameters from a line CSV")
+    sp.add_argument("input", help="CSV with defect_id,line_ghz columns")
+    sp.add_argument("--free-lambda-perp", action="store_true")
+    return p
+
+
+def _strain_flag(sp, default=3.0):
+    # its consumers check the value (`model.checked_strains`)
+    sp.add_argument("--strain", type=float, default=default,
+                    help=f"transverse strain, GHz (default {default})")
+
 
 MAX_POINTS = 50
 
@@ -70,19 +157,42 @@ GRID_CSV = {"excitation": "excitation.csv", "rabi": "rabi.csv",
             "odmr": "odmr.csv", "avg": "avg.csv"}
 
 
+# what a malformed or unusual command line adds (`command_lines(noise=True)`):
+# values that look like negative numbers, a flag missing its value, and
+# tokens inserted after the subcommand: an unknown flag, --config after the
+# subcommand, an explicit value on the help flag, "--" and -h
+NOISY_VALUES = st.sampled_from(["-1e3", "-.5", "-inf", "-nan", "-NaN",
+                                "-5.", "-1", "-x", "", None])
+NOISY_TOKENS = st.sampled_from([
+    [], ["--bogus"], ["--bogus=1"], ["-x"], ["--config", "c.cfg"],
+    ["--config=c.cfg"], ["--help=1"], ["--"], ["-h"], ["--he"]])
+
+
 @st.composite
-def command_lines(draw, fixture):
+def command_lines(draw, fixture, noise=False):
     """An argv, each value after its flag or joined to it, and the same
-    argv with every value joined."""
-    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv with every value joined. With `noise`, the subcommand may be
+    unknown or `fit` lack its input, a flag may be any prefix of itself
+    (an ambiguous one included) or lack its value, a switch may carry an
+    explicit value, and NOISY_TOKENS may follow the subcommand or end the
+    argv."""
+    command = draw(st.sampled_from(sorted(FLAGS) + ["frobnicate"] * noise))
     argv = [command]
     if command == "fit":
-        argv.append(draw(st.sampled_from([fixture, fixture + ".missing"])))
+        argv += draw(st.sampled_from(
+            [[fixture], [fixture + ".missing"]] + [[]] * noise))
     joined = list(argv)
-    for flag, values in FLAGS[command].items():
+    for flag, values in FLAGS.get(command, {}).items():
         if not draw(st.booleans()):
             continue
         value = draw(values)
+        if noise and draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if noise and draw(st.booleans()):
+            if value is not None:
+                value = draw(NOISY_VALUES)
+            else:
+                flag += "=1"
         if value is None:
             argv.append(flag)
             joined.append(flag)
@@ -90,6 +200,10 @@ def command_lines(draw, fixture):
         argv += [flag, str(value)] if draw(st.booleans()) \
             else [f"{flag}={value}"]
         joined.append(f"{flag}={value}")
+    if noise:
+        tokens, end = draw(NOISY_TOKENS), draw(st.booleans())
+        argv[len(argv) if end else 1:1] = tokens
+        joined[len(joined) if end else 1:1] = tokens
     return argv, joined
 
 
@@ -124,12 +238,16 @@ def pinned(*argv):
     return list(argv), joined
 
 
-def parsed(argv):
-    """The parsed namespace, or the usage error, as text (nan == nan)."""
+def parsed(argv, parse=_parse):
+    """The parsed namespace, the usage error or the help flag's exit, as
+    text (nan == nan)."""
     try:
-        return repr(vars(_build_parser().parse_args(argv)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            return repr(vars(parse(argv)))
     except UsageError as err:
         return f"error: {err}"
+    except SystemExit as exit_:
+        return f"exit {exit_.code}"
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +313,25 @@ def test_every_command_line_exits_cleanly(workdir, capfd):
             grid = [float(row.split(",")[0]) for row in rows]
             assert all(a < b for a, b in zip(grid, grid[1:])), \
                 "a grid column that does not ascend"
+
+    check()
+
+
+def test_parser_matches_argparse():
+    # the same values in the same order, or the same error text, or both
+    # exit through the help flag
+    @settings(derandomize=True, deadline=None, max_examples=400,
+              database=None)
+    @given(command_lines("lines.csv", noise=True),
+           st.sampled_from([[], ["--config", "c.cfg"], ["--co=c.cfg"]]))
+    @example(pinned("lines", "--strain", "-1e3"), [])
+    @example(pinned("odmr", "--temp", "3"), [])
+    @example((["fit", "--", "-x.csv"], ["fit", "x.csv", "--"]), [])
+    def check(argvs, config):
+        for argv in argvs:
+            argv = config + argv
+            assert parsed(argv) == parsed(
+                argv, lambda a: _build_parser().parse_args(a)), argv
 
     check()
 
